@@ -2,11 +2,11 @@
 
 Three solvers compete on the same catalog:
   baseline - most similar items, ignores costs entirely
-  P1       - myopic LP: minimize the cost of the *next* request only
-  P2       - session LP: minimize the long-run cost per request
+  P1       - myopic: minimize the cost of the *next* request only
+  P2       - session optimum: minimize the long-run cost per request
 
 On a small catalog we can also enumerate every deterministic policy and
-confirm the session LP is never beaten.
+confirm the session optimum is never beaten.
 
 Run: python demos/02_optimal_vs_greedy.py
 """
@@ -38,12 +38,12 @@ p0_small = zipf_popularity(k_small, 0.6)
 s_small = Scenario(u=u_small, c=place_cache(p0_small, 1), p0=p0_small,
                    alpha=0.8, n=2, q=0.5)
 best_ltec, best_policy = brute_force_optimum(s_small)
-lp = solve_session(s_small)
+optimum = solve_session(s_small)
 print(f"  enumerated optimum cost rate: {best_ltec:.6f}")
-print(f"  session-LP optimum cost rate: {lp.report.ltec:.6f} "
-      f"(can only be lower: the LP may randomize)")
-assert lp.report.ltec <= best_ltec + 1e-9
+print(f"  session optimum cost rate:    {optimum.report.ltec:.6f} "
+      f"(can only be lower: the optimum may randomize)")
+assert optimum.report.ltec <= best_ltec + 1e-9
 
-print("\nThe myopic policy chases cached items one step ahead; the session LP "
+print("\nThe myopic policy chases cached items one step ahead; the session optimum "
       "also routes through uncached contents that lead back to the cache, and "
       "the advantage widens as the quality floor tightens.")

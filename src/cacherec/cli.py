@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -70,47 +71,74 @@ def write_policy_csv(path, policy: Policy, meta: dict | None = None) -> None:
 
 
 def read_policy_csv(path) -> Policy:
-    variant = None
-    k = None
-    slots = None
-    entries = []
-    header_seen = False
+    """Read a policy file written by `write_policy_csv`.
+
+    Raises ValueError, naming the file and line, for a missing header or
+    metadata, a malformed entry, a non-finite value, or an index outside
+    0..k-1 (contents) or 1..slots (positions).
+    """
+    meta: dict[str, int | str] = {}
+    entries: list[tuple[int, list[str]]] = []
+    schema_seen = columns_seen = False
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("variant:"):
-                variant = body.split(":", 1)[1].strip()
-            elif body.startswith("k:"):
-                k = int(body.split(":", 1)[1])
-            elif body.startswith("slots:"):
-                slots = int(body.split(":", 1)[1])
-            continue
-        if not header_seen:
-            header_seen = True  # column header line
-            continue
-        parts = line.split(",")
-        try:
-            entries.append(tuple(int(x) for x in parts[:-1]) + (float(parts[-1]),))
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from exc
+        if not schema_seen:
+            if line != POLICY_SCHEMA:
+                raise ValueError(f"{path} line {lineno}: missing metadata header "
+                                 f"{POLICY_SCHEMA!r}")
+            schema_seen = True
+        elif line.startswith("#"):
+            key, _, val = line.lstrip("#").partition(":")
+            key, val = key.strip(), val.strip()
+            if key == "variant":
+                meta[key] = val
+            elif key in ("k", "slots"):
+                try:
+                    meta[key] = int(val)
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {lineno}: {exc}") from exc
+                if meta[key] < 1:
+                    raise ValueError(f"{path} line {lineno}: {key} must be positive")
+        elif not columns_seen:
+            columns_seen = True  # column header line
+        else:
+            entries.append((lineno, line.split(",")))
+    if not schema_seen:
+        raise ValueError(f"{path}: empty file, missing metadata header {POLICY_SCHEMA!r}")
+    variant, k = meta.get("variant"), meta.get("k")
     if variant is None or k is None:
         raise ValueError(f"{path}: missing variant/k metadata")
     if variant == "uniform":
-        r = np.zeros((k, k))
-        for i, j, val in entries:
-            r[i, j] = val
-        return Policy.uniform(r)
-    if variant == "positional":
-        if slots is None:
+        mats = np.zeros((k, k))
+    elif variant == "positional":
+        if "slots" not in meta:
             raise ValueError(f"{path}: positional policy without slots metadata")
-        mats = np.zeros((slots, k, k))
-        for slot, i, j, val in entries:
-            mats[slot - 1, i, j] = val
-        return Policy.positional(mats)
-    raise ValueError(f"{path}: unknown variant {variant!r}")
+        mats = np.zeros((meta["slots"], k, k))
+    else:
+        raise ValueError(f"{path}: unknown variant {variant!r}")
+
+    for lineno, parts in entries:
+        if len(parts) != mats.ndim + 1:
+            raise ValueError(f"{path} line {lineno}: expected {mats.ndim + 1} fields, "
+                             f"got {len(parts)}")
+        try:
+            idx = [int(x) for x in parts[:-1]]
+            val = float(parts[-1])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from exc
+        if mats.ndim == 3:
+            if not 1 <= idx[0] <= mats.shape[0]:
+                raise ValueError(f"{path} line {lineno}: slot {idx[0]} outside "
+                                 f"1..{mats.shape[0]}")
+            idx[0] -= 1
+        if not all(0 <= x < k for x in idx[-2:]):
+            raise ValueError(f"{path} line {lineno}: content index outside 0..{k - 1}")
+        if not math.isfinite(val):
+            raise ValueError(f"{path} line {lineno}: value {parts[-1]!r} is not finite")
+        mats[tuple(idx)] = val
+    return Policy(variant, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", help="scenario .npz produced by gen/ingest")
         p.add_argument("--out", help="output path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--solver", choices=sorted(_SOLVER_METHODS), default="auto")
+        p.add_argument("--solver", choices=sorted(_SOLVER_METHODS), default="auto",
+                       help="auto: policy iteration over the row kernel; "
+                            "builtin, highs, external: the LP oracle")
         p.add_argument("--external-cmd", default=None,
                        help="external solver command; {lp} and {out} are substituted")
         p.add_argument("--alpha", type=float, default=None)

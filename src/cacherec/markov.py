@@ -29,6 +29,8 @@ class EvalReport:
     """Analytic evaluation of a policy on a scenario.
 
     ltec: expected cost per request over a long session.
+    cost_to_go: (K,) expected cost accumulated over the rest of a cycle
+       entered at each content, G c; p0' cost_to_go is the cycle cost.
     chr: cache hit rate, 1 - ltec; only defined for binary costs (1 = miss).
     z: (K,) scaled visit rates, z = G' p0; (1 - alpha) * z_j is the long-run
        probability that a request is for content j.
@@ -38,6 +40,7 @@ class EvalReport:
     """
 
     ltec: float
+    cost_to_go: np.ndarray
     chr: float | None
     z: np.ndarray
     g_row_sums: np.ndarray
@@ -104,6 +107,7 @@ def evaluate(policy: Policy, scenario: Scenario, check: bool = True) -> EvalRepo
     hit_rate = 1.0 - ltec if scenario.binary_costs else None
     return EvalReport(
         ltec=ltec,
+        cost_to_go=y,
         chr=hit_rate,
         z=z,
         g_row_sums=g1,

@@ -25,7 +25,13 @@ def _as_vector(x, k: int | None, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
     if k is not None and arr.shape[0] != k:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {k}")
+    _require_finite(arr, name)
     return arr
+
+
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains NaN or infinite values")
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,7 @@ class Scenario:
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"u must be square, got shape {u.shape}")
         k = u.shape[0]
+        _require_finite(u, "u")
         np.fill_diagonal(u, 0.0)
         if np.any(u < 0.0) or np.any(u > 1.0):
             raise ValueError("similarity scores must lie in [0, 1]")
@@ -98,7 +105,8 @@ class Scenario:
 
     @property
     def uniform_clicks(self) -> bool:
-        return bool(np.allclose(self.v, 1.0 / self.n))
+        """Every slot is clicked with probability 1/N, to within 1e-12."""
+        return bool(np.all(np.abs(self.v - 1.0 / self.n) <= 1e-12))
 
     @property
     def binary_costs(self) -> bool:

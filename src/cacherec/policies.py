@@ -1,22 +1,49 @@
 """High-level policy construction: baseline, myopic (P1), and the two
 long-session optima (P2 uniform clicks, P3 position-aware).
 
-Each function builds the relevant LP(s), solves them, recovers the policy,
-and evaluates it analytically. The positional optimum is compared against
-the uniform one on equal footing: a uniform-click policy whose slate is
-placed uniformly at random over the positions is insensitive to the click
+The default solvers (method="auto") work row by row. The quality floor binds
+each content's slate separately, so minimizing the session cost p0' G c is a
+discounted MDP over the contents, with discount alpha and one polytope of
+slate mixtures per content. `row_kernel` solves the per-row problem
+"cheapest slate mix meeting the floor" for a value vector V, for all rows at
+once. P1 is one kernel call with V = c. P2 and P3 are policy iteration
+(Howard 1960; Puterman 1994, ch. 6): start from P1, evaluate V = G c with
+the LU that `markov.evaluate` uses, replace each row the kernel strictly
+improves, and stop when no row changes.
+
+An explicit LP method ("dense", "highs" or "external") instead builds the
+K^2-variable LP of `cacherec.lp` and solves it with `cacherec.simplex`; that
+path is kept as an independent oracle. The positional optimum is compared
+against the uniform one on equal footing: a uniform-click policy whose slate
+is placed uniformly at random over the positions is insensitive to the click
 distribution, so its session cost is exactly its uniform-click cost.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import lp, markov, simplex
 from .markov import EvalReport
-from .model import Policy, Scenario, baseline_policy, quality_profile
+from .model import (Policy, Scenario, baseline_policy, max_quality, max_quality_positional,
+                    quality_of, quality_profile, validate_policy)
 
 POLICY_NAMES = ("baseline", "P1", "P2", "P3")
+
+#: Policy-iteration rounds before giving up. Each round strictly improves at
+#: least one row and the rows' vertex sets are finite, so PI terminates; in
+#: practice it takes a handful of rounds.
+MAX_ROUNDS = 100
+#: Breakpoint-search steps per row-kernel call before giving up.
+MAX_KERNEL_STEPS = 200
+#: A row is replaced only when its new value is lower by this relative margin,
+#: so rounding noise cannot make policy iteration cycle.
+IMPROVE_RTOL = 1e-12
+
+_EPS = np.finfo(float).eps
 
 
 class InfeasibleProblem(RuntimeError):
@@ -24,12 +51,23 @@ class InfeasibleProblem(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """The LP solver failed (unbounded, iteration limit, backend error)."""
+    """The solver failed (unbounded, iteration limit, backend error)."""
 
 
 @dataclass(frozen=True)
 class PolicyResult:
-    """A solved policy plus its analytic evaluation and solver diagnostics."""
+    """A solved policy plus its analytic evaluation and solver diagnostics.
+
+    On the default row-kernel path (method="auto"):
+      iterations: row-kernel calls; 1 for P1, and for P2/P3 one for the P1
+        start plus one per policy-iteration round.
+      residual: largest shortfall of a content's slate quality below its
+        floor; slate budgets and bounds hold by construction.
+      objective: P1's myopic cost sum_i p0_i r_i'c; for P2/P3 the cycle cost
+        p0'V with V = G c, so LTEC = (1 - alpha) * objective.
+    On an LP path these are the simplex iterations, the largest LP constraint
+    violation and the LP objective (P1: the same myopic cost; P2/P3: c'z).
+    """
 
     name: str
     policy: Policy
@@ -46,6 +84,189 @@ class PolicyResult:
         return float(ratio.min()), float(ratio.mean())
 
 
+# ---------------------------------------------------------------------------
+# Row kernel.
+
+class RowSolution(NamedTuple):
+    """Per row i, the slate mix theta_i * lo[i] + (1 - theta_i) * hi[i].
+
+    lo and hi are (K, N) item indices; column t is the item shown with slot
+    weight w_t.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    theta: np.ndarray
+
+
+def _select(values: np.ndarray, u: np.ndarray, mu: np.ndarray, rows: np.ndarray,
+            n: int) -> np.ndarray:
+    """The N smallest scores V - mu_i u_i in each row i of `rows`, smallest first."""
+    score = values[None, :] - mu[:, None] * u[rows]
+    score[np.arange(rows.size), rows] = np.inf
+    pick = np.argpartition(score, n - 1, axis=1)[:, :n]
+    order = np.argsort(np.take_along_axis(score, pick, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(pick, order, axis=1)
+
+
+def _top_slates(u: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """The N most similar items of each row in `rows`, most similar first."""
+    masked = u[rows]
+    masked[np.arange(rows.size), rows] = -1.0
+    return np.argsort(-masked, axis=1, kind="stable")[:, :n]
+
+
+def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
+               floor: np.ndarray) -> RowSolution:
+    """Cheapest slate mix meeting each row's quality floor, for all rows at once.
+
+    Row i solves  min sum_t w_t V[s_t]  subject to  sum_t w_t u_i[s_t] >= floor_i
+    over mixtures of slates s of N distinct items other than i. With unit
+    weights this is the row LP  min V.r, sum r = N, u_i.r >= floor_i,
+    0 <= r <= 1, r_ii = 0. With the click probabilities sorted in decreasing
+    order as weights it is the positional row LP: by the rearrangement
+    inequality the item with the smallest score takes the largest weight.
+
+    Dualizing the floor with a multiplier mu leaves "take the N smallest
+    V - mu u". A row whose cheapest slate (mu = 0) meets the floor keeps it.
+    Every other row brackets mu between a slate below the floor and the
+    max-quality slate, and splits the bracket where the two slates'
+    Lagrangian lines cross. When no slate beats the lines there, the mix of
+    the two bracketing slates that meets the floor exactly is optimal within
+    rounding; otherwise the better slate replaces the end of its side.
+    """
+    k = u.shape[0]
+    n = weights.size
+
+    def cost(x, pick):
+        return x[pick] @ weights
+
+    def quality(pick, rows):
+        return u[rows[:, None], pick] @ weights
+
+    rows = np.arange(k)
+    lo = _select(values, u, np.zeros(k), rows, n)
+    q_lo = quality(lo, rows)
+    # Quality sums differ from the floor's by a few ulps of summation order.
+    slack = 8.0 * _EPS * (1.0 + floor)
+    hi, q_hi = lo.copy(), q_lo.copy()
+    active = np.flatnonzero(q_lo < floor - slack)
+    hi[active] = _top_slates(u, active, n)
+    q_hi[active] = quality(hi[active], active)
+
+    for _ in range(MAX_KERNEL_STEPS):
+        if active.size == 0:
+            break
+        v_lo, v_hi = cost(values, lo[active]), cost(values, hi[active])
+        ql, qh = q_lo[active], q_hi[active]
+        mu = np.maximum((v_hi - v_lo) / (qh - ql), 0.0)
+        x = _select(values, u, mu, active, n)
+        v_x, q_x = cost(values, x), quality(x, active)
+        line = np.minimum(v_lo - mu * ql, v_hi - mu * qh)
+        tol = 8.0 * _EPS * (np.abs(v_lo) + np.abs(v_hi) + mu * (ql + qh))
+        open_ = v_x - mu * q_x < line - tol
+        up = open_ & (q_x >= floor[active] - slack[active])
+        down = open_ & ~up
+        hi[active[up]], q_hi[active[up]] = x[up], q_x[up]
+        lo[active[down]], q_lo[active[down]] = x[down], q_x[down]
+        active = active[open_]
+    else:
+        raise SolverFailure(f"row kernel: {active.size} rows still open after "
+                            f"{MAX_KERNEL_STEPS} steps")
+
+    gap = q_hi - q_lo
+    theta = np.divide(q_hi - floor, gap, out=np.ones(k), where=gap > 0)
+    return RowSolution(lo, hi, np.clip(theta, 0.0, 1.0))
+
+
+def _mix_value(sol: RowSolution, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row's weighted cost of the slate mix `sol` under a value vector."""
+    return (sol.theta * (values[sol.lo] @ weights)
+            + (1.0 - sol.theta) * (values[sol.hi] @ weights))
+
+
+def _row_problem(scenario: Scenario, positional: bool):
+    """Slot weights, per-row quality floors, and the slot of each weight
+    (None for uniform clicks, whose slates are unordered)."""
+    u, n = scenario.u, scenario.n
+    if not positional:
+        return np.ones(n), scenario.q * max_quality(u, n), None
+    slot_order = np.argsort(-scenario.v, kind="stable")  # most-clicked slot first
+    return (scenario.v[slot_order], scenario.q * max_quality_positional(u, n, scenario.v),
+            slot_order)
+
+
+def _policy(sol: RowSolution, slot_order: np.ndarray | None) -> Policy:
+    """The policy of the slate mixes `sol`; column t goes to slot slot_order[t]."""
+    k, n = sol.lo.shape
+    rows = np.arange(k)
+    if slot_order is None:
+        in_lo = np.zeros((k, k), dtype=bool)
+        in_hi = np.zeros((k, k), dtype=bool)
+        np.put_along_axis(in_lo, sol.lo, True, axis=1)
+        np.put_along_axis(in_hi, sol.hi, True, axis=1)
+        theta = sol.theta[:, None]
+        return Policy.uniform(np.where(in_lo & in_hi, 1.0,
+                                       in_lo * theta + in_hi * (1.0 - theta)))
+    mats = np.zeros((n, k, k))
+    for t, slot in enumerate(slot_order):
+        lo, hi = sol.lo[:, t], sol.hi[:, t]
+        mats[slot, rows, lo] = sol.theta
+        mats[slot, rows, hi] += 1.0 - sol.theta
+        mats[slot, rows[lo == hi], lo[lo == hi]] = 1.0
+    return Policy.positional(mats)
+
+
+def _result(name: str, policy: Policy, scenario: Scenario, floor: np.ndarray,
+            report: EvalReport, objective: float, calls: int, t0: float) -> PolicyResult:
+    bad = validate_policy(policy, scenario)
+    if bad:
+        raise SolverFailure(f"{name}: invalid policy: " + "; ".join(bad[:5]))
+    shortfall = floor - quality_of(policy, scenario)
+    return PolicyResult(
+        name=name, policy=policy, report=report, objective=objective,
+        status="optimal", iterations=calls, residual=float(max(shortfall.max(), 0.0)),
+        seconds=time.perf_counter() - t0)
+
+
+def _greedy_kernel(scenario: Scenario) -> PolicyResult:
+    t0 = time.perf_counter()
+    weights, floor, _ = _row_problem(scenario, positional=False)
+    sol = row_kernel(scenario.c, scenario.u, weights, floor)
+    policy = _policy(sol, None)
+    report = markov.evaluate(policy, scenario, check=False)
+    myopic_cost = float(scenario.p0 @ _mix_value(sol, scenario.c, weights))
+    return _result("P1", policy, scenario, floor, report, myopic_cost, 1, t0)
+
+
+def _policy_iteration(scenario: Scenario, positional: bool, name: str) -> PolicyResult:
+    t0 = time.perf_counter()
+    weights, floor, slot_order = _row_problem(scenario, positional)
+    sol = row_kernel(scenario.c, scenario.u, weights, floor)
+    calls = 1
+    for _ in range(MAX_ROUNDS):
+        policy = _policy(sol, slot_order)
+        report = markov.evaluate(policy, scenario, check=False)
+        values = report.cost_to_go
+        new = row_kernel(values, scenario.u, weights, floor)
+        calls += 1
+        old = _mix_value(sol, values, weights)
+        better = _mix_value(new, values, weights) < old - IMPROVE_RTOL * np.abs(old)
+        if not better.any():
+            break
+        sol = RowSolution(np.where(better[:, None], new.lo, sol.lo),
+                          np.where(better[:, None], new.hi, sol.hi),
+                          np.where(better, new.theta, sol.theta))
+    else:
+        raise SolverFailure(f"{name}: policy iteration did not settle in "
+                            f"{MAX_ROUNDS} rounds")
+    return _result(name, policy, scenario, floor, report, float(scenario.p0 @ values),
+                   calls, t0)
+
+
+# ---------------------------------------------------------------------------
+# LP oracle paths.
+
 def _raise_for_status(solution, what: str):
     if solution.status == "optimal":
         return
@@ -54,20 +275,7 @@ def _raise_for_status(solution, what: str):
     raise SolverFailure(f"{what}: solver returned {solution.status} ({solution.message})")
 
 
-def solve_baseline(scenario: Scenario) -> PolicyResult:
-    """Most-similar-items policy; positional variant when clicks are non-uniform."""
-    t0 = time.perf_counter()
-    v = None if scenario.uniform_clicks else scenario.v
-    policy = baseline_policy(scenario.u, scenario.n, v)
-    report = markov.evaluate(policy, scenario)
-    return PolicyResult(
-        name="baseline", policy=policy, report=report, objective=None,
-        status="optimal", iterations=0, residual=0.0,
-        seconds=time.perf_counter() - t0)
-
-
-def solve_greedy(scenario: Scenario, **solve_kw) -> PolicyResult:
-    """P1: myopic policy minimizing only the next request's expected cost."""
+def _greedy_lp(scenario: Scenario, **solve_kw) -> PolicyResult:
     t0 = time.perf_counter()
     problems = lp.build_greedy_row_lps(scenario)
     xs, iters, resid = [], 0, 0.0
@@ -87,7 +295,7 @@ def solve_greedy(scenario: Scenario, **solve_kw) -> PolicyResult:
         seconds=time.perf_counter() - t0)
 
 
-def _solve_session(scenario: Scenario, positional: bool, name: str, **solve_kw) -> PolicyResult:
+def _session_lp(scenario: Scenario, positional: bool, name: str, **solve_kw) -> PolicyResult:
     t0 = time.perf_counter()
     builder = lp.build_positional_lp if positional else lp.build_session_lp
     problem = builder(scenario)
@@ -102,14 +310,41 @@ def _solve_session(scenario: Scenario, positional: bool, name: str, **solve_kw) 
         seconds=time.perf_counter() - t0)
 
 
-def solve_session(scenario: Scenario, **solve_kw) -> PolicyResult:
+# ---------------------------------------------------------------------------
+# Public solvers. method="auto" runs the row kernel; any other method names
+# an LP backend of `simplex.solve`, which receives the remaining keywords.
+
+def solve_baseline(scenario: Scenario) -> PolicyResult:
+    """Most-similar-items policy; positional variant when clicks are non-uniform."""
+    t0 = time.perf_counter()
+    v = None if scenario.uniform_clicks else scenario.v
+    policy = baseline_policy(scenario.u, scenario.n, v)
+    report = markov.evaluate(policy, scenario)
+    return PolicyResult(
+        name="baseline", policy=policy, report=report, objective=None,
+        status="optimal", iterations=0, residual=0.0,
+        seconds=time.perf_counter() - t0)
+
+
+def solve_greedy(scenario: Scenario, method: str = "auto", **solve_kw) -> PolicyResult:
+    """P1: myopic policy minimizing only the next request's expected cost."""
+    if method == "auto":
+        return _greedy_kernel(scenario)
+    return _greedy_lp(scenario, method=method, **solve_kw)
+
+
+def solve_session(scenario: Scenario, method: str = "auto", **solve_kw) -> PolicyResult:
     """P2: optimal long-session policy under uniform clicks."""
-    return _solve_session(scenario, positional=False, name="P2", **solve_kw)
+    if method == "auto":
+        return _policy_iteration(scenario, positional=False, name="P2")
+    return _session_lp(scenario, positional=False, name="P2", method=method, **solve_kw)
 
 
-def solve_positional(scenario: Scenario, **solve_kw) -> PolicyResult:
+def solve_positional(scenario: Scenario, method: str = "auto", **solve_kw) -> PolicyResult:
     """P3: optimal long-session policy aware of the position click distribution."""
-    return _solve_session(scenario, positional=True, name="P3", **solve_kw)
+    if method == "auto":
+        return _policy_iteration(scenario, positional=True, name="P3")
+    return _session_lp(scenario, positional=True, name="P3", method=method, **solve_kw)
 
 
 def solve_named(name: str, scenario: Scenario, **solve_kw) -> PolicyResult:

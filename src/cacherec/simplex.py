@@ -7,10 +7,10 @@ degenerate pivots, after which Bland's rule takes over to rule out cycling.
 Phase 1 minimizes the sum of one artificial per row; leftover artificials
 name the tightest row on infeasibility.
 
-The dense tableau is meant for desk-scale problems (a few thousand
-variables). Larger instances route to scipy's HiGHS backend
-(method="highs"), and method="external" shells out to a user-configured
-solver through the plain-text interchange dump.
+The dense tableau (method="dense") is meant for desk-scale problems (a few
+thousand variables). method="auto" and method="highs" use scipy's HiGHS,
+and method="external" shells out to a user-configured solver through the
+plain-text interchange dump.
 """
 from __future__ import annotations
 
@@ -22,10 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .lp import LpProblem, format_lp, parse_solution_text
-
-#: Problems at or below this many rows/columns use the bundled simplex
-#: under method="auto"; anything bigger goes to HiGHS.
-AUTO_DENSE_LIMIT = 600
 
 _PIVOT_TOL = 1e-10
 _STALL_LIMIT = 50
@@ -52,12 +48,9 @@ def solve(problem: LpProblem, *, method: str = "auto", feas_tol: float = 1e-8,
           opt_tol: float = 1e-9, max_iters: int | None = None,
           external_cmd: str | None = None) -> LpSolution:
     """Solve an LpProblem; infeasible/unbounded are reported via status, never raised."""
-    if method == "auto":
-        m = problem.b_eq.shape[0] + problem.b_ub.shape[0]
-        method = "dense" if (problem.n_vars <= AUTO_DENSE_LIMIT and m <= AUTO_DENSE_LIMIT) else "highs"
     if method in ("dense", "builtin"):
         return _solve_dense(problem, feas_tol, opt_tol, max_iters)
-    if method == "highs":
+    if method in ("auto", "highs"):
         return _solve_highs(problem)
     if method == "external":
         if not external_cmd:

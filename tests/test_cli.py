@@ -7,6 +7,7 @@ import pytest
 from cacherec.cli import (EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, SweepSpec, apply_axis,
                           gain, main, mph, read_policy_csv, run_sweep,
                           write_policy_csv, write_sweep_csv)
+from cacherec.data import scenario_from_config
 from conftest import random_positional_policy, random_scenario, random_uniform_policy
 
 
@@ -69,6 +70,40 @@ class TestPolicyFiles:
         with pytest.raises(ValueError, match="metadata"):
             read_policy_csv(f)
 
+    UNIFORM_HEAD = "# cacherec-policy v1\n# variant: uniform\n# k: 3\ni,j,r\n"
+    POSITIONAL_HEAD = ("# cacherec-policy v1\n# variant: positional\n# k: 3\n"
+                       "# slots: 2\nn,i,j,r\n")
+
+    @pytest.mark.parametrize("text,match", [
+        (UNIFORM_HEAD + "0,1,1.0\n-1,0,1.0\n", r"line 6: content index outside 0\.\.2"),
+        (UNIFORM_HEAD + "0,-1,1.0\n", r"line 5: content index outside"),
+        (UNIFORM_HEAD + "3,0,1.0\n", r"line 5: content index outside"),
+        (UNIFORM_HEAD + "0,3,1.0\n", r"line 5: content index outside"),
+        (POSITIONAL_HEAD + "0,0,1,1.0\n", r"line 6: slot 0 outside 1\.\.2"),
+        (POSITIONAL_HEAD + "3,0,1,1.0\n", r"line 6: slot 3 outside 1\.\.2"),
+        (POSITIONAL_HEAD + "1,0,5,1.0\n", r"line 6: content index outside"),
+        (UNIFORM_HEAD + "0,1\n", r"line 5: expected 3 fields"),
+        (UNIFORM_HEAD + "0,1,nan\n", r"line 5: value 'nan' is not finite"),
+        (UNIFORM_HEAD.split("\n", 1)[1] + "0,1,1.0\n", r"line 1: missing metadata header"),
+    ], ids=["negative-row", "negative-col", "row-beyond-k", "col-beyond-k", "slot-zero",
+            "slot-beyond", "positional-col-beyond-k", "short-entry", "nan-value",
+            "no-header"])
+    def test_malformed_entries_rejected(self, tmp_path, text, match):
+        f = tmp_path / "p.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=match) as err:
+            read_policy_csv(f)
+        assert str(f) in str(err.value)
+
+    def test_eval_bad_index_exits_io(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text("graph: {kind: matrix, u: [[0,1,1],[1,0,1],[1,1,0]]}\n"
+                       "p0: [0.4, 0.3, 0.3]\nc: [0, 1, 1]\nalpha: 0.8\nn: 1\nq: 0\n")
+        f = tmp_path / "p.csv"
+        f.write_text(self.UNIFORM_HEAD + "0,1,1.0\n1,7,1.0\n2,0,1.0\n")
+        assert main(["eval", "--config", str(cfg), "--policy", str(f)]) == EXIT_IO
+        assert "content index outside" in capsys.readouterr().err
+
 
 class TestSweep:
     def small_cfg(self):
@@ -128,12 +163,20 @@ class TestSweep:
         assert strip(seq) == strip(par)
 
     def test_failed_cell_recorded(self):
-        cfg = self.small_cfg()
-        cfg["alpha"] = 0.0  # session LP requires alpha > 0: P2 cells fail, P1 fine
-        spec = SweepSpec(config=cfg, axis="q", values=[0.8], policies=["P1", "P2"])
+        # Scenario requires N < K, so the N=50 cells fail and the N=2 cells solve.
+        spec = SweepSpec(config=self.small_cfg(), axis="N", values=[2, 50],
+                         policies=["P1", "P2"])
         rows = run_sweep(spec)
-        assert rows[0]["status"] == "ok"
-        assert rows[1]["status"].startswith("error")
+        assert [row["status"] for row in rows[:2]] == ["ok", "ok"]
+        assert all(row["status"].startswith("error") for row in rows[2:])
+
+    def test_alpha_zero_session_cell_solves(self):
+        cfg = self.small_cfg()
+        cfg["alpha"] = 0.0  # no recommendation is followed: LTEC is p0'c for any policy
+        rows = run_sweep(SweepSpec(config=cfg, axis="q", values=[0.8], policies=["P1", "P2"]))
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+        scenario, _ = scenario_from_config(apply_axis(cfg, "q", 0.8))
+        assert rows[1]["ltec"] == pytest.approx(scenario.p0 @ scenario.c, abs=1e-12)
 
     def test_hv_axis_reports_entropy(self):
         spec = SweepSpec(config=self.small_cfg(), axis="Hv",

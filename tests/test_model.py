@@ -52,6 +52,19 @@ class TestScenario:
         assert np.allclose(s.v, 0.5)
         assert s.uniform_clicks
 
+    @pytest.mark.parametrize("field", ["u", "c", "p0", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        s = scenario5(v=[0.5, 0.5])
+        arr = np.array(getattr(s, field), dtype=float)
+        arr.flat[1] = bad
+        with pytest.raises(ValueError, match=f"^{field} contains NaN"):
+            scenario5(**{field: arr, **({} if field == "v" else {"v": [0.5, 0.5]})})
+
+    def test_uniform_clicks_exact(self):
+        assert scenario5(v=[0.5, 0.5]).uniform_clicks
+        assert not scenario5(v=[0.5 + 4e-6, 0.5 - 4e-6]).uniform_clicks
+
     def test_replace_resets_clicks_on_new_n(self):
         s = scenario5(v=[0.7, 0.3])
         s2 = s.replace(n=3)

@@ -1,0 +1,92 @@
+"""Row-kernel solvers (method="auto") against the LP oracle."""
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+
+from cacherec import Scenario, quality_profile, validate_policy
+from cacherec import policies
+from cacherec.lp import build_greedy_row_lps, build_positional_lp, build_session_lp
+from cacherec.simplex import solve
+from conftest import random_scenario
+
+TOL = 1e-9
+
+CASES = list(itertools.product(["uniform", "skewed"], [0.0, 0.5, 1.0], [0.0, 0.5, 0.95],
+                               [True, False]))
+
+
+def lp_value(problem) -> float:
+    sol = solve(problem, method="highs")
+    assert sol.status == "optimal", sol.message
+    return sol.objective
+
+
+def session_reference(s, positional: bool) -> float:
+    if s.alpha == 0.0:
+        return float(s.p0 @ s.c)  # G = I: every feasible policy costs p0'c
+    build = build_positional_lp if positional else build_session_lp
+    return (1.0 - s.alpha) * lp_value(build(s))
+
+
+def assert_feasible(result, s):
+    assert result.status == "optimal"
+    assert validate_policy(result.policy, s) == []
+    assert quality_profile(result.policy, s).ratio().min() >= s.q - 1e-9
+    assert result.residual <= 1e-9
+
+
+@pytest.mark.parametrize("v,q,alpha,binary", CASES,
+                         ids=[f"{v}-q{q}-a{a}-{'bin' if b else 'cont'}" for v, q, a, b in CASES])
+def test_kernel_matches_lp_oracle(v, q, alpha, binary):
+    seed = CASES.index((v, q, alpha, binary))
+    rng = np.random.default_rng(7000 + seed)
+    k = int(rng.integers(5, 13))
+    s = random_scenario(rng, k=k, n=int(rng.integers(1, 4)), q=q, alpha=alpha,
+                        v=None if v == "uniform" else "skewed", binary_costs=binary)
+
+    p1 = policies.solve_greedy(s)
+    assert_feasible(p1, s)
+    rows = build_greedy_row_lps(s)
+    assert p1.objective == pytest.approx(
+        sum(p * lp_value(row) for p, row in zip(s.p0, rows)), abs=TOL)
+
+    for solver, positional in ((policies.solve_session, False),
+                               (policies.solve_positional, True)):
+        result = solver(s)
+        assert_feasible(result, s)
+        assert result.report.ltec == pytest.approx(session_reference(s, positional), abs=TOL)
+        assert result.objective * (1.0 - s.alpha) == pytest.approx(result.report.ltec, abs=TOL)
+
+
+def test_lp_methods_still_route_to_the_lp():
+    s = random_scenario(np.random.default_rng(3), k=6, n=2, alpha=0.7, q=0.8)
+    auto = policies.solve_session(s)
+    for method in ("dense", "highs"):
+        oracle = policies.solve_session(s, method=method)
+        assert oracle.report.ltec == pytest.approx(auto.report.ltec, abs=TOL)
+    assert policies.solve_greedy(s, method="dense").objective == pytest.approx(
+        policies.solve_greedy(s).objective, abs=TOL)
+
+
+def test_iteration_cap_raises_solver_failure(monkeypatch):
+    s = random_scenario(np.random.default_rng(5), k=30, n=2, alpha=0.9, q=0.8,
+                        binary_costs=False)
+    assert policies.solve_session(s).iterations >= 3  # P1 start is not optimal here
+    monkeypatch.setattr(policies, "MAX_ROUNDS", 1)
+    with pytest.raises(policies.SolverFailure, match="policy iteration"):
+        policies.solve_session(s)
+
+
+def test_quality_floor_not_undercut_by_rounding_slack():
+    # Content 2 is free and only 1e-13 short of content 1's quality, so at
+    # q = 1 the floor still rules it out after content 0.
+    u = [[0, 1, 1 - 1e-13], [1, 0, 1], [1 - 1e-13, 1, 0]]
+    s = Scenario(u=u, c=[1, 1, 0], p0=np.full(3, 1 / 3), alpha=0.5, n=1, q=1.0)
+    for solver in (policies.solve_greedy, policies.solve_session, policies.solve_positional):
+        result = solver(s)
+        mats = result.policy.mats.reshape(-1, 3, 3)
+        assert mats[:, 0, 2].max() == 0.0
+        assert_feasible(result, s)
