@@ -10,11 +10,10 @@ from .data import (GraphStats, gen_poisson_graph, load_edgelist, place_cache,
 from .lp import (LpProblem, RecoveredPolicy, build_greedy_row_lps,
                  build_positional_lp, build_session_lp, format_lp, parse_lp,
                  recover_policy)
-from .markov import (EvalReport, evaluate, expected_cycle_cost,
+from .markov import (EvalReport, click_kernel, evaluate, expected_cycle_cost,
                      expected_cycle_length, fundamental_matrix, transient_matrix)
 from .model import (Policy, QualityProfile, Scenario, baseline_policy, entropy,
-                    max_quality, max_quality_positional, quality_of,
-                    quality_profile, validate_policy)
+                    max_quality, quality_of, quality_profile, validate_policy)
 from .policies import (InfeasibleProblem, PolicyResult, SolverFailure,
                        solve_baseline, solve_greedy, solve_named,
                        solve_positional, solve_session)
@@ -28,11 +27,11 @@ __all__ = [
     "Policy", "PolicyResult", "QualityProfile", "RecoveredPolicy", "Scenario",
     "SimReport", "SolverFailure", "baseline_policy", "brute_force_optimum",
     "build_greedy_row_lps", "build_positional_lp", "build_session_lp",
-    "entropy", "evaluate", "expected_cycle_cost", "expected_cycle_length",
-    "format_lp", "fundamental_matrix", "gen_poisson_graph", "load_edgelist",
-    "max_quality", "max_quality_positional", "merge_reports", "parse_lp",
-    "place_cache", "quality_of", "quality_profile", "recover_policy",
-    "render_slate", "scenario_from_config", "simulate", "solve",
-    "solve_baseline", "solve_greedy", "solve_named", "solve_positional",
-    "solve_session", "transient_matrix", "validate_policy", "zipf_popularity",
+    "click_kernel", "entropy", "evaluate", "expected_cycle_cost",
+    "expected_cycle_length", "format_lp", "fundamental_matrix", "gen_poisson_graph",
+    "load_edgelist", "max_quality", "merge_reports", "parse_lp", "place_cache",
+    "quality_of", "quality_profile", "recover_policy", "render_slate",
+    "scenario_from_config", "simulate", "solve", "solve_baseline", "solve_greedy",
+    "solve_named", "solve_positional", "solve_session", "transient_matrix",
+    "validate_policy", "zipf_popularity",
 ]

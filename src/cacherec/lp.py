@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .model import Policy, Scenario, max_quality, max_quality_positional
+from .model import Policy, Scenario, max_quality
 
 #: Recovered z entries below this signal a violated p0 > 0 precondition.
 Z_FLOOR = 1e-12
@@ -160,10 +160,7 @@ def _session_lp(scenario: Scenario, positional: bool) -> LpProblem:
     idx = _VarIndex(k, blocks)
     nv = idx.n_vars
 
-    if positional:
-        qmax = max_quality_positional(u, n, scenario.v)
-    else:
-        qmax = max_quality(u, n)
+    qmax = max_quality(u, n, v)
 
     c = np.zeros(nv)
     c[:k] = scenario.c
@@ -376,10 +373,13 @@ def format_lp(problem: LpProblem) -> str:
 
 
 def parse_lp(text: str) -> LpProblem:
-    """Rebuild an LpProblem from its interchange dump."""
+    """Rebuild an LpProblem from its interchange dump.
+
+    A malformed dump raises ValueError naming the offending line.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     if not lines or lines[0] != DUMP_HEADER:
-        raise ValueError("not a recognized lp dump (bad header)")
+        raise ValueError("line 1: not a recognized lp dump (bad header)")
     name = "lp"
     var_names: list[str] = []
     obj: list[float] = []
@@ -388,33 +388,46 @@ def parse_lp(text: str) -> LpProblem:
     rows = {"eq": [], "le": []}
     var_index: dict[str, int] = {}
 
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln or ln == "minimize" or ln.startswith("#"):
             continue
         if ln == "end":
             break
         tok = ln.split()
-        if tok[0] == "problem":
-            name = tok[1] if len(tok) > 1 else name
-        elif tok[0] == "var":
-            # var <name> obj <c> lb <l> ub <u>
-            var_index[tok[1]] = len(var_names)
-            var_names.append(tok[1])
-            obj.append(float(tok[3]))
-            lb.append(float(tok[5]))
-            ub.append(float(tok[7]))
-        elif tok[0] in rows:
-            if ":" not in tok:
-                raise ValueError(f"malformed row line: {ln!r}")
-            split = tok.index(":")
-            row_name, rhs = tok[1], float(tok[3])
-            body = tok[split + 1:]
-            if len(body) % 2:
-                raise ValueError(f"odd term list in row {row_name!r}")
-            terms = [(var_index[body[t]], float(body[t + 1])) for t in range(0, len(body), 2)]
-            rows[tok[0]].append((row_name, rhs, terms))
-        else:
-            raise ValueError(f"unrecognized dump line: {ln!r}")
+        try:
+            if tok[0] == "problem":
+                name = tok[1] if len(tok) > 1 else name
+            elif tok[0] == "var":
+                if len(tok) != 8 or tok[2::2] != ["obj", "lb", "ub"]:
+                    raise ValueError("expected 'var <name> obj <c> lb <l> ub <u>'")
+                if tok[1] in var_index:
+                    raise ValueError(f"variable {tok[1]!r} declared twice")
+                c, lo, hi = map(float, tok[3::2])
+                if np.isnan(c) or not lo <= hi:  # NaN bounds fail the comparison
+                    raise ValueError(f"need a numeric objective and lb <= ub, got {ln!r}")
+                var_index[tok[1]] = len(var_names)
+                var_names.append(tok[1])
+                obj.append(c)
+                lb.append(lo)
+                ub.append(hi)
+            elif tok[0] in rows:
+                if len(tok) < 5 or tok[2] != "rhs" or tok[4] != ":":
+                    raise ValueError(f"expected '{tok[0]} <name> rhs <b> : <var> <coef> ...'")
+                body = tok[5:]
+                if len(body) % 2:
+                    raise ValueError(f"odd term list in row {tok[1]!r}")
+                unknown = [var for var in body[::2] if var not in var_index]
+                if unknown:
+                    raise ValueError(f"row {tok[1]!r} names undeclared variable {unknown[0]!r}")
+                rhs, *coefs = map(float, [tok[3], *body[1::2]])
+                if np.isnan([rhs, *coefs]).any():
+                    raise ValueError(f"NaN in row {tok[1]!r}")
+                terms = [(var_index[var], coef) for var, coef in zip(body[::2], coefs)]
+                rows[tok[0]].append((tok[1], rhs, terms))
+            else:
+                raise ValueError(f"unrecognized dump line: {ln!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
 
     nv = len(var_names)
 

@@ -3,7 +3,7 @@
 A session alternates between runs of recommendation-followed requests and
 renewals where the user picks from the whole catalog. Each run is an
 absorbing chain over the K contents whose transient kernel is
-Q = (alpha/N) * R for uniform clicks, or Q = alpha * sum_n v_n * R^n when
+Q = alpha * R/N for uniform clicks, or Q = alpha * sum_n v_n * R^n when
 the user prefers some slate positions. Everything of interest falls out of
 the fundamental matrix G = (I - Q)^{-1}: expected per-cycle cost p0' G c,
 expected cycle length 1/(1 - alpha), and the long-term expected cost per
@@ -47,12 +47,18 @@ class EvalReport:
     cycle_length: float
 
 
-def transient_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
-    """Transient kernel Q of the session chain (absorption prob. 1 - alpha)."""
+def click_kernel(policy: Policy, scenario: Scenario) -> np.ndarray:
+    """Row-stochastic next-content distribution of a user who follows the
+    recommendation: R/N for uniform clicks, sum_n v_n R^n for positional."""
     if policy.is_positional:
-        mixed = np.einsum("n,nij->ij", scenario.v, policy.slot_matrices)
-        return scenario.alpha * mixed
-    return (scenario.alpha / scenario.n) * policy.matrix
+        return np.einsum("n,nij->ij", scenario.v, policy.slot_matrices)
+    return policy.matrix / scenario.n
+
+
+def transient_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
+    """Transient kernel Q = alpha * click_kernel of the session chain
+    (absorption prob. 1 - alpha)."""
+    return scenario.alpha * click_kernel(policy, scenario)
 
 
 def _factor(policy: Policy, scenario: Scenario, check: bool = True):

@@ -253,61 +253,55 @@ def validate_policy(policy: Policy, scenario: Scenario, tol: float = FEAS_TOL) -
     return out
 
 
-def _top_n_indices(row: np.ndarray, i: int, n: int) -> np.ndarray:
-    """Indices of the N largest scores in row i (excluding i), ties by lowest index."""
-    masked = row.copy()
-    masked[i] = -1.0  # scores are >= 0, so self never ranks top-N
-    order = np.argsort(-masked, kind="stable")
-    return order[:n]
-
-
-def _baseline_matrix(u: np.ndarray, n: int) -> np.ndarray:
-    k = u.shape[0]
+def top_slates(u: np.ndarray, n: int) -> np.ndarray:
+    """(K, N) indices of each content's N most similar other items, most
+    similar first; equal scores go to the lowest index."""
+    masked = np.array(u, dtype=float)
+    k = masked.shape[0]
     if n >= k:
         raise ValueError(f"need n < K, got n={n}, K={k}")
-    r = np.zeros((k, k))
-    for i in range(k):
-        r[i, _top_n_indices(u[i], i, n)] = 1.0
-    return r
+    np.fill_diagonal(masked, -1.0)  # scores are >= 0, so self never ranks top-N
+    return np.argsort(-masked, axis=1, kind="stable")[:, :n]
 
 
-def _baseline_slot_matrices(u: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
-    k = u.shape[0]
-    if n >= k:
-        raise ValueError(f"need n < K, got n={n}, K={k}")
-    if v.shape != (n,):
-        raise ValueError(f"v must have length n={n}, got {v.shape}")
-    slot_order = np.argsort(-v, kind="stable")  # most-clicked slot first
-    mats = np.zeros((n, k, k))
-    for i in range(k):
-        items = _top_n_indices(u[i], i, n)
-        for rank, slot in enumerate(slot_order):
-            mats[slot, i, items[rank]] = 1.0
-    return mats
+def slot_order(v: np.ndarray) -> np.ndarray:
+    """Slots from most to least clicked, ties by lowest slot.
 
-
-def max_quality(u: np.ndarray, n: int) -> np.ndarray:
-    """Per-content maximum slate quality: sum of the N largest off-diagonal scores.
-
-    Computed through the top-N indicator rows so it is bitwise identical to
-    `quality_of(baseline_policy(u, n), ...)`.
+    By the rearrangement inequality, the best placement of a slate puts its
+    t-th most similar (or t-th cheapest) item in slot slot_order(v)[t].
     """
-    u = np.asarray(u, dtype=float)
-    return (_baseline_matrix(u, n) * u).sum(axis=1)
-
-
-def max_quality_positional(u: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
-    """Position-weighted maximum quality.
-
-    The best placement pairs the n-th most likely slot with the n-th most
-    similar item; the result is the click-probability-weighted quality of
-    that placement (same arithmetic as evaluating the baseline placement).
-    """
-    u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    mats = _baseline_slot_matrices(u, n, v)
-    per_slot = (mats * u[None, :, :]).sum(axis=2)
-    return v @ per_slot
+    return np.argsort(-v, kind="stable")
+
+
+def slate_policy(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
+                 v: np.ndarray | None = None) -> Policy:
+    """Policy that shows slate lo[i] with probability theta_i after content i,
+    and slate hi[i] otherwise.
+
+    lo and hi are (K, N) item indices. Without `v` the slates are unordered
+    and the policy is uniform; with `v`, column t of each slate goes to slot
+    slot_order(v)[t] and the policy is positional.
+    """
+    k, n = lo.shape
+    rows = np.arange(k)
+    if v is None:
+        in_lo = np.zeros((k, k), dtype=bool)
+        in_hi = np.zeros((k, k), dtype=bool)
+        np.put_along_axis(in_lo, lo, True, axis=1)
+        np.put_along_axis(in_hi, hi, True, axis=1)
+        theta = theta[:, None]
+        return Policy.uniform(np.where(in_lo & in_hi, 1.0,
+                                       in_lo * theta + in_hi * (1.0 - theta)))
+    if np.shape(v) != (n,):
+        raise ValueError(f"v must have length n={n}, got shape {np.shape(v)}")
+    mats = np.zeros((n, k, k))
+    for t, slot in enumerate(slot_order(v)):
+        lo_t, hi_t = lo[:, t], hi[:, t]
+        mats[slot, rows, lo_t] = theta
+        mats[slot, rows, hi_t] += 1.0 - theta
+        mats[slot, rows[lo_t == hi_t], lo_t[lo_t == hi_t]] = 1.0
+    return Policy.positional(mats)
 
 
 def baseline_policy(u: np.ndarray, n: int, v: np.ndarray | None = None) -> Policy:
@@ -317,31 +311,45 @@ def baseline_policy(u: np.ndarray, n: int, v: np.ndarray | None = None) -> Polic
     similar item in the t-th most clicked slot, which attains the positional
     maximum quality exactly. Ties are broken by lowest content index.
     """
+    top = top_slates(u, n)
+    return slate_policy(top, top, np.ones(top.shape[0]), v)
+
+
+def _slate_quality(policy: Policy, u: np.ndarray, v: np.ndarray | None) -> np.ndarray:
+    if not policy.is_positional:
+        return (policy.matrix * u).sum(axis=1)
+    per_slot = (policy.slot_matrices * u[None, :, :]).sum(axis=2)  # (N, K)
+    return np.asarray(v, dtype=float) @ per_slot
+
+
+def max_quality(u: np.ndarray, n: int, v: np.ndarray | None = None) -> np.ndarray:
+    """Per-content maximum slate quality, the quality floor's reference q_max.
+
+    Without `v` (uniform clicks) this is the sum of the N largest
+    off-diagonal scores. With position click probabilities `v` it is the
+    click-weighted quality of the best placement, which puts the t-th most
+    similar item in the t-th most clicked slot. Either way it is the quality
+    of `baseline_policy(u, n, v)`, computed by the same formula as
+    `quality_of`, so the two agree bitwise.
+    """
     u = np.asarray(u, dtype=float)
-    if v is None:
-        return Policy.uniform(_baseline_matrix(u, n))
-    return Policy.positional(_baseline_slot_matrices(u, n, np.asarray(v, dtype=float)))
+    return _slate_quality(baseline_policy(u, n, v), u, v)
 
 
 def quality_of(policy: Policy, scenario: Scenario) -> np.ndarray:
     """Expected per-content slate quality under a policy."""
     if policy.k != scenario.k:
         raise ValueError("policy/scenario dimension mismatch")
-    if not policy.is_positional:
-        return (policy.matrix * scenario.u).sum(axis=1)
-    if policy.n_slots != scenario.n:
+    if policy.is_positional and policy.n_slots != scenario.n:
         raise ValueError("policy slot count does not match scenario")
-    per_slot = (policy.slot_matrices * scenario.u[None, :, :]).sum(axis=2)  # (N, K)
-    return scenario.v @ per_slot
+    return _slate_quality(policy, scenario.u, scenario.v)
 
 
 def quality_profile(policy: Policy, scenario: Scenario) -> QualityProfile:
     """Maximum vs achieved quality for every content under a policy."""
-    if policy.is_positional:
-        qm = max_quality_positional(scenario.u, scenario.n, scenario.v)
-    else:
-        qm = max_quality(scenario.u, scenario.n)
-    return QualityProfile(q_max=qm, achieved=quality_of(policy, scenario))
+    v = scenario.v if policy.is_positional else None
+    return QualityProfile(q_max=max_quality(scenario.u, scenario.n, v),
+                          achieved=quality_of(policy, scenario))
 
 
 def entropy(v) -> float:

@@ -28,8 +28,9 @@ import numpy as np
 
 from . import lp, markov, simplex
 from .markov import EvalReport
-from .model import (Policy, Scenario, baseline_policy, max_quality, max_quality_positional,
-                    quality_of, quality_profile, validate_policy)
+from .model import (Policy, Scenario, baseline_policy, max_quality, quality_of,
+                    quality_profile, slate_policy, slot_order, top_slates,
+                    validate_policy)
 
 POLICY_NAMES = ("baseline", "P1", "P2", "P3")
 
@@ -109,16 +110,13 @@ def _select(values: np.ndarray, u: np.ndarray, mu: np.ndarray, rows: np.ndarray,
     return np.take_along_axis(pick, order, axis=1)
 
 
-def _top_slates(u: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """The N most similar items of each row in `rows`, most similar first."""
-    masked = u[rows]
-    masked[np.arange(rows.size), rows] = -1.0
-    return np.argsort(-masked, axis=1, kind="stable")[:, :n]
-
-
 def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
-               floor: np.ndarray) -> RowSolution:
+               floor: np.ndarray, top: np.ndarray) -> RowSolution:
     """Cheapest slate mix meeting each row's quality floor, for all rows at once.
+
+    values is the (K,) value vector V, weights the N slot weights in
+    decreasing order, floor the (K,) quality floors, and top the (K, N)
+    max-quality slates of `model.top_slates`, most similar first.
 
     Row i solves  min sum_t w_t V[s_t]  subject to  sum_t w_t u_i[s_t] >= floor_i
     over mixtures of slates s of N distinct items other than i. With unit
@@ -129,8 +127,8 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
 
     Dualizing the floor with a multiplier mu leaves "take the N smallest
     V - mu u". A row whose cheapest slate (mu = 0) meets the floor keeps it.
-    Every other row brackets mu between a slate below the floor and the
-    max-quality slate, and splits the bracket where the two slates'
+    Every other row brackets mu between a slate below the floor and its
+    max-quality slate top[i], and splits the bracket where the two slates'
     Lagrangian lines cross. When no slate beats the lines there, the mix of
     the two bracketing slates that meets the floor exactly is optimal within
     rounding; otherwise the better slate replaces the end of its side.
@@ -151,7 +149,7 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     slack = 8.0 * _EPS * (1.0 + floor)
     hi, q_hi = lo.copy(), q_lo.copy()
     active = np.flatnonzero(q_lo < floor - slack)
-    hi[active] = _top_slates(u, active, n)
+    hi[active] = top[active]
     q_hi[active] = quality(hi[active], active)
 
     for _ in range(MAX_KERNEL_STEPS):
@@ -186,35 +184,13 @@ def _mix_value(sol: RowSolution, values: np.ndarray, weights: np.ndarray) -> np.
 
 
 def _row_problem(scenario: Scenario, positional: bool):
-    """Slot weights, per-row quality floors, and the slot of each weight
-    (None for uniform clicks, whose slates are unordered)."""
+    """Slot weights in decreasing order, per-row quality floors, the click
+    distribution (None for uniform clicks, whose slates are unordered) and
+    the max-quality slates."""
     u, n = scenario.u, scenario.n
-    if not positional:
-        return np.ones(n), scenario.q * max_quality(u, n), None
-    slot_order = np.argsort(-scenario.v, kind="stable")  # most-clicked slot first
-    return (scenario.v[slot_order], scenario.q * max_quality_positional(u, n, scenario.v),
-            slot_order)
-
-
-def _policy(sol: RowSolution, slot_order: np.ndarray | None) -> Policy:
-    """The policy of the slate mixes `sol`; column t goes to slot slot_order[t]."""
-    k, n = sol.lo.shape
-    rows = np.arange(k)
-    if slot_order is None:
-        in_lo = np.zeros((k, k), dtype=bool)
-        in_hi = np.zeros((k, k), dtype=bool)
-        np.put_along_axis(in_lo, sol.lo, True, axis=1)
-        np.put_along_axis(in_hi, sol.hi, True, axis=1)
-        theta = sol.theta[:, None]
-        return Policy.uniform(np.where(in_lo & in_hi, 1.0,
-                                       in_lo * theta + in_hi * (1.0 - theta)))
-    mats = np.zeros((n, k, k))
-    for t, slot in enumerate(slot_order):
-        lo, hi = sol.lo[:, t], sol.hi[:, t]
-        mats[slot, rows, lo] = sol.theta
-        mats[slot, rows, hi] += 1.0 - sol.theta
-        mats[slot, rows[lo == hi], lo[lo == hi]] = 1.0
-    return Policy.positional(mats)
+    v = scenario.v if positional else None
+    weights = np.ones(n) if v is None else v[slot_order(v)]
+    return weights, scenario.q * max_quality(u, n, v), v, top_slates(u, n)
 
 
 def _result(name: str, policy: Policy, scenario: Scenario, floor: np.ndarray,
@@ -231,9 +207,9 @@ def _result(name: str, policy: Policy, scenario: Scenario, floor: np.ndarray,
 
 def _greedy_kernel(scenario: Scenario) -> PolicyResult:
     t0 = time.perf_counter()
-    weights, floor, _ = _row_problem(scenario, positional=False)
-    sol = row_kernel(scenario.c, scenario.u, weights, floor)
-    policy = _policy(sol, None)
+    weights, floor, _, top = _row_problem(scenario, positional=False)
+    sol = row_kernel(scenario.c, scenario.u, weights, floor, top)
+    policy = slate_policy(*sol)
     report = markov.evaluate(policy, scenario, check=False)
     myopic_cost = float(scenario.p0 @ _mix_value(sol, scenario.c, weights))
     return _result("P1", policy, scenario, floor, report, myopic_cost, 1, t0)
@@ -241,14 +217,14 @@ def _greedy_kernel(scenario: Scenario) -> PolicyResult:
 
 def _policy_iteration(scenario: Scenario, positional: bool, name: str) -> PolicyResult:
     t0 = time.perf_counter()
-    weights, floor, slot_order = _row_problem(scenario, positional)
-    sol = row_kernel(scenario.c, scenario.u, weights, floor)
+    weights, floor, v, top = _row_problem(scenario, positional)
+    sol = row_kernel(scenario.c, scenario.u, weights, floor, top)
     calls = 1
     for _ in range(MAX_ROUNDS):
-        policy = _policy(sol, slot_order)
+        policy = slate_policy(*sol, v)
         report = markov.evaluate(policy, scenario, check=False)
         values = report.cost_to_go
-        new = row_kernel(values, scenario.u, weights, floor)
+        new = row_kernel(values, scenario.u, weights, floor, top)
         calls += 1
         old = _mix_value(sol, values, weights)
         better = _mix_value(new, values, weights) < old - IMPROVE_RTOL * np.abs(old)
@@ -350,13 +326,11 @@ def solve_positional(scenario: Scenario, method: str = "auto", **solve_kw) -> Po
 def solve_named(name: str, scenario: Scenario, **solve_kw) -> PolicyResult:
     """Dispatch on the policy names used across sweeps and the CLI."""
     table = {
-        "baseline": solve_baseline,
+        "baseline": lambda s, **_: solve_baseline(s),  # no solver: ignores solve_kw
         "P1": solve_greedy,
         "P2": solve_session,
         "P3": solve_positional,
     }
     if name not in table:
         raise ValueError(f"unknown policy {name!r}; choose from {sorted(table)}")
-    if name == "baseline":
-        return solve_baseline(scenario)
     return table[name](scenario, **solve_kw)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import markov
-from .model import Policy, Scenario, max_quality, validate_policy
+from .model import Policy, Scenario, max_quality, slate_policy, validate_policy
 
 #: Number of batches used for the batch-means standard error.
 N_BATCHES = 100
@@ -55,7 +55,7 @@ def _sample_path(policy: Policy, scenario: Scenario, steps: int,
     order, the length of each renewal cycle (the last one possibly cut short
     at `steps`), and whether that cut happened.
     """
-    k, n, alpha = scenario.k, scenario.n, scenario.alpha
+    k, alpha = scenario.k, scenario.alpha
 
     # Draw renewal-cycle lengths until they cover the requested step count.
     if alpha == 0.0:
@@ -78,14 +78,9 @@ def _sample_path(policy: Policy, scenario: Scenario, steps: int,
         lengths[-1] -= int(ends[n_cycles - 1]) - steps
     offsets = np.concatenate([[0], np.cumsum(lengths[:-1])])
 
-    # Conditional next-state sampling: position-then-item for the positional
-    # variant, uniform over the slate otherwise. Cumulative rows let one
+    # Next-state sampling from the click kernel. Cumulative rows let one
     # uniform draw pick the next state for every active cycle at once.
-    if policy.is_positional:
-        slot_cum = np.cumsum(policy.slot_matrices, axis=2)          # (N, K, K)
-        v_cum = np.cumsum(scenario.v)
-    else:
-        row_cum = np.cumsum(policy.matrix / n, axis=1)              # (K, K)
+    row_cum = np.cumsum(markov.click_kernel(policy, scenario), axis=1)
 
     path = np.empty(steps, dtype=np.int64)
     p0_cum = np.cumsum(scenario.p0)
@@ -99,13 +94,7 @@ def _sample_path(policy: Policy, scenario: Scenario, steps: int,
         active = lengths > t
         cur = current[active]
         u = rng.random(cur.shape[0])
-        if policy.is_positional:
-            pos = np.minimum(np.searchsorted(v_cum, rng.random(cur.shape[0]), side="right"),
-                             scenario.n - 1)
-            rows = slot_cum[pos, cur]
-        else:
-            rows = row_cum[cur]
-        nxt = np.minimum((rows < u[:, None]).sum(axis=1), k - 1)
+        nxt = np.minimum((row_cum[cur] < u[:, None]).sum(axis=1), k - 1)
         path[offsets[active] + t] = nxt
         current[active] = nxt
     return path, lengths, truncated
@@ -237,10 +226,8 @@ def brute_force_optimum(scenario: Scenario, cap: int = BRUTE_FORCE_CAP,
             best_cost = float(costs[local])
             best_combo = block[local]
 
-    r_best = np.zeros((k, k))
-    for i, slate in enumerate(best_combo):
-        r_best[i, list(slate)] = 1.0
-    policy = Policy.uniform(r_best)
+    slates = np.array(best_combo)
+    policy = slate_policy(slates, slates, np.ones(k))
     report = markov.evaluate(policy, scenario)  # authoritative evaluation
     return report.ltec, policy
 

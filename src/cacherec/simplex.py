@@ -48,7 +48,7 @@ def solve(problem: LpProblem, *, method: str = "auto", feas_tol: float = 1e-8,
           opt_tol: float = 1e-9, max_iters: int | None = None,
           external_cmd: str | None = None) -> LpSolution:
     """Solve an LpProblem; infeasible/unbounded are reported via status, never raised."""
-    if method in ("dense", "builtin"):
+    if method == "dense":
         return _solve_dense(problem, feas_tol, opt_tol, max_iters)
     if method in ("auto", "highs"):
         return _solve_highs(problem)

@@ -235,6 +235,14 @@ class TestCommands:
                          "--out", str(out)]) == EXIT_OK
             assert out.exists()
 
+    def test_builtin_solver_flag_matches_auto(self, cfg_file, tmp_path, capsys):
+        ltec = []
+        for solver in ("auto", "builtin"):
+            assert main(["solve", "--problem", "uni", "--config", str(cfg_file),
+                         "--solver", solver, "--out", str(tmp_path / "p.csv")]) == EXIT_OK
+            ltec.append(float(capsys.readouterr().out.split("LTEC=")[1].split()[0]))
+        assert ltec[1] == pytest.approx(ltec[0], abs=1e-6)
+
     def test_oracle(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.yaml"
         cfg.write_text(

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cacherec import (Policy, Scenario, baseline_policy, entropy, max_quality,
-                      max_quality_positional, quality_of, quality_profile,
-                      validate_policy)
+                      quality_of, quality_profile, validate_policy)
 from conftest import random_positional_policy, random_scenario, random_uniform_policy
 
 U5 = np.array([
@@ -136,23 +135,23 @@ class TestMaxQuality:
 
 class TestMaxQualityPositional:
     def test_sorted_pairing(self):
-        got = max_quality_positional(U5, 2, np.array([0.8, 0.2]))
+        got = max_quality(U5, 2, np.array([0.8, 0.2]))
         assert got[0] == pytest.approx(0.8 * 1.0 + 0.2 * 1.0)
 
     def test_uniform_clicks_scale(self, rng):
         s = random_scenario(rng, k=9, n=3)
-        got = max_quality_positional(s.u, 3, np.full(3, 1 / 3))
+        got = max_quality(s.u, 3, np.full(3, 1 / 3))
         assert np.allclose(got, max_quality(s.u, 3) / 3)
 
     def test_single_strong_item_pairs_largest_click(self):
         u = np.zeros((4, 4))
         u[0] = [0, 1, 0, 0]
-        got = max_quality_positional(u, 2, np.array([0.7, 0.3]))
+        got = max_quality(u, 2, np.array([0.7, 0.3]))
         assert got[0] == pytest.approx(0.7)
 
     def test_click_order_irrelevant(self):
-        a = max_quality_positional(U5, 2, np.array([0.8, 0.2]))
-        b = max_quality_positional(U5, 2, np.array([0.2, 0.8]))
+        a = max_quality(U5, 2, np.array([0.8, 0.2]))
+        b = max_quality(U5, 2, np.array([0.2, 0.8]))
         assert np.allclose(a, b)
 
 
@@ -183,8 +182,35 @@ class TestBaselinePolicy:
             s = random_scenario(rng, v="skewed")
             base = baseline_policy(s.u, s.n, s.v)
             assert validate_policy(base, s, tol=0.0) == []
-            want = max_quality_positional(s.u, s.n, s.v)
+            want = max_quality(s.u, s.n, s.v)
             assert np.allclose(quality_of(base, s), want, atol=1e-12)
+
+    @pytest.mark.parametrize("v", [None, [1 / 3] * 3, [0.2, 0.5, 0.3], [0.4, 0.2, 0.4]])
+    def test_tie_heavy_rows_match_per_row_reference(self, v):
+        rng = np.random.default_rng(31)
+        k, n = 36, 3
+        u = (rng.random((k, k)) < 0.4).astype(float)
+        u[:4] = 0.0  # rows where every candidate ties at zero
+        np.fill_diagonal(u, 1.0)  # self must never be picked, whatever its score
+        s = Scenario(u=u, c=np.ones(k), p0=np.full(k, 1 / k), alpha=0.5, n=n, v=v)
+        slots = sorted(range(n), key=lambda t: -s.v[t])  # stable: ties keep slot order
+        want = np.zeros((n, k, k))
+        for i in range(k):
+            row = u[i].copy()
+            row[i] = -1.0
+            items = np.argsort(-row, kind="stable")[:n]
+            for rank, slot in enumerate(slots):
+                want[slot, i, items[rank]] = 1.0
+        if v is None:
+            got = baseline_policy(u, n)
+            assert np.array_equal(got.matrix, want.sum(axis=0))
+            assert np.array_equal(max_quality(u, n), (want.sum(axis=0) * s.u).sum(axis=1))
+        else:
+            got = baseline_policy(u, n, s.v)
+            assert np.array_equal(got.slot_matrices, want)
+            want_q = np.einsum("n,nij,ij->i", s.v, want, s.u)
+            assert np.allclose(max_quality(u, n, s.v), want_q, rtol=0.0, atol=1e-15)
+        assert np.array_equal(quality_of(got, s), max_quality(s.u, n, None if v is None else s.v))
 
 
 class TestQualityOf:

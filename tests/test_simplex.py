@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from cacherec import Scenario, evaluate
@@ -200,3 +202,104 @@ class TestInterchange:
         rec = recover_policy(sol, s, problem=back)
         assert evaluate(rec.policy, s).ltec == pytest.approx(
             (1 - s.alpha) * rec.objective_value, rel=1e-8)
+
+
+DUMP = "\n".join([
+    "# cacherec lp dump v1", "problem tiny", "minimize",
+    "var x obj 1.0 lb 0.0 ub 1.0",
+    "var y obj 2.0 lb 0.0 ub inf",
+    "eq budget rhs 1.0 : x 1.0 y 1.0",
+    "le cap rhs 0.5 : y 1.0",
+    "end"]) + "\n"
+
+
+def with_line(lineno: int, text: str) -> str:
+    lines = DUMP.splitlines()
+    lines[lineno - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+class TestParseErrors:
+    def test_reference_dump_parses(self):
+        prob = parse_lp(DUMP)
+        assert prob.var_names == ["x", "y"] and prob.ub[1] == np.inf
+
+    def test_short_var_line(self):
+        with pytest.raises(ValueError, match=r"line 4: expected 'var"):
+            parse_lp(with_line(4, "var x obj 1"))
+
+    def test_undeclared_variable_in_row(self):
+        with pytest.raises(ValueError, match=r"line 6: .*undeclared variable 'z'"):
+            parse_lp(with_line(6, "eq budget rhs 1.0 : x 1.0 z 1.0"))
+
+    def test_row_without_rhs(self):
+        with pytest.raises(ValueError, match=r"line 6: expected 'eq <name> rhs"):
+            parse_lp(with_line(6, "eq r : x 1"))
+
+    def test_bad_number_and_bounds(self):
+        with pytest.raises(ValueError, match=r"line 7: could not convert .*'two'"):
+            parse_lp(with_line(7, "le cap rhs 0.5 : y two"))
+        with pytest.raises(ValueError, match=r"line 7: NaN in row 'cap'"):
+            parse_lp(with_line(7, "le cap rhs nan : y 1.0"))
+        with pytest.raises(ValueError, match=r"line 4: need .* lb <= ub"):
+            parse_lp(with_line(4, "var x obj 1.0 lb 2.0 ub 1.0"))
+        with pytest.raises(ValueError, match=r"line 5: variable 'x' declared twice"):
+            parse_lp(with_line(5, "var x obj 1.0 lb 0.0 ub 1.0"))
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def lp_problems(draw):
+    n = draw(st.integers(1, 4))
+    lb = np.array(draw(st.lists(st.sampled_from([0.0, -1.0, -np.inf]), min_size=n, max_size=n)))
+    ub = np.array(draw(st.lists(st.sampled_from([1.0, 2.5, np.inf]), min_size=n, max_size=n)))
+
+    def block():
+        m = draw(st.integers(0, 3))
+        vals = draw(st.lists(st.one_of(st.just(0.0), finite), min_size=m * n, max_size=m * n))
+        rhs = draw(st.lists(finite, min_size=m, max_size=m))
+        return sparse.csr_matrix(np.reshape(vals, (m, n))), np.array(rhs, dtype=float)
+
+    a_eq, b_eq = block()
+    a_ub, b_ub = block()
+    c = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+    return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lb=lb, ub=ub,
+                     var_names=[f"v{i}" for i in range(n)], name="drawn")
+
+
+MUTANTS = ["", "x", "v0", ":", "rhs", "obj", "var", "eq", "le", "end", "nan", "inf",
+           "-inf", "1e999", "-1", "2.5"]
+
+
+@given(lp_problems(), st.lists(st.tuples(st.sampled_from(["drop", "dup", "token"]),
+                                         st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                                         st.sampled_from(MUTANTS)), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_dump_round_trips_or_raises_value_error(prob, mutations):
+    text = format_lp(prob)
+    back = parse_lp(text)
+    assert back.name == prob.name and back.var_names == prob.var_names
+    assert back.eq_names == prob.eq_names and back.ub_names == prob.ub_names
+    for field in ("c", "b_eq", "b_ub", "lb", "ub"):
+        assert np.array_equal(getattr(back, field), getattr(prob, field)), field
+    assert (back.a_eq != prob.a_eq).nnz == 0 and (back.a_ub != prob.a_ub).nnz == 0
+
+    lines = text.splitlines()
+    for op, at, pos, token in mutations:
+        i = at % len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        else:
+            toks = lines[i].split() or [""]
+            toks[pos % len(toks)] = token
+            lines[i] = " ".join(toks)
+        if not lines:
+            break
+    try:
+        parse_lp("\n".join(lines))
+    except ValueError:
+        pass
