@@ -459,6 +459,7 @@ def parse_solution_text(text: str, problem: LpProblem) -> tuple[str, np.ndarray,
     Returns (status, x, objective); unknown variables raise, missing ones
     default to their lower bound. Lines "status=..." and "objective=..." are
     recognized; status defaults to "optimal" when x entries are present.
+    A malformed line or a non-finite value raises ValueError naming the line.
     """
     status = None
     objective = None
@@ -469,18 +470,25 @@ def parse_solution_text(text: str, problem: LpProblem) -> tuple[str, np.ndarray,
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        if "=" not in ln:
-            raise ValueError(f"line {lineno}: expected name=value, got {ln!r}")
-        key, _, val = ln.partition("=")
+        key, eq, val = ln.partition("=")
         key, val = key.strip(), val.strip()
-        if key == "status":
-            status = val
-        elif key == "objective":
-            objective = float(val)
+        try:
+            if not eq:
+                raise ValueError(f"expected name=value, got {ln!r}")
+            if key == "status":
+                status = val
+                continue
+            if key != "objective" and key not in index:
+                raise ValueError(f"unknown variable {key!r}")
+            number = float(val)
+            if not np.isfinite(number):
+                raise ValueError(f"{key} is not finite: {val!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if key == "objective":
+            objective = number
         else:
-            if key not in index:
-                raise ValueError(f"line {lineno}: unknown variable {key!r}")
-            x[index[key]] = float(val)
+            x[index[key]] = number
             seen = True
     if status is None:
         status = "optimal" if seen else "solver-error"

@@ -333,7 +333,13 @@ def max_quality(u: np.ndarray, n: int, v: np.ndarray | None = None) -> np.ndarra
     `quality_of`, so the two agree bitwise.
     """
     u = np.asarray(u, dtype=float)
-    return _slate_quality(baseline_policy(u, n, v), u, v)
+    return top_quality(top_slates(u, n), u, v)
+
+
+def top_quality(top: np.ndarray, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """`max_quality` from slates already chosen by `top_slates(u, n)`, for
+    callers that need the slates too and should not sort twice."""
+    return _slate_quality(slate_policy(top, top, np.ones(top.shape[0]), v), u, v)
 
 
 def quality_of(policy: Policy, scenario: Scenario) -> np.ndarray:

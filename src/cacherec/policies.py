@@ -28,8 +28,8 @@ import numpy as np
 
 from . import lp, markov, simplex
 from .markov import EvalReport
-from .model import (Policy, Scenario, baseline_policy, max_quality, quality_of,
-                    quality_profile, slate_policy, slot_order, top_slates,
+from .model import (Policy, Scenario, baseline_policy, quality_of, quality_profile,
+                    slate_policy, slot_order, top_quality, top_slates,
                     validate_policy)
 
 POLICY_NAMES = ("baseline", "P1", "P2", "P3")
@@ -190,7 +190,8 @@ def _row_problem(scenario: Scenario, positional: bool):
     u, n = scenario.u, scenario.n
     v = scenario.v if positional else None
     weights = np.ones(n) if v is None else v[slot_order(v)]
-    return weights, scenario.q * max_quality(u, n, v), v, top_slates(u, n)
+    top = top_slates(u, n)
+    return weights, scenario.q * top_quality(top, u, v), v, top
 
 
 def _result(name: str, policy: Policy, scenario: Scenario, floor: np.ndarray,

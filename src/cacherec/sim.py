@@ -47,6 +47,39 @@ class SimReport:
     n_cycles: int
 
 
+def _kernel_support(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positive entries of a row-stochastic kernel in CSR form, for sampling.
+
+    Returns (indptr, cols, cum): row i's support is cols[indptr[i]:indptr[i+1]]
+    in column order, and cum holds the row's cumulative sums at those columns,
+    the same floats a dense row cumsum has there.
+    """
+    rows, cols = np.nonzero(kernel > 0.0)
+    cum = np.cumsum(kernel, axis=1)[rows, cols]
+    indptr = np.searchsorted(rows, np.arange(kernel.shape[0] + 1))
+    return indptr, cols, cum
+
+
+def _follow(indptr: np.ndarray, cols: np.ndarray, cum: np.ndarray,
+            current: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF step from each content current[j] with uniform u[j].
+
+    Picks the first support column of the row whose cumulative sum reaches
+    u[j], or the row's last support column when rounding leaves the row total
+    below u[j]. A lock-step binary search inside each row's segment of the
+    support, so a step costs O(log nnz(row)) per cycle.
+    """
+    first = indptr[current]
+    count = indptr[current + 1] - first - 1  # the last entry is never tested
+    while count.any():
+        half = count >> 1
+        mid = first + half
+        right = (count > 0) & (cum[mid] < u)
+        first = np.where(right, mid + 1, first)
+        count = np.where(right, count - half - 1, half)
+    return cols[first]
+
+
 def _sample_path(policy: Policy, scenario: Scenario, steps: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, bool]:
     """Draw one session of `steps` requests.
@@ -78,25 +111,22 @@ def _sample_path(policy: Policy, scenario: Scenario, steps: int,
         lengths[-1] -= int(ends[n_cycles - 1]) - steps
     offsets = np.concatenate([[0], np.cumsum(lengths[:-1])])
 
-    # Next-state sampling from the click kernel. Cumulative rows let one
-    # uniform draw pick the next state for every active cycle at once.
-    row_cum = np.cumsum(markov.click_kernel(policy, scenario), axis=1)
-
     path = np.empty(steps, dtype=np.int64)
     p0_cum = np.cumsum(scenario.p0)
     starts = np.searchsorted(p0_cum, rng.random(n_cycles), side="right")
     starts = np.minimum(starts, k - 1)
     path[offsets] = starts
 
-    max_len = int(lengths.max())
-    current = starts.copy()
-    for t in range(1, max_len):
-        active = lengths > t
-        cur = current[active]
-        u = rng.random(cur.shape[0])
-        nxt = np.minimum((row_cum[cur] < u[:, None]).sum(axis=1), k - 1)
-        path[offsets[active] + t] = nxt
-        current[active] = nxt
+    # Advance every active cycle by one followed request per step, drawing
+    # one uniform per active cycle in cycle order.
+    support = _kernel_support(markov.click_kernel(policy, scenario))
+    active = np.arange(n_cycles)
+    current = starts
+    for t in range(1, int(lengths.max())):
+        keep = lengths[active] > t
+        active, current = active[keep], current[keep]
+        current = _follow(*support, current, rng.random(active.size))
+        path[offsets[active] + t] = current
     return path, lengths, truncated
 
 

@@ -316,6 +316,11 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
 # ---------------------------------------------------------------------------
 # Subprocess hook: dump the LP, run a user command, read back name=value pairs.
 
+def _external_error(problem: LpProblem, message: str) -> LpSolution:
+    return LpSolution(status="error", x=np.full(problem.n_vars, np.nan), objective=np.nan,
+                      iterations=0, max_residual=np.inf, message=message)
+
+
 def _solve_external(problem: LpProblem, command: str) -> LpSolution:
     with tempfile.TemporaryDirectory(prefix="cacherec-lp-") as tmp:
         lp_path = Path(tmp) / "problem.lp"
@@ -327,16 +332,14 @@ def _solve_external(problem: LpProblem, command: str) -> LpSolution:
             cmd = f"{command} {lp_path} {out_path}"
         proc = subprocess.run(cmd, shell=True, capture_output=True, text=True)
         if proc.returncode != 0:
-            return LpSolution(
-                status="error", x=np.full(problem.n_vars, np.nan), objective=np.nan,
-                iterations=0, max_residual=np.inf,
-                message=f"external solver exited {proc.returncode}: {proc.stderr[-500:]}")
+            return _external_error(problem, f"external solver exited {proc.returncode}: "
+                                            f"{proc.stderr[-500:]}")
         if not out_path.exists():
-            return LpSolution(
-                status="error", x=np.full(problem.n_vars, np.nan), objective=np.nan,
-                iterations=0, max_residual=np.inf,
-                message="external solver wrote no solution file")
-        status, x, objective = parse_solution_text(out_path.read_text(), problem)
+            return _external_error(problem, "external solver wrote no solution file")
+        try:
+            status, x, objective = parse_solution_text(out_path.read_text(), problem)
+        except ValueError as exc:
+            return _external_error(problem, f"external solver output: {exc}")
     if objective is None:
         objective = float(problem.c @ x)
     return LpSolution(

@@ -5,12 +5,20 @@ bounds: all equality rows are active, every choice of the remaining active
 constraints is solved as a square system, and feasible candidates are ranked
 by objective. For a bounded feasible region this equals the LP optimum, with
 no simplex machinery involved.
+
+`dense_sample_path` is the simulator's inverse-CDF sampler in its plain
+form: every followed request counts, over the whole cumulative row of the
+click kernel, the entries below its uniform draw. The production sampler
+searches only each row's nonzero support and must return bitwise the same
+paths.
 """
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
+
+from cacherec import markov
 
 
 def vertex_optimum(problem, tol: float = 1e-7):
@@ -62,3 +70,48 @@ def vertex_optimum(problem, tol: float = 1e-7):
     objs[~feas] = np.inf
     best = int(np.argmin(objs))
     return "optimal", xs[best], float(objs[best])
+
+
+def dense_sample_path(policy, scenario, steps: int, rng: np.random.Generator):
+    """Reference for `sim._sample_path`: same draws, O(K) scan per step.
+
+    Returns (path, cycle_lengths, truncated).
+    """
+    k, alpha = scenario.k, scenario.alpha
+    if alpha == 0.0:
+        lengths = np.ones(steps, dtype=np.int64)
+    else:
+        chunks = []
+        total = 0
+        est = int(steps * (1.0 - alpha)) + 16
+        while total < steps:
+            block = rng.geometric(1.0 - alpha, size=est)
+            chunks.append(block)
+            total += int(block.sum())
+            est = max(16, est // 4)
+        lengths = np.concatenate(chunks)
+    ends = np.cumsum(lengths)
+    n_cycles = int(np.searchsorted(ends, steps)) + 1
+    lengths = lengths[:n_cycles]
+    truncated = int(ends[n_cycles - 1]) > steps
+    if truncated:
+        lengths[-1] -= int(ends[n_cycles - 1]) - steps
+    offsets = np.concatenate([[0], np.cumsum(lengths[:-1])])
+
+    row_cum = np.cumsum(markov.click_kernel(policy, scenario), axis=1)
+
+    path = np.empty(steps, dtype=np.int64)
+    p0_cum = np.cumsum(scenario.p0)
+    starts = np.searchsorted(p0_cum, rng.random(n_cycles), side="right")
+    starts = np.minimum(starts, k - 1)
+    path[offsets] = starts
+
+    current = starts.copy()
+    for t in range(1, int(lengths.max())):
+        active = lengths > t
+        cur = current[active]
+        u = rng.random(cur.shape[0])
+        nxt = np.minimum((row_cum[cur] < u[:, None]).sum(axis=1), k - 1)
+        path[offsets[active] + t] = nxt
+        current[active] = nxt
+    return path, lengths, truncated

@@ -53,6 +53,15 @@ def random_uniform_policy(rng: np.random.Generator, scenario: Scenario,
     return Policy.uniform(r)
 
 
+def random_dense_policy(rng: np.random.Generator, scenario: Scenario) -> Policy:
+    """Random feasible policy whose rows are positive off the diagonal: an
+    even mix of the flat policy N/(K-1) and `random_uniform_policy`."""
+    k, n = scenario.k, scenario.n
+    flat = np.full((k, k), n / (k - 1))
+    np.fill_diagonal(flat, 0.0)
+    return Policy.uniform(0.5 * flat + 0.5 * random_uniform_policy(rng, scenario).matrix)
+
+
 def random_positional_policy(rng: np.random.Generator, scenario: Scenario,
                              mixtures: int = 4) -> Policy:
     """Random feasible positional policy: convex mix of deterministic slate placements."""

@@ -1,12 +1,19 @@
 """Monte Carlo simulator, exhaustive search, and slate rendering."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cacherec import Policy, Scenario, evaluate
-from cacherec.sim import (brute_force_optimum, merge_reports, render_slate, simulate)
-from conftest import random_positional_policy, random_scenario, random_uniform_policy
+from cacherec import (Policy, Scenario, baseline_policy, evaluate, scenario_from_config,
+                      solve_positional, solve_session)
+from cacherec.markov import click_kernel
+from cacherec.sim import (_follow, _kernel_support, _sample_path, brute_force_optimum,
+                          merge_reports, render_slate, simulate)
+from _oracles import dense_sample_path
+from conftest import (random_dense_policy, random_positional_policy, random_scenario,
+                      random_uniform_policy)
 
 
 def two_state(alpha=0.5):
@@ -63,7 +70,6 @@ class TestSimulate:
 
     def test_never_self_loops_via_recommendations(self, rng):
         # r_ii = 0: within a cycle, consecutive repeats are impossible
-        from cacherec.sim import _sample_path
         s = random_scenario(rng, k=4, n=1, alpha=0.9)
         p = random_uniform_policy(rng, s)
         path, lengths, _ = _sample_path(p, s, 50_000, np.random.default_rng(6))
@@ -78,6 +84,83 @@ class TestSimulate:
         assert merged.steps == 200_000
         assert abs(merged.empirical_cost_rate - 0.5) <= 3 * merged.stderr
         assert merged.stderr < max(r.stderr for r in reps)
+
+
+def graph_scenario(k: int, n: int, v="uniform", q: float = 0.9,
+                   alpha: float = 0.8) -> Scenario:
+    scenario, _ = scenario_from_config({
+        "graph": {"kind": "poisson", "k": k, "mean_degree": 6}, "alpha": alpha, "n": n,
+        "v": v, "q": q, "zipf_s": 0.7, "cache_size": max(1, k // 10), "seed": 5})
+    return scenario
+
+
+def oracle_cases():
+    """(label, policy, scenario) for the sparse-vs-dense sampler comparison."""
+    rng = np.random.default_rng(77)
+    uni, p2_sc = graph_scenario(60, 2), graph_scenario(40, 2)
+    pos, p3_sc = (graph_scenario(k, 3, v=[0.6, 0.3, 0.1]) for k in (60, 30))
+    p2 = solve_session(p2_sc).policy
+    assert np.any((p2.matrix > 0) & (p2.matrix < 1))  # a fractional optimum
+    dense_sc = random_scenario(rng, k=30, n=3, alpha=0.85)
+    iid = random_scenario(rng, k=12, n=2, alpha=0.0)
+    return [
+        ("uniform-baseline", baseline_policy(uni.u, uni.n), uni),
+        ("positional-baseline", baseline_policy(pos.u, pos.n, pos.v), pos),
+        ("session-optimum", p2, p2_sc),
+        ("positional-optimum", solve_positional(p3_sc).policy, p3_sc),
+        ("dense-rows", random_dense_policy(rng, dense_sc), dense_sc),
+        ("alpha-zero", random_uniform_policy(rng, iid), iid),
+    ]
+
+
+CASES = oracle_cases()
+
+
+class TestSparseSampler:
+    @pytest.mark.parametrize("label,policy,scenario", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_paths_match_dense_oracle(self, label, policy, scenario, seed):
+        got = _sample_path(policy, scenario, 30_000, np.random.default_rng(seed))
+        want = dense_sample_path(policy, scenario, 30_000, np.random.default_rng(seed))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("label,policy,scenario", CASES, ids=[c[0] for c in CASES])
+    def test_followed_requests_have_positive_probability(self, label, policy, scenario):
+        path, lengths, _ = _sample_path(policy, scenario, 20_000, np.random.default_rng(1))
+        followed = np.ones(path.size, dtype=bool)
+        followed[np.concatenate([[0], np.cumsum(lengths[:-1])])] = False
+        kernel = click_kernel(policy, scenario)
+        assert np.all(kernel[path[:-1][followed[1:]], path[1:][followed[1:]]] > 0.0)
+
+    def test_rounding_overflow_stays_on_support(self):
+        # Row 0's cumsum ends at 0.6, below the draws 0.7 and 0.999: the dense
+        # scan would clamp to content K-1 = 4, which row 0 never recommends.
+        kernel = np.array([[0.0, 0.3, 0.0, 0.3, 0.0],
+                           [0.5, 0.0, 0.5, 0.0, 0.0],
+                           [0.0, 0.0, 0.0, 0.0, 1.0],
+                           [0.2, 0.2, 0.2, 0.0, 0.4],
+                           [1.0, 0.0, 0.0, 0.0, 0.0]])
+        support = _kernel_support(kernel)
+        u = np.array([0.0, 0.3, 0.31, 0.6, 0.7, 0.999])
+        got = _follow(*support, np.zeros(u.size, dtype=np.int64), u)
+        assert got.tolist() == [1, 1, 3, 3, 3, 3]
+        got = _follow(*support, np.array([1, 2, 3, 3, 4]), np.array([0.5, 0.99, 0.61, 0.6, 0.5]))
+        assert got.tolist() == [0, 4, 4, 2, 0]
+
+    def test_memory_independent_of_catalog_width(self):
+        # A per-step (active cycles, K) float temporary would take about
+        # 50 000 x 400 x 8 B = 160 MB at t = 1 for these sizes.
+        s = graph_scenario(400, 2)
+        p = baseline_policy(s.u, s.n)
+        tracemalloc.start()
+        try:
+            simulate(p, s, steps=250_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"simulate peaked at {peak / 1e6:.1f} MB"
 
 
 class TestBruteForce:

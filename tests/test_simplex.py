@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from cacherec import Scenario, evaluate
-from cacherec.lp import LpProblem, build_session_lp, format_lp, parse_lp, recover_policy
+from cacherec.lp import (LpProblem, build_session_lp, format_lp, parse_lp, parse_solution_text,
+                         recover_policy)
 from cacherec.simplex import solve
 from _oracles import vertex_optimum
 from conftest import random_box_lp
@@ -193,6 +194,16 @@ class TestInterchange:
         got = solve(prob, method="external", external_cmd="false")
         assert got.status == "error"
 
+    def test_external_non_finite_output_reported(self, tmp_path):
+        stub = tmp_path / "nan_solver.py"
+        stub.write_text("import sys\n"
+                        "open(sys.argv[2], 'w').write('status=optimal\\nx0=nan\\n')\n")
+        prob = random_box_lp(np.random.default_rng(31))
+        got = solve(prob, method="external",
+                    external_cmd=f"{sys.executable} {stub} {{lp}} {{out}}")
+        assert got.status == "error"
+        assert "line 2: x0 is not finite" in got.message
+
     def test_session_lp_round_trips_through_dump(self):
         s = Scenario(u=[[0, 1, 0.5], [1, 0, 0.2], [0.5, 0.2, 0]],
                      c=[0, 1, 1], p0=[0.2, 0.3, 0.5], alpha=0.6, n=1, q=0.5)
@@ -303,3 +314,74 @@ def test_dump_round_trips_or_raises_value_error(prob, mutations):
         parse_lp("\n".join(lines))
     except ValueError:
         pass
+
+
+class TestParseSolutionText:
+    PROB = parse_lp(DUMP)
+
+    def test_reads_values_status_and_objective(self):
+        status, x, objective = parse_solution_text(
+            "# comment\nstatus=optimal\nobjective=1.5\ny=0.25\n", self.PROB)
+        assert status == "optimal" and objective == 1.5
+        assert x.tolist() == [0.0, 0.25]  # x missing: its lower bound
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ValueError, match=r"line 2: x is not finite"):
+            parse_solution_text(f"status=optimal\nx={value}\n", self.PROB)
+        with pytest.raises(ValueError, match=r"line 1: objective is not finite"):
+            parse_solution_text(f"objective={value}\nx=1\n", self.PROB)
+
+    def test_malformed_lines_name_the_line(self):
+        with pytest.raises(ValueError, match=r"line 2: could not convert .*'abc'"):
+            parse_solution_text("x=1\nobjective=abc\n", self.PROB)
+        with pytest.raises(ValueError, match=r"line 1: could not convert .*'one'"):
+            parse_solution_text("y=one\n", self.PROB)
+        with pytest.raises(ValueError, match=r"line 3: unknown variable 'z'"):
+            parse_solution_text("x=1\n\nz=2\n", self.PROB)
+        with pytest.raises(ValueError, match=r"line 1: expected name=value"):
+            parse_solution_text("x 1\n", self.PROB)
+
+
+SOLUTION_MUTANTS = ["", "=", "x", "v0", "v0=", "=1", "status", "objective", "nan", "inf",
+                    "-inf", "1e999", "abc", "2.5", "-1", "#"]
+
+
+@given(lp_problems(), st.data(),
+       st.lists(st.tuples(st.sampled_from(["drop", "dup", "line", "key", "value"]),
+                          st.integers(0, 10 ** 6), st.sampled_from(SOLUTION_MUTANTS)),
+                max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_solution_round_trips_or_raises_value_error(prob, data, mutations):
+    x = data.draw(st.lists(finite, min_size=prob.n_vars, max_size=prob.n_vars))
+    objective = data.draw(st.one_of(st.none(), finite))
+    status = data.draw(st.one_of(st.none(), st.sampled_from(["optimal", "infeasible"])))
+    lines = [] if status is None else [f"status={status}"]
+    if objective is not None:
+        lines.append(f"objective={objective!r}")
+    lines += [f"{name}={val!r}" for name, val in zip(prob.var_names, x)]
+    got_status, got_x, got_objective = parse_solution_text("\n".join(lines), prob)
+    assert got_status == (status or "optimal")
+    assert got_x.tolist() == x and got_objective == objective
+
+    for op, at, token in mutations:
+        if not lines:
+            break
+        i = at % len(lines)
+        key, _, val = lines[i].partition("=")
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        elif op == "line":
+            lines[i] = token
+        elif op == "key":
+            lines[i] = f"{token}={val}"
+        else:
+            lines[i] = f"{key}={token}"
+    try:
+        _, got_x, got_objective = parse_solution_text("\n".join(lines), prob)
+    except ValueError:
+        return
+    assert np.all(np.isfinite(got_x))
+    assert got_objective is None or np.isfinite(got_objective)
