@@ -70,75 +70,81 @@ def write_policy_csv(path, policy: Policy, meta: dict | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _policy_array(meta: dict) -> np.ndarray:
+    """The all-zero policy array that the metadata lines declare."""
+    variant, k = meta.get("variant"), meta.get("k")
+    if variant is None or k is None:
+        raise ValueError("missing variant/k metadata before the column header")
+    if variant == "uniform":
+        return np.zeros((k, k))
+    if variant != "positional":
+        raise ValueError(f"unknown variant {variant!r}")
+    if "slots" not in meta:
+        raise ValueError("positional policy without slots metadata")
+    return np.zeros((meta["slots"], k, k))
+
+
+def _set_policy_entry(mats: np.ndarray, parts: list[str]) -> None:
+    """Store one "[n,]i,j,r" entry; raises ValueError for a malformed one."""
+    if len(parts) != mats.ndim + 1:
+        raise ValueError(f"expected {mats.ndim + 1} fields, got {len(parts)}")
+    idx = [int(x) for x in parts[:-1]]
+    val = float(parts[-1])
+    if mats.ndim == 3:
+        if not 1 <= idx[0] <= mats.shape[0]:
+            raise ValueError(f"slot {idx[0]} outside 1..{mats.shape[0]}")
+        idx[0] -= 1
+    k = mats.shape[-1]
+    if not all(0 <= x < k for x in idx[-2:]):
+        raise ValueError(f"content index outside 0..{k - 1}")
+    if not math.isfinite(val):
+        raise ValueError(f"value {parts[-1]!r} is not finite")
+    mats[tuple(idx)] = val
+
+
 def read_policy_csv(path) -> Policy:
     """Read a policy file written by `write_policy_csv`.
 
     Raises ValueError, naming the file and line, for a missing header or
     metadata, a malformed entry, a non-finite value, or an index outside
-    0..k-1 (contents) or 1..slots (positions).
+    0..k-1 (contents) or 1..slots (positions). The variant, k and slots
+    metadata must precede the column header line.
     """
     meta: dict[str, int | str] = {}
-    entries: list[tuple[int, list[str]]] = []
-    schema_seen = columns_seen = False
+    schema_seen, mats, lineno = False, None, 0
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if not schema_seen:
-            if line != POLICY_SCHEMA:
-                raise ValueError(f"{path} line {lineno}: missing metadata header "
-                                 f"{POLICY_SCHEMA!r}")
-            schema_seen = True
-        elif line.startswith("#"):
-            key, _, val = line.lstrip("#").partition(":")
-            key, val = key.strip(), val.strip()
-            if key == "variant":
-                meta[key] = val
-            elif key in ("k", "slots"):
-                try:
-                    meta[key] = int(val)
-                except ValueError as exc:
-                    raise ValueError(f"{path} line {lineno}: {exc}") from exc
-                if meta[key] < 1:
-                    raise ValueError(f"{path} line {lineno}: {key} must be positive")
-        elif not columns_seen:
-            columns_seen = True  # column header line
-        else:
-            entries.append((lineno, line.split(",")))
-    if not schema_seen:
-        raise ValueError(f"{path}: empty file, missing metadata header {POLICY_SCHEMA!r}")
-    variant, k = meta.get("variant"), meta.get("k")
-    if variant is None or k is None:
-        raise ValueError(f"{path}: missing variant/k metadata")
-    if variant == "uniform":
-        mats = np.zeros((k, k))
-    elif variant == "positional":
-        if "slots" not in meta:
-            raise ValueError(f"{path}: positional policy without slots metadata")
-        mats = np.zeros((meta["slots"], k, k))
-    else:
-        raise ValueError(f"{path}: unknown variant {variant!r}")
-
-    for lineno, parts in entries:
-        if len(parts) != mats.ndim + 1:
-            raise ValueError(f"{path} line {lineno}: expected {mats.ndim + 1} fields, "
-                             f"got {len(parts)}")
         try:
-            idx = [int(x) for x in parts[:-1]]
-            val = float(parts[-1])
+            if not line:
+                continue
+            if not schema_seen:
+                if line != POLICY_SCHEMA:
+                    raise ValueError(f"missing metadata header {POLICY_SCHEMA!r}")
+                schema_seen = True
+            elif line.startswith("#"):
+                key, _, val = line.lstrip("#").partition(":")
+                key, val = key.strip(), val.strip()
+                if key in ("variant", "k", "slots") and mats is not None:
+                    raise ValueError(f"{key} metadata after the column header")
+                if key == "variant":
+                    meta[key] = val
+                elif key in ("k", "slots"):
+                    meta[key] = int(val)
+                    if meta[key] < 1:
+                        raise ValueError(f"{key} must be positive")
+            elif mats is None:  # the column header line ends the metadata
+                mats = _policy_array(meta)
+                columns = "n,i,j,r" if mats.ndim == 3 else "i,j,r"
+                if line.replace(" ", "") != columns:
+                    raise ValueError(f"expected column header {columns!r}, got {line!r}")
+            else:
+                _set_policy_entry(mats, line.split(","))
         except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from exc
-        if mats.ndim == 3:
-            if not 1 <= idx[0] <= mats.shape[0]:
-                raise ValueError(f"{path} line {lineno}: slot {idx[0]} outside "
-                                 f"1..{mats.shape[0]}")
-            idx[0] -= 1
-        if not all(0 <= x < k for x in idx[-2:]):
-            raise ValueError(f"{path} line {lineno}: content index outside 0..{k - 1}")
-        if not math.isfinite(val):
-            raise ValueError(f"{path} line {lineno}: value {parts[-1]!r} is not finite")
-        mats[tuple(idx)] = val
-    return Policy(variant, mats)
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
+    if mats is None:
+        missing = "the column header line" if schema_seen else f"metadata header {POLICY_SCHEMA!r}"
+        raise ValueError(f"{path} line {lineno + 1}: end of file, expected {missing}")
+    return Policy(meta["variant"], mats)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ see `scenario_from_config` for the recognized keys.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,7 +62,9 @@ def load_edgelist(path, saturation_threshold: float,
     a negative threshold keeps the raw weights. The matrix is symmetrized by
     the elementwise max and reduced to its largest connected component
     (by default after saturation). '#' starts a comment, blank lines are
-    skipped, node ids are remapped to 0..K-1 in sorted order.
+    skipped, node ids are remapped to 0..K-1 in sorted order. A malformed
+    line or a negative or non-finite weight raises ValueError naming the
+    path and line.
     """
     text = Path(path).read_text()
     edges: list[tuple[int, int, float]] = []
@@ -72,12 +75,14 @@ def load_edgelist(path, saturation_threshold: float,
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
-            raise ValueError(f"line {lineno}: expected 'i j [w]', got {raw!r}")
+            raise ValueError(f"{path} line {lineno}: expected 'i j [w]', got {raw!r}")
         try:
             i, j = int(parts[0]), int(parts[1])
             w = float(parts[2]) if len(parts) == 3 else 1.0
+            if not 0.0 <= w < np.inf:
+                raise ValueError(f"weight {parts[2]!r} is not a finite nonnegative number")
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
         ids.update((i, j))
         edges.append((i, j, w))
     if not ids:
@@ -165,6 +170,34 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _number(val, key: str) -> float:
+    """A config scalar as float; anything but a real number raises naming the key."""
+    if isinstance(val, (int, float, np.integer, np.floating)) and not isinstance(val, bool):
+        try:
+            return float(val)
+        except OverflowError:
+            pass
+    raise ValueError(f"config key {key!r} must be a number, got {reprlib.repr(val)}")
+
+
+def _count(val, key: str) -> int:
+    """A config count as a nonnegative int; a fraction raises naming the key."""
+    if isinstance(val, (float, np.floating)) and val.is_integer():
+        val = int(val)
+    if isinstance(val, (int, np.integer)) and not isinstance(val, bool) and val >= 0:
+        return int(val)
+    raise ValueError(f"config key {key!r} must be a whole number >= 0, got {reprlib.repr(val)}")
+
+
+def _floats(val, key: str) -> np.ndarray:
+    """A config list (or nested list) of numbers as a float array."""
+    try:
+        return np.asarray(val, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r} must be a list of numbers, "
+                         f"got {reprlib.repr(val)}") from None
+
+
 def scenario_from_config(cfg: dict, base_dir=".") -> tuple[Scenario, GraphStats | None]:
     """Build a Scenario from a config dict.
 
@@ -177,49 +210,63 @@ def scenario_from_config(cfg: dict, base_dir=".") -> tuple[Scenario, GraphStats 
         p0:     explicit popularity list  |  zipf_s: exponent
         c:      explicit cost list        |  cache_size: count
         seed:   base RNG seed (graph generation; also returned to callers)
+
+    A missing or mistyped value, or a non-integral count, raises ValueError
+    naming its key.
     """
     cfg = dict(cfg)
-    seed = int(cfg.get("seed", 0))
+    seed = _count(cfg.get("seed", 0), "seed")
     graph = cfg.get("graph")
     if graph is None:
         raise ValueError("config needs a 'graph' section")
+    if not isinstance(graph, dict):
+        raise ValueError(f"config key 'graph' must be a mapping, got {reprlib.repr(graph)}")
     kind = graph.get("kind", "poisson")
+    needs = {"poisson": "k", "edgelist": "path", "matrix": "u"}
+    if not isinstance(kind, str) or kind not in needs:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    if needs[kind] not in graph:
+        raise ValueError(f"config key 'graph.{needs[kind]}' is required for a {kind} graph")
     stats: GraphStats | None = None
     if kind == "poisson":
-        k = int(graph["k"])
-        u, stats = gen_poisson_graph(k, float(graph.get("mean_degree", 8.0)), seed)
+        k = _count(graph["k"], "graph.k")
+        u, stats = gen_poisson_graph(
+            k, _number(graph.get("mean_degree", 8.0), "graph.mean_degree"), seed)
     elif kind == "edgelist":
+        if not isinstance(graph["path"], str):
+            raise ValueError(f"config key 'graph.path' must be a file path, got {graph['path']!r}")
         u, stats = load_edgelist(
             Path(base_dir) / graph["path"],
-            float(graph.get("saturation", -1.0)),
+            _number(graph.get("saturation", -1.0), "graph.saturation"),
             component_before_saturation=bool(graph.get("component_first", False)),
         )
         k = u.shape[0]
-    elif kind == "matrix":
-        u = np.asarray(graph["u"], dtype=float)
-        k = u.shape[0]
     else:
-        raise ValueError(f"unknown graph kind {kind!r}")
+        u = _floats(graph["u"], "graph.u")
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise ValueError(f"config key 'graph.u' must be a square matrix, got shape {u.shape}")
+        k = u.shape[0]
 
     if "p0" in cfg:
-        p0 = np.asarray(cfg["p0"], dtype=float)
+        p0 = _floats(cfg["p0"], "p0")
+        if p0.shape != (k,):
+            raise ValueError(f"config key 'p0' must list {k} numbers, got shape {p0.shape}")
     else:
-        p0 = zipf_popularity(k, float(cfg.get("zipf_s", 0.7)))
+        p0 = zipf_popularity(k, _number(cfg.get("zipf_s", 0.7), "zipf_s"))
 
     if "c" in cfg:
-        c = np.asarray(cfg["c"], dtype=float)
+        c = _floats(cfg["c"], "c")
     else:
-        c = place_cache(p0, int(cfg.get("cache_size", max(1, k // 50))))
+        c = place_cache(p0, _count(cfg.get("cache_size", max(1, k // 50)), "cache_size"))
 
-    n = int(cfg.get("n", 2))
     v_cfg = cfg.get("v", "uniform")
-    v = None if (v_cfg is None or v_cfg == "uniform") else np.asarray(v_cfg, dtype=float)
+    v = None if (v_cfg is None or v_cfg == "uniform") else _floats(v_cfg, "v")
 
     scenario = Scenario(
         u=u, c=c, p0=p0,
-        alpha=float(cfg.get("alpha", 0.8)),
-        n=n, v=v,
-        q=float(cfg.get("q", 0.9)),
+        alpha=_number(cfg.get("alpha", 0.8), "alpha"),
+        n=_count(cfg.get("n", 2), "n"), v=v,
+        q=_number(cfg.get("q", 0.9), "q"),
     )
     return scenario, stats
 

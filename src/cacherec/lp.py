@@ -17,8 +17,12 @@ exactly (1-alpha) * c' z. The position-aware variant carries one f-block per
 slot; the myopic variant optimizes each row of R directly and needs no
 change of variables.
 
-After eliminating the fixed diagonal, the uniform-click LP has K^2 variables
-(K of them z), K^2 inequality rows and 2K equality rows.
+Variable layout: x = [z | f-block 1 | ... | f-block B], B = 1 for uniform
+clicks or N (one per slot). A block lists f_ij over the off-diagonal pairs
+(ii, jj) = nonzero(~eye(K)) in row-major order: block b (from 0) is columns
+K + b K(K-1) + arange(K(K-1)). Rows: K quality, then one cap per pair (<=);
+B*K budget rows block by block, then K flow rows (=). Every builder and the
+recovery index through this one layout.
 """
 from __future__ import annotations
 
@@ -108,149 +112,72 @@ class RecoveredPolicy:
     residuals: float
 
 
-class _VarIndex:
-    """Index arithmetic for the [z | f-blocks] variable layout (diagonal dropped)."""
+def _off_diagonal(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every off-diagonal pair (i, j), in row-major order."""
+    return np.nonzero(~np.eye(k, dtype=bool))
 
-    def __init__(self, k: int, blocks: int):
-        self.k = k
-        self.blocks = blocks
-        self.block_size = k * (k - 1)
 
-    @property
-    def n_vars(self) -> int:
-        return self.k + self.blocks * self.block_size
+def _csr(shape: tuple[int, int], *terms) -> sparse.csr_matrix:
+    """Sum COO terms (rows, cols, values), each broadcast to one shape, into CSR."""
+    rows, cols, vals = (np.concatenate([a.ravel() for a in part])
+                        for part in zip(*(np.broadcast_arrays(*t) for t in terms)))
+    return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
-    def z(self, i: int) -> int:
-        return i
 
-    def f(self, i: int, j: int, block: int = 0) -> int:
-        if i == j:
-            raise ValueError("diagonal entries are eliminated")
-        return self.k + block * self.block_size + i * (self.k - 1) + (j if j < i else j - 1)
-
-    def names(self, positional: bool) -> list[str]:
-        out = [f"z{i}" for i in range(self.k)]
-        for b in range(self.blocks):
-            tag = f"f{b + 1}_" if positional else "f"
-            for i in range(self.k):
-                for j in range(self.k):
-                    if j != i:
-                        out.append(f"{tag}{i}_{j}")
-        return out
-
-    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a solution vector into z (K,) and f (blocks, K, K) with zero diagonal."""
-        k = self.k
-        z = np.asarray(x[:k], dtype=float)
-        f = np.zeros((self.blocks, k, k))
-        body = np.asarray(x[k:], dtype=float).reshape(self.blocks, k, k - 1)
-        for i in range(k):
-            cols = [j for j in range(k) if j != i]
-            f[:, i, cols] = body[:, i, :]
-        return z, f
+def _names(ii: np.ndarray, jj: np.ndarray, k: int, n: int, positional: bool):
+    """Variable, equality-row and inequality-row names, in column and row order."""
+    pairs = [f"{i}_{j}" for i, j in zip(ii.tolist(), jj.tolist())]
+    blocks = [f"{b + 1}_" for b in range(n)] if positional else [""]
+    ks = range(k)
+    return ([f"z{i}" for i in ks] + [f"f{b}{p}" for b in blocks for p in pairs],
+            [f"budget_{b}{i}" for b in blocks for i in ks] + [f"flow_{j}" for j in ks],
+            [f"quality_{i}" for i in ks] + [f"cap_{p}" for p in pairs])
 
 
 def _session_lp(scenario: Scenario, positional: bool) -> LpProblem:
     k, n, alpha = scenario.k, scenario.n, scenario.alpha
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"the long-session LP needs alpha in (0, 1), got {alpha}")
-    u = scenario.u
-    blocks = n if positional else 1
-    v = scenario.v if positional else None
-    idx = _VarIndex(k, blocks)
-    nv = idx.n_vars
+    w = scenario.v if positional else np.ones(1)        # click weight of each f-block
+    flow_w = alpha * w if positional else np.array([alpha / n])
+    blocks = w.size
+    ii, jj = _off_diagonal(k)
+    m = ii.size
+    z = np.arange(k)                                    # column of z_i
+    f = k + np.arange(blocks * m).reshape(blocks, m)    # f[b, p]: column of f^b at pair p
+    nv = k + blocks * m
+    qmax = max_quality(scenario.u, n, scenario.v if positional else None)
+    uij = scenario.u[ii, jj]
+    # Terms whose u_ij or click weight is zero are left out; the z_i term of a
+    # quality row stays, as an explicit zero when q * qmax_i = 0.
+    nz, live, flowing = np.flatnonzero(uij), np.flatnonzero(w), np.flatnonzero(flow_w)
+    cap = k + np.arange(m)                              # row of cap_ij
+    budget = k * np.arange(blocks)[:, None]             # first row of budget block b
+    flow = blocks * k                                   # first flow row
 
-    qmax = max_quality(u, n, v)
+    a_ub = _csr(
+        (k + m, nv),
+        # quality_i: q qmax_i z_i - sum_(b,j) w_b u_ij f^b_ij <= 0
+        (z, z, scenario.q * qmax), (ii[nz], f[live][:, nz], -w[live, None] * uij[nz]),
+        # cap_ij: sum_b f^b_ij - z_i <= 0, i.e. r_ij <= 1
+        (cap, f, 1.0), (cap, ii, -1.0))
+    a_eq = _csr(
+        (flow + k, nv),
+        # budget_(b,i): sum_j f^b_ij - N z_i = 0 (per slot: - z_i)
+        (budget + ii, f, 1.0), (budget + z, z, -1.0 if positional else -float(n)),
+        # flow_j: z_j - sum_(b,i) flow_w_b f^b_ij = p0_j
+        (flow + z, z, 1.0), (flow + jj, f[flowing], -flow_w[flowing, None]))
 
-    c = np.zeros(nv)
-    c[:k] = scenario.c
-
-    ub_rows: list[int] = []
-    ub_cols: list[int] = []
-    ub_vals: list[float] = []
-    ub_rhs: list[float] = []
-    ub_names: list[str] = []
-
-    # quality: -sum_(j,n) weight * u_ij * f^n_ij + q * qmax_i * z_i <= 0
-    for i in range(k):
-        row = len(ub_rhs)
-        for b in range(blocks):
-            w = v[b] if positional else 1.0
-            for j in range(k):
-                if j != i and u[i, j] != 0.0 and w != 0.0:
-                    ub_rows.append(row)
-                    ub_cols.append(idx.f(i, j, b))
-                    ub_vals.append(-w * u[i, j])
-        ub_rows.append(row)
-        ub_cols.append(idx.z(i))
-        ub_vals.append(scenario.q * qmax[i])
-        ub_rhs.append(0.0)
-        ub_names.append(f"quality_{i}")
-
-    # slate caps: sum_n f^n_ij <= z_i  (uniform: f_ij <= z_i), i.e. r_ij <= 1
-    for i in range(k):
-        for j in range(k):
-            if j == i:
-                continue
-            row = len(ub_rhs)
-            for b in range(blocks):
-                ub_rows.append(row)
-                ub_cols.append(idx.f(i, j, b))
-                ub_vals.append(1.0)
-            ub_rows.append(row)
-            ub_cols.append(idx.z(i))
-            ub_vals.append(-1.0)
-            ub_rhs.append(0.0)
-            ub_names.append(f"cap_{i}_{j}")
-
-    eq_rows: list[int] = []
-    eq_cols: list[int] = []
-    eq_vals: list[float] = []
-    eq_rhs: list[float] = []
-    eq_names: list[str] = []
-
-    # slate budget: per position sum_j f^n_ij = z_i (uniform: sum_j f_ij = N z_i)
-    for b in range(blocks):
-        for i in range(k):
-            row = len(eq_rhs)
-            for j in range(k):
-                if j != i:
-                    eq_rows.append(row)
-                    eq_cols.append(idx.f(i, j, b))
-                    eq_vals.append(1.0)
-            eq_rows.append(row)
-            eq_cols.append(idx.z(i))
-            eq_vals.append(-float(n) if not positional else -1.0)
-            eq_rhs.append(0.0)
-            eq_names.append(f"budget_{i}" if not positional else f"budget_{b + 1}_{i}")
-
-    # flow balance: z_j - alpha * sum_(i,n) weight * f^n_ij = p0_j
-    for j in range(k):
-        row = len(eq_rhs)
-        eq_rows.append(row)
-        eq_cols.append(idx.z(j))
-        eq_vals.append(1.0)
-        for b in range(blocks):
-            w = (alpha * v[b]) if positional else (alpha / n)
-            for i in range(k):
-                if i != j and w != 0.0:
-                    eq_rows.append(row)
-                    eq_cols.append(idx.f(i, j, b))
-                    eq_vals.append(-w)
-        eq_rhs.append(float(scenario.p0[j]))
-        eq_names.append(f"flow_{j}")
-
-    a_ub = sparse.coo_matrix((ub_vals, (ub_rows, ub_cols)), shape=(len(ub_rhs), nv)).tocsr()
-    a_eq = sparse.coo_matrix((eq_vals, (eq_rows, eq_cols)), shape=(len(eq_rhs), nv)).tocsr()
+    var_names, eq_names, ub_names = _names(ii, jj, k, n, positional)
     return LpProblem(
-        c=c,
+        c=np.concatenate([scenario.c, np.zeros(nv - k)]),
         a_eq=a_eq,
-        b_eq=np.array(eq_rhs),
+        b_eq=np.concatenate([np.zeros(flow), scenario.p0]),
         a_ub=a_ub,
-        b_ub=np.array(ub_rhs),
+        b_ub=np.zeros(k + m),
         lb=np.zeros(nv),
         ub=np.full(nv, np.inf),
-        var_names=idx.names(positional),
+        var_names=var_names,
         eq_names=eq_names,
         ub_names=ub_names,
         name="positional-session-lp" if positional else "session-lp",
@@ -276,27 +203,19 @@ def build_greedy_row_lps(scenario: Scenario) -> list[LpProblem]:
     """
     k, n = scenario.k, scenario.n
     qmax = max_quality(scenario.u, n)
-    out = []
-    for i in range(k):
-        cols = [j for j in range(k) if j != i]
-        u_row = scenario.u[i, cols]
-        c_row = scenario.c[cols]
-        a_ub = sparse.csr_matrix(-u_row[None, :])
-        a_eq = sparse.csr_matrix(np.ones((1, k - 1)))
-        out.append(LpProblem(
-            c=c_row.copy(),
-            a_eq=a_eq,
-            b_eq=np.array([float(n)]),
-            a_ub=a_ub,
-            b_ub=np.array([-scenario.q * qmax[i]]),
-            lb=np.zeros(k - 1),
-            ub=np.ones(k - 1),
-            var_names=[f"r{i}_{j}" for j in cols],
-            eq_names=[f"budget_{i}"],
-            ub_names=[f"quality_{i}"],
-            name=f"greedy-row-{i}",
-        ))
-    return out
+    return [LpProblem(
+        c=scenario.c[cols],
+        a_eq=sparse.csr_matrix(np.ones((1, k - 1))),
+        b_eq=np.array([float(n)]),
+        a_ub=sparse.csr_matrix(-scenario.u[i, cols][None, :]),
+        b_ub=np.array([-scenario.q * qmax[i]]),
+        lb=np.zeros(k - 1),
+        ub=np.ones(k - 1),
+        var_names=[f"r{i}_{j}" for j in cols],
+        eq_names=[f"budget_{i}"],
+        ub_names=[f"quality_{i}"],
+        name=f"greedy-row-{i}",
+    ) for i, cols in enumerate(_off_diagonal(k)[1].reshape(k, k - 1))]
 
 
 def assemble_greedy_policy(row_solutions: list[np.ndarray], scenario: Scenario) -> Policy:
@@ -304,36 +223,39 @@ def assemble_greedy_policy(row_solutions: list[np.ndarray], scenario: Scenario) 
     k = scenario.k
     if len(row_solutions) != k:
         raise ValueError(f"need {k} row solutions, got {len(row_solutions)}")
+    body = np.vstack(row_solutions)  # raises on rows of unequal length
+    if body.shape != (k, k - 1):
+        raise ValueError(f"row solutions need {k - 1} entries each, got {body.shape[1]}")
     r = np.zeros((k, k))
-    for i, x in enumerate(row_solutions):
-        cols = [j for j in range(k) if j != i]
-        r[i, cols] = x
+    r[_off_diagonal(k)] = body.ravel()
     return Policy.uniform(r)
 
 
 def recover_policy(solution, scenario: Scenario, positional: bool = False,
-                   z_floor: float = Z_FLOOR,
                    problem: LpProblem | None = None) -> RecoveredPolicy:
     """Map an optimal (z, f) LP solution back to a recommendation policy.
 
-    Requires solution.status == "optimal" and every z_j > z_floor (guaranteed
+    Requires solution.status == "optimal" and every z_j > Z_FLOOR (guaranteed
     by strictly positive p0; a near-zero z means the precondition or the
     solver failed).
     """
     if getattr(solution, "status", "optimal") != "optimal":
         raise ValueError(f"cannot recover a policy from status {solution.status!r}")
     x = np.asarray(solution.x, dtype=float)
-    k, n = scenario.k, scenario.n
-    blocks = n if positional else 1
-    idx = _VarIndex(k, blocks)
-    if x.shape[0] != idx.n_vars:
-        raise ValueError(f"solution has {x.shape[0]} variables, expected {idx.n_vars}")
-    z, f = idx.unpack(x)
-    if np.any(z <= z_floor):
+    k = scenario.k
+    blocks = scenario.n if positional else 1
+    ii, jj = _off_diagonal(k)
+    nv = k + blocks * ii.size
+    if x.shape[0] != nv:
+        raise ValueError(f"solution has {x.shape[0]} variables, expected {nv}")
+    z = x[:k]
+    if np.any(z <= Z_FLOOR):
         j = int(np.argmin(z))
         raise ValueError(
             f"z_{j} = {z[j]:.3e} is not strictly positive; p0 > 0 must have been "
             "violated or the solver failed")
+    f = np.zeros((blocks, k, k))
+    f[:, ii, jj] = x[k:].reshape(blocks, -1)
     mats = f / z[None, :, None]
     policy = Policy.positional(mats) if positional else Policy.uniform(mats[0])
 
@@ -432,17 +354,10 @@ def parse_lp(text: str) -> LpProblem:
     nv = len(var_names)
 
     def to_sparse(entries):
-        names, rhs = [], []
-        r_idx, c_idx, vals = [], [], []
-        for r, (rname, rval, terms) in enumerate(entries):
-            names.append(rname)
-            rhs.append(rval)
-            for col, val in terms:
-                r_idx.append(r)
-                c_idx.append(col)
-                vals.append(val)
+        cells = [(r, col, val) for r, (_, _, terms) in enumerate(entries) for col, val in terms]
+        r_idx, c_idx, vals = zip(*cells) if cells else ((), (), ())
         mat = sparse.coo_matrix((vals, (r_idx, c_idx)), shape=(len(entries), nv)).tocsr()
-        return mat, np.array(rhs), names
+        return mat, np.array([e[1] for e in entries]), [e[0] for e in entries]
 
     a_eq, b_eq, eq_names = to_sparse(rows["eq"])
     a_ub, b_ub, ub_names = to_sparse(rows["le"])

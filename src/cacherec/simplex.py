@@ -289,15 +289,13 @@ _HIGHS_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unboun
 def _solve_highs(problem: LpProblem) -> LpSolution:
     from scipy.optimize import linprog
 
-    bounds = [(lo, None if not np.isfinite(hi) else hi)
-              for lo, hi in zip(problem.lb, problem.ub)]
     res = linprog(
         problem.c,
         A_ub=problem.a_ub if problem.b_ub.size else None,
         b_ub=problem.b_ub if problem.b_ub.size else None,
         A_eq=problem.a_eq if problem.b_eq.size else None,
         b_eq=problem.b_eq if problem.b_eq.size else None,
-        bounds=bounds,
+        bounds=np.column_stack([problem.lb, problem.ub]),
         method="highs",
     )
     status = _HIGHS_STATUS.get(res.status, "error")

@@ -11,14 +11,23 @@ form: every followed request counts, over the whole cumulative row of the
 click kernel, the entries below its uniform draw. The production sampler
 searches only each row's nonzero support and must return bitwise the same
 paths.
+
+`entrywise_session_lp` emits the session LP one coefficient at a time from
+nested loops over contents, with the f-column of pair (i, j) computed by
+index arithmetic. `lp.build_session_lp` and `build_positional_lp` assemble
+each constraint family from index arrays and must build the same problem,
+entry for entry.
 """
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
+from scipy import sparse
 
 from cacherec import markov
+from cacherec.lp import LpProblem
+from cacherec.model import max_quality
 
 
 def vertex_optimum(problem, tol: float = 1e-7):
@@ -115,3 +124,75 @@ def dense_sample_path(policy, scenario, steps: int, rng: np.random.Generator):
         path[offsets[active] + t] = nxt
         current[active] = nxt
     return path, lengths, truncated
+
+
+def entrywise_session_lp(scenario, positional: bool) -> LpProblem:
+    """The uniform (P2) or positional (P3) session LP, built entry by entry."""
+    k, n, alpha, u = scenario.k, scenario.n, scenario.alpha, scenario.u
+    blocks = n if positional else 1
+    v = scenario.v if positional else None
+    size = k * (k - 1)
+    nv = k + blocks * size
+
+    def f(i, j, b):
+        return k + b * size + i * (k - 1) + (j if j < i else j - 1)
+
+    qmax = max_quality(u, n, v)
+    ub, eq = ([], [], []), ([], [], [])  # rows, cols, values
+    ub_rhs, ub_names, eq_rhs, eq_names = [], [], [], []
+
+    def emit(mat, row, col, val):
+        mat[0].append(row)
+        mat[1].append(col)
+        mat[2].append(val)
+
+    for i in range(k):  # quality
+        for b in range(blocks):
+            w = v[b] if positional else 1.0
+            for j in range(k):
+                if j != i and u[i, j] != 0.0 and w != 0.0:
+                    emit(ub, i, f(i, j, b), -w * u[i, j])
+        emit(ub, i, i, scenario.q * qmax[i])
+        ub_rhs.append(0.0)
+        ub_names.append(f"quality_{i}")
+    for i in range(k):  # slate caps
+        for j in range(k):
+            if j != i:
+                for b in range(blocks):
+                    emit(ub, len(ub_rhs), f(i, j, b), 1.0)
+                emit(ub, len(ub_rhs), i, -1.0)
+                ub_rhs.append(0.0)
+                ub_names.append(f"cap_{i}_{j}")
+    for b in range(blocks):  # slate budget
+        for i in range(k):
+            for j in range(k):
+                if j != i:
+                    emit(eq, len(eq_rhs), f(i, j, b), 1.0)
+            emit(eq, len(eq_rhs), i, -1.0 if positional else -float(n))
+            eq_rhs.append(0.0)
+            eq_names.append(f"budget_{b + 1}_{i}" if positional else f"budget_{i}")
+    for j in range(k):  # flow balance
+        emit(eq, len(eq_rhs), j, 1.0)
+        for b in range(blocks):
+            w = alpha * v[b] if positional else alpha / n
+            for i in range(k):
+                if i != j and w != 0.0:
+                    emit(eq, len(eq_rhs), f(i, j, b), -w)
+        eq_rhs.append(float(scenario.p0[j]))
+        eq_names.append(f"flow_{j}")
+
+    tags = [f"f{b + 1}_" for b in range(blocks)] if positional else ["f"]
+    names = [f"z{i}" for i in range(k)] + [f"{tag}{i}_{j}" for tag in tags
+                                           for i in range(k) for j in range(k) if j != i]
+    c = np.zeros(nv)
+    c[:k] = scenario.c
+
+    def csr(mat, rows):
+        return sparse.coo_matrix((mat[2], (mat[0], mat[1])), shape=(rows, nv)).tocsr()
+
+    return LpProblem(
+        c=c, a_eq=csr(eq, len(eq_rhs)), b_eq=np.array(eq_rhs),
+        a_ub=csr(ub, len(ub_rhs)), b_ub=np.array(ub_rhs),
+        lb=np.zeros(nv), ub=np.full(nv, np.inf), var_names=names,
+        eq_names=eq_names, ub_names=ub_names,
+        name="positional-session-lp" if positional else "session-lp")

@@ -1,13 +1,20 @@
 """CLI: metrics, policy files, sweep CSVs, subcommands, exit codes."""
 from __future__ import annotations
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cacherec.cli import (EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, SweepSpec, apply_axis,
                           gain, main, mph, read_policy_csv, run_sweep,
                           write_policy_csv, write_sweep_csv)
 from cacherec.data import scenario_from_config
+from cacherec.model import Policy
 from conftest import random_positional_policy, random_scenario, random_uniform_policy
 
 
@@ -94,6 +101,18 @@ class TestPolicyFiles:
         with pytest.raises(ValueError, match=match) as err:
             read_policy_csv(f)
         assert str(f) in str(err.value)
+
+    def test_column_header_required(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text(self.UNIFORM_HEAD.replace("i,j,r\n", "") + "0,1,1.0\n1,0,1.0\n")
+        with pytest.raises(ValueError, match=r"line 4: expected column header 'i,j,r'"):
+            read_policy_csv(f)
+
+    def test_metadata_after_column_header_rejected(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text(self.UNIFORM_HEAD + "0,1,1.0\n# k: 4\n")
+        with pytest.raises(ValueError, match=r"line 6: k metadata after the column header"):
+            read_policy_csv(f)
 
     def test_eval_bad_index_exits_io(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.yaml"
@@ -306,6 +325,24 @@ class TestCommands:
         missing = tmp_path / "nope.yaml"
         assert main(["gen", "--config", str(missing)]) == EXIT_IO
 
+    @pytest.mark.parametrize("body,key", [
+        ("graph: 5\n", "'graph'"),
+        ("graph: {kind: poisson, k: 10}\nalpha: null\n", "'alpha'"),
+        ("graph: {kind: poisson, k: 10}\nseed: [1]\n", "'seed'"),
+        ("graph: {kind: poisson, k: 10}\nn: [2]\n", "'n'"),
+        ("graph: {kind: matrix, u: 3}\n", "'graph.u'"),
+        ("graph: {kind: poisson, k: 10}\ncache_size: 2.5\n", "'cache_size'"),
+        ("graph: {kind: poisson, mean_degree: 3}\n", "'graph.k'"),
+    ], ids=["graph-int", "alpha-null", "seed-list", "n-list", "matrix-scalar",
+            "fractional-cache", "poisson-no-k"])
+    def test_malformed_config_exits_io_naming_key(self, tmp_path, capsys, body, key):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(body)
+        assert main(["gen", "--config", str(cfg)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key " + key)
+        assert "Traceback" not in err
+
     def test_infeasible_exit_code(self, cfg_file, monkeypatch, capsys):
         from cacherec import policies as pol
 
@@ -317,3 +354,69 @@ class TestCommands:
                             lambda name, s, **kw: boom())
         assert main(["solve", "--problem", "uni", "--config",
                      str(cfg_file)]) == EXIT_INFEASIBLE
+
+
+POLICY_MUTANTS = ["", "x", "#", "-1", "0", "1", "2", "7", "0.5", "nan", "inf", "1e999",
+                  "uniform", "positional", "# k: 2", "i,j,r", "1,2"]
+
+
+@st.composite
+def small_policies(draw):
+    """A uniform or positional policy on K <= 5 contents (a few slots)."""
+    k = draw(st.integers(2, 5))
+    slots = draw(st.integers(0, 3))  # 0: uniform
+    shape = (slots, k, k) if slots else (k, k)
+    vals = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]) | st.floats(0.01, 1.0),
+                         min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return Policy("positional" if slots else "uniform", np.reshape(vals, shape))
+
+
+@given(small_policies(), st.lists(st.tuples(st.sampled_from(["drop", "dup", "token"]),
+                                            st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                                            st.sampled_from(POLICY_MUTANTS)), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_policy_csv_round_trips_or_raises_value_error(policy, mutations):
+    """A written policy reads back exactly. After dropped or duplicated lines
+    it reads back as the entry lines left, or, if a header or metadata line
+    moved, raises; after a changed token it reads back finite or raises. Every
+    error names the file and line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        write_policy_csv(path, policy, meta={"note": "drawn"})
+        back = read_policy_csv(path)
+        assert back.kind == policy.kind and np.array_equal(back.mats, policy.mats)
+
+        lines = path.read_text().splitlines()
+        entries = lines[lines.index("n,i,j,r" if policy.is_positional else "i,j,r") + 1:]
+        changed = moved_head = False
+        for op, at, pos, token in mutations:
+            if not lines:
+                break
+            i = at % len(lines)
+            moved_head |= lines[i] not in entries
+            if op == "drop":
+                del lines[i]
+            elif op == "dup":
+                lines.insert(i, lines[i])
+            else:
+                changed = True
+                fields = re.split(r"([,:])", lines[i])
+                fields[2 * (pos % ((len(fields) + 1) // 2))] = token
+                lines[i] = "".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            back = read_policy_csv(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path} line "), exc
+            assert changed or moved_head, exc
+            return
+    assert np.all(np.isfinite(back.mats))
+    if not changed:
+        kept = np.zeros_like(policy.mats)
+        for line in set(entries) & set(lines):
+            *idx, val = line.split(",")
+            idx = [int(x) for x in idx]
+            if policy.is_positional:
+                idx[0] -= 1
+            kept[tuple(idx)] = float(val)
+        assert np.array_equal(back.mats, kept)

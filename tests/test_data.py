@@ -1,6 +1,10 @@
 """Graph ingestion, synthetic graphs, popularity, cache placement, configs."""
 from __future__ import annotations
 
+import copy
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from cacherec.data import (GraphStats, gen_poisson_graph, load_config,
                            load_edgelist, load_scenario_npz, place_cache,
                            save_scenario_npz, scenario_from_config, zipf_popularity)
+from cacherec.model import Scenario
 
 
 class TestLoadEdgelist:
@@ -78,6 +83,74 @@ class TestLoadEdgelist:
         u, stats = load_edgelist(f, 0.1, component_before_saturation=True)
         assert stats.nodes == 3
         assert u[1, 2] == 0.0
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e999", "-0.5"])
+    def test_bad_weight_names_path_and_line(self, tmp_path, weight):
+        f = tmp_path / "edges.txt"
+        f.write_text(f"0 1\n1 2 {weight}\n")
+        with pytest.raises(ValueError, match=r"line 2: weight .* not a finite nonnegative") as err:
+            load_edgelist(f, -1)
+        assert str(f) in str(err.value)
+
+
+EDGE_MUTANTS = ["", "x", "#", "-1", "0", "3", "1.5", "0.25", "nan", "inf", "-inf", "1e999",
+                "-0.5", "1 2", "\u0661"]
+
+
+@st.composite
+def weighted_paths(draw):
+    """A connected symmetric similarity matrix (a weighted path plus chords)."""
+    k = draw(st.integers(2, 6))
+    weight = st.floats(0.01, 1.0)
+    u = np.zeros((k, k))
+    for i in range(k - 1):
+        u[i, i + 1] = draw(weight)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                              max_size=4)):
+        if i != j:
+            u[min(i, j), max(i, j)] = draw(weight)
+    return np.maximum(u, u.T)
+
+
+@given(weighted_paths(), st.lists(st.tuples(st.sampled_from(["drop", "dup", "token", "insert"]),
+                                            st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                                            st.sampled_from(EDGE_MUTANTS)), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_edgelist_round_trips_or_raises_value_error(u, mutations):
+    """An edge list of u reads back as u; a mutated one reads back as a valid
+    similarity matrix or raises ValueError naming the file."""
+    edges = zip(*np.nonzero(np.triu(u)))
+    lines = ["# drawn graph"] + [f"{i} {j} {float(u[i, j])!r}" for i, j in edges]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.txt"
+        path.write_text("\n".join(lines) + "\n")
+        back, stats = load_edgelist(path, -1.0)
+        assert np.array_equal(back, u) and stats.arcs == int((u > 0).sum())
+
+        for op, at, pos, token in mutations:
+            i = at % len(lines)
+            toks = lines[i].split() or [""]
+            if op == "drop":
+                del lines[i]
+            elif op == "dup":
+                lines.insert(i, lines[i])
+            elif op == "token":
+                toks[pos % len(toks)] = token
+                lines[i] = " ".join(toks)
+            else:
+                toks.insert(pos % (len(toks) + 1), token)
+                lines[i] = " ".join(toks)
+            if not lines:
+                break
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            back, stats = load_edgelist(path, -1.0)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return
+    assert back.shape[0] >= 2 and np.array_equal(back, back.T)
+    assert np.all(np.isfinite(back)) and np.all(back >= 0) and not np.diag(back).any()
+    assert stats.nodes == back.shape[0] and stats.arcs == int((back > 0).sum())
 
 
 class TestPoissonGraph:
@@ -203,6 +276,33 @@ class TestConfig:
         with pytest.raises(ValueError, match="graph"):
             scenario_from_config({"alpha": 0.5})
 
+    POISSON = {"graph": {"kind": "poisson", "k": 10, "mean_degree": 3}}
+
+    @pytest.mark.parametrize("changes,key", [
+        ({"graph": 5}, "'graph'"),
+        ({"alpha": None}, "'alpha'"),
+        ({"seed": [1]}, "'seed'"),
+        ({"n": [2]}, "'n'"),
+        ({"graph": {"kind": "matrix", "u": 3}}, "'graph.u'"),
+        ({"cache_size": 2.5}, "'cache_size'"),
+        ({"graph": {"kind": "poisson", "mean_degree": 3}}, "'graph.k'"),
+        ({"graph": {"kind": "edgelist"}}, "'graph.path'"),
+        ({"graph": {"kind": "poisson", "k": 10.5}}, "'graph.k'"),
+        ({"seed": -1}, "'seed'"),
+        ({"q": "high"}, "'q'"),
+        ({"p0": [0.5, 0.5]}, "'p0'"),
+        ({"v": {"a": 1}}, "'v'"),
+    ], ids=["graph-int", "alpha-null", "seed-list", "n-list", "matrix-scalar",
+            "fractional-cache", "poisson-no-k", "edgelist-no-path", "fractional-k",
+            "negative-seed", "q-string", "p0-length", "v-mapping"])
+    def test_malformed_value_names_key(self, changes, key):
+        with pytest.raises(ValueError, match=key):
+            scenario_from_config({**self.POISSON, **changes})
+
+    def test_integral_floats_accepted_as_counts(self):
+        scenario, _ = scenario_from_config({**self.POISSON, "n": 2.0, "cache_size": 3.0})
+        assert scenario.n == 2 and int((scenario.c == 0).sum()) == 3
+
     def test_npz_round_trip(self, tmp_path):
         cfg = {"graph": {"kind": "poisson", "k": 12, "mean_degree": 4},
                "n": 2, "v": [0.7, 0.3], "alpha": 0.75, "q": 0.85, "seed": 3}
@@ -217,3 +317,43 @@ class TestConfig:
         assert back.n == scenario.n
         assert np.allclose(back.v, scenario.v)
         assert back.q == scenario.q
+
+
+CONFIG_BASES = [
+    {"graph": {"kind": "poisson", "k": 8, "mean_degree": 3}, "alpha": 0.8, "n": 2, "q": 0.5,
+     "zipf_s": 0.7, "cache_size": 2, "seed": 1, "v": "uniform"},
+    {"graph": {"kind": "matrix", "u": [[0, 1, 0.5], [1, 0, 1], [0.5, 1, 0]]},
+     "p0": [0.5, 0.25, 0.25], "c": [0, 1, 1], "n": 2, "alpha": 0.5, "q": 0.5, "v": [0.7, 0.3]},
+]
+TOP_KEYS = ["graph", "alpha", "n", "q", "v", "p0", "c", "zipf_s", "cache_size", "seed"]
+GRAPH_KEYS = ["kind", "k", "mean_degree", "u"]
+#: Any value a YAML document can hold. Numbers stay small, so no draw asks
+#: for a large graph.
+config_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-3.0, 12.0)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), "uniform", "poisson",
+                       "matrix", "edgelist"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=10)
+
+
+@given(st.sampled_from(CONFIG_BASES),
+       st.lists(st.tuples(st.booleans(), st.sampled_from(TOP_KEYS + GRAPH_KEYS),
+                          config_values), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_mutated_config_builds_or_raises_value_error(base, mutations):
+    """Each mutation deletes one top-level or graph key or sets it to a drawn value."""
+    cfg = copy.deepcopy(base)
+    for delete, key, value in mutations:
+        target = cfg["graph"] if key in GRAPH_KEYS and isinstance(cfg.get("graph"), dict) else cfg
+        if delete:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    try:
+        scenario, _ = scenario_from_config(cfg)
+    except ValueError:
+        return
+    assert isinstance(scenario, Scenario)

@@ -1,16 +1,19 @@
 """LP builders, policy recovery, and optimality properties."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from cacherec import Scenario, evaluate, max_quality, quality_of, validate_policy
 from cacherec.lp import (LpProblem, assemble_greedy_policy, build_greedy_row_lps,
-                         build_positional_lp, build_session_lp, recover_policy)
+                         build_positional_lp, build_session_lp, format_lp, recover_policy)
 from cacherec.sim import brute_force_optimum
 from cacherec.simplex import LpSolution, solve
 from conftest import random_scenario
+from _oracles import entrywise_session_lp
 
 
 def small_scenario(seed=0, **kw) -> Scenario:
@@ -45,6 +48,42 @@ class TestBuildSessionLp:
         s = small_scenario(2, q=0.0)
         prob = build_session_lp(s)
         assert sum(n.startswith("quality") for n in prob.ub_names) == s.k
+
+    # K=4 with one zero similarity (u_03); the positional case adds q = 0 and a
+    # zero-click slot, so its quality rows carry an explicit zero z term and
+    # leave out the second f-block, as does its flow balance.
+    LAYOUT_U = [[0, 1, .5, 0], [1, 0, .25, 1], [.5, .25, 0, .75], [0, 1, .75, 0]]
+
+    @pytest.mark.parametrize("dump,build,changes", [
+        ("session_lp_k4.txt", build_session_lp, {}),
+        ("positional_lp_k4.txt", build_positional_lp, {"q": 0.0, "v": [1.0, 0.0]}),
+    ], ids=["session", "positional"])
+    def test_layout_matches_recorded_dump(self, dump, build, changes):
+        s = Scenario(u=self.LAYOUT_U, c=[0, 1, 1, 2], p0=[.5, .25, .125, .125],
+                     alpha=.5, n=2, q=.5).replace(**changes)
+        golden = Path(__file__).parent / "golden" / dump
+        assert format_lp(build(s)) == golden.read_text()
+
+    def test_matches_entrywise_reference(self):
+        # K = 2, N = 1, q = 0, binary and continuous u, and zero-click slots
+        rng = np.random.default_rng(21)
+        for case in range(60):
+            k = int(rng.choice([2, 3, 5, 8]))
+            n = int(rng.integers(1, k))
+            s = random_scenario(rng, k=k, n=n, q=float(rng.choice([0.0, 0.6, 1.0])),
+                                binary_costs=bool(case % 3))
+            positional = bool(case % 2)
+            if positional:
+                v = rng.dirichlet(np.ones(n))
+                if n > 1 and case % 4 == 3:
+                    v[-1] = 0.0
+                s = s.replace(v=v / v.sum())
+            got = (build_positional_lp if positional else build_session_lp)(s)
+            want = entrywise_session_lp(s, positional)
+            assert format_lp(got) == format_lp(want)
+            for a, b in ((got.a_eq, want.a_eq), (got.a_ub, want.a_ub)):
+                for part in ("data", "indices", "indptr"):
+                    assert getattr(a, part).tobytes() == getattr(b, part).tobytes(), part
 
     def test_alpha_required_positive(self):
         s = small_scenario(3, alpha=0.0)
@@ -148,6 +187,15 @@ class TestGreedy:
             xs.append(sol.x)
         policy = assemble_greedy_policy(xs, s)
         assert validate_policy(policy, s, tol=1e-9) == []
+
+    def test_assemble_rejects_wrong_row_lengths(self):
+        s = small_scenario(9, k=4, n=2)
+        with pytest.raises(ValueError, match="3 entries each"):
+            assemble_greedy_policy([np.ones(2)] * 4, s)
+        with pytest.raises(ValueError):
+            assemble_greedy_policy([np.ones(3)] * 3 + [np.ones(2)], s)
+        with pytest.raises(ValueError, match="need 4 row solutions"):
+            assemble_greedy_policy([np.ones(3)] * 3, s)
 
     def test_single_cached_item_needs_full_quality(self):
         # at q=1 and N=1, the top item must be recommended even if not cached
