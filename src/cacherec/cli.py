@@ -76,12 +76,18 @@ def _policy_array(meta: dict) -> np.ndarray:
     if variant is None or k is None:
         raise ValueError("missing variant/k metadata before the column header")
     if variant == "uniform":
-        return np.zeros((k, k))
-    if variant != "positional":
+        shape = (k, k)
+    elif variant != "positional":
         raise ValueError(f"unknown variant {variant!r}")
-    if "slots" not in meta:
+    elif "slots" not in meta:
         raise ValueError("positional policy without slots metadata")
-    return np.zeros((meta["slots"], k, k))
+    else:
+        shape = (meta["slots"], k, k)
+    try:
+        return np.zeros(shape)
+    except MemoryError:
+        raise ValueError(f"declared size {' x '.join(map(str, shape))} "
+                         "cannot be allocated") from None
 
 
 def _set_policy_entry(mats: np.ndarray, parts: list[str]) -> None:
@@ -179,7 +185,7 @@ class SweepSpec:
         if not self.policies:
             raise ValueError("sweep needs at least one policy")
         if not self.seeds:
-            self.seeds = [int(self.config.get("seed", 0))]
+            self.seeds = [data._count(self.config.get("seed", 0), "seed")]
 
 
 def apply_axis(cfg: dict, axis: str, value) -> dict:

@@ -230,8 +230,12 @@ def scenario_from_config(cfg: dict, base_dir=".") -> tuple[Scenario, GraphStats 
     stats: GraphStats | None = None
     if kind == "poisson":
         k = _count(graph["k"], "graph.k")
-        u, stats = gen_poisson_graph(
-            k, _number(graph.get("mean_degree", 8.0), "graph.mean_degree"), seed)
+        try:
+            u, stats = gen_poisson_graph(
+                k, _number(graph.get("mean_degree", 8.0), "graph.mean_degree"), seed)
+        except MemoryError:
+            raise ValueError(f"config key 'graph.k' = {k} is too large: "
+                             f"a {k} x {k} graph cannot be allocated") from None
     elif kind == "edgelist":
         if not isinstance(graph["path"], str):
             raise ValueError(f"config key 'graph.path' must be a file path, got {graph['path']!r}")

@@ -219,7 +219,13 @@ def validate_policy(policy: Policy, scenario: Scenario, tol: float = FEAS_TOL) -
         raise ValueError(f"policy is {policy.k}x{policy.k}, scenario has K={k}")
     out: list[str] = []
 
-    def check_box(mat: np.ndarray, label: str):
+    def check_box(mat: np.ndarray, sums: np.ndarray, label: str):
+        # NaN fails every comparison below. A non-finite entry also leaves its
+        # row sum non-finite, so only then are the entries searched.
+        if not np.isfinite(sums).all():
+            for idx in np.argwhere(~np.isfinite(mat))[:20]:
+                out.append(f"{label}entry {tuple(idx.tolist())} not finite: "
+                           f"{mat[tuple(idx)]}")
         diag = np.abs(np.diagonal(mat, axis1=-2, axis2=-1))
         for idx in np.argwhere(diag > tol):
             out.append(f"{label}diagonal nonzero at {tuple(idx)}: {diag[tuple(idx)]:.3g}")
@@ -232,8 +238,8 @@ def validate_policy(policy: Policy, scenario: Scenario, tol: float = FEAS_TOL) -
 
     if not policy.is_positional:
         r = policy.matrix
-        check_box(r, "")
         sums = r.sum(axis=1)
+        check_box(r, sums, "")
         for i in np.flatnonzero(np.abs(sums - n) > tol):
             out.append(f"row {i} sums to {sums[i]:.9g}, expected {n} "
                        f"(off by {abs(sums[i] - n):.3g})")
@@ -241,8 +247,8 @@ def validate_policy(policy: Policy, scenario: Scenario, tol: float = FEAS_TOL) -
         if policy.n_slots != n:
             raise ValueError(f"policy has {policy.n_slots} slot matrices, scenario has N={n}")
         mats = policy.slot_matrices
-        check_box(mats, "")
         sums = mats.sum(axis=2)
+        check_box(mats, sums, "")
         for sn, i in np.argwhere(np.abs(sums - 1.0) > tol):
             out.append(f"slot {sn} row {i} sums to {sums[sn, i]:.9g}, expected 1 "
                        f"(off by {abs(sums[sn, i] - 1.0):.3g})")

@@ -9,7 +9,8 @@ slate mixtures per content. `row_kernel` solves the per-row problem
 once. P1 is one kernel call with V = c. P2 and P3 are policy iteration
 (Howard 1960; Puterman 1994, ch. 6): start from P1, evaluate V = G c with
 the LU that `markov.evaluate` uses, replace each row the kernel strictly
-improves, and stop when no row changes.
+improves, and stop when no row changes. Each round's kernel call starts
+from the slates of the round before.
 
 An explicit LP method ("dense", "highs" or "external") instead builds the
 K^2-variable LP of `cacherec.lp` and solves it with `cacherec.simplex`; that
@@ -102,21 +103,30 @@ class RowSolution(NamedTuple):
 
 def _select(values: np.ndarray, u: np.ndarray, mu: np.ndarray, rows: np.ndarray,
             n: int) -> np.ndarray:
-    """The N smallest scores V - mu_i u_i in each row i of `rows`, smallest first."""
-    score = values[None, :] - mu[:, None] * u[rows]
-    score[np.arange(rows.size), rows] = np.inf
-    pick = np.argpartition(score, n - 1, axis=1)[:, :n]
-    order = np.argsort(np.take_along_axis(score, pick, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(pick, order, axis=1)
+    """The N smallest scores V - mu_i u_i in each row i of `rows`, smallest
+    first; equal scores go to the lowest index, as in `model.top_slates`."""
+    score = u[rows] * -mu[:, None]
+    score += values
+    at = np.arange(rows.size)
+    score[at, rows] = np.inf
+    pick = np.empty((rows.size, n), dtype=np.intp)
+    for t in range(n):
+        pick[:, t] = score.argmin(axis=1)
+        score[at, pick[:, t]] = np.inf
+    return pick
 
 
 def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
-               floor: np.ndarray, top: np.ndarray) -> RowSolution:
+               floor: np.ndarray, top: np.ndarray,
+               start: RowSolution | None = None) -> RowSolution:
     """Cheapest slate mix meeting each row's quality floor, for all rows at once.
 
     values is the (K,) value vector V, weights the N slot weights in
     decreasing order, floor the (K,) quality floors, and top the (K, N)
-    max-quality slates of `model.top_slates`, most similar first.
+    max-quality slates of `model.top_slates`, most similar first. start, if
+    given, is an earlier result of this kernel for the same u, weights and
+    floor, such as the previous policy-iteration round's; it changes where
+    the search begins, not the optimal value it ends at.
 
     Row i solves  min sum_t w_t V[s_t]  subject to  sum_t w_t u_i[s_t] >= floor_i
     over mixtures of slates s of N distinct items other than i. With unit
@@ -126,12 +136,22 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     inequality the item with the smallest score takes the largest weight.
 
     Dualizing the floor with a multiplier mu leaves "take the N smallest
-    V - mu u". A row whose cheapest slate (mu = 0) meets the floor keeps it.
-    Every other row brackets mu between a slate below the floor and its
-    max-quality slate top[i], and splits the bracket where the two slates'
-    Lagrangian lines cross. When no slate beats the lines there, the mix of
-    the two bracketing slates that meets the floor exactly is optimal within
-    rounding; otherwise the better slate replaces the end of its side.
+    V - mu u"; `_select` takes them smallest first with ties to the lowest
+    index, so the kernel is deterministic. Each row keeps a bracket: a slate
+    lo below the floor and a slate hi that meets it. A row whose start lo is
+    below its floor begins from the start bracket. Every other row first
+    takes its cheapest slate (mu = 0) and keeps it if it meets the floor;
+    if not, that slate is lo and hi is the start hi, or top[i] without a
+    start. Any slate that meets the floor serves as hi.
+
+    Each step splits the bracket at mu >= 0 where the two slates'
+    Lagrangian lines V(s) - mu Q(s) cross, and picks the slate x minimizing
+    V - mu Q there. If x beats the lines, it replaces the end on its side
+    of the floor. If not, the lines' minimum is the dual function at mu, so
+    for mu > 0 the mix of lo and hi that meets the floor exactly costs the
+    dual bound and is optimal within rounding. When the crossing lies below
+    0 (hi is cheaper than lo), mu is clipped to 0 and nothing beats hi, so
+    hi alone is a cheapest slate and meets the floor: theta is 0.
     """
     k = u.shape[0]
     n = weights.size
@@ -143,14 +163,19 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
         return u[rows[:, None], pick] @ weights
 
     rows = np.arange(k)
-    lo = _select(values, u, np.zeros(k), rows, n)
-    q_lo = quality(lo, rows)
     # Quality sums differ from the floor's by a few ulps of summation order.
     slack = 8.0 * _EPS * (1.0 + floor)
-    hi, q_hi = lo.copy(), q_lo.copy()
-    active = np.flatnonzero(q_lo < floor - slack)
-    hi[active] = top[active]
-    q_hi[active] = quality(hi[active], active)
+    if start is None:
+        lo, hi, cold = np.empty_like(top), top.copy(), rows
+    else:
+        lo, hi = start.lo.copy(), start.hi.copy()
+        cold = np.flatnonzero(quality(lo, rows) >= floor - slack)
+    lo[cold] = _select(values, u, np.zeros(cold.size), cold, n)
+    q_lo = quality(lo, rows)
+    feasible = q_lo >= floor - slack
+    hi[feasible] = lo[feasible]
+    q_hi = quality(hi, rows)
+    active = np.flatnonzero(~feasible)
 
     for _ in range(MAX_KERNEL_STEPS):
         if active.size == 0:
@@ -174,6 +199,7 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
 
     gap = q_hi - q_lo
     theta = np.divide(q_hi - floor, gap, out=np.ones(k), where=gap > 0)
+    theta[cost(values, hi) < cost(values, lo)] = 0.0  # mu clipped at 0
     return RowSolution(lo, hi, np.clip(theta, 0.0, 1.0))
 
 
@@ -225,7 +251,7 @@ def _policy_iteration(scenario: Scenario, positional: bool, name: str) -> Policy
         policy = slate_policy(*sol, v)
         report = markov.evaluate(policy, scenario, check=False)
         values = report.cost_to_go
-        new = row_kernel(values, scenario.u, weights, floor, top)
+        new = row_kernel(values, scenario.u, weights, floor, top, start=sol)
         calls += 1
         old = _mix_value(sol, values, weights)
         better = _mix_value(new, values, weights) < old - IMPROVE_RTOL * np.abs(old)

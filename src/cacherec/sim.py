@@ -52,11 +52,16 @@ def _kernel_support(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Returns (indptr, cols, cum): row i's support is cols[indptr[i]:indptr[i+1]]
     in column order, and cum holds the row's cumulative sums at those columns,
-    the same floats a dense row cumsum has there.
+    the same floats a dense row cumsum has there. Raises ValueError for a
+    row with no positive entry, which has nothing to sample.
     """
     rows, cols = np.nonzero(kernel > 0.0)
     cum = np.cumsum(kernel, axis=1)[rows, cols]
     indptr = np.searchsorted(rows, np.arange(kernel.shape[0] + 1))
+    empty = np.flatnonzero(np.diff(indptr) == 0)
+    if empty.size:
+        raise ValueError(f"click kernel row {empty[0]} has no positive entry "
+                         f"({empty.size} such rows)")
     return indptr, cols, cum
 
 

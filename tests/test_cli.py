@@ -123,6 +123,17 @@ class TestPolicyFiles:
         assert main(["eval", "--config", str(cfg), "--policy", str(f)]) == EXIT_IO
         assert "content index outside" in capsys.readouterr().err
 
+    def test_eval_unallocatable_declared_size_exits_io(self, tmp_path, capsys):
+        # numpy refuses a 71 PiB array at once, so nothing large is allocated.
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text("graph: {kind: poisson, k: 10}\n")
+        f = tmp_path / "p.csv"
+        f.write_text(self.UNIFORM_HEAD.replace("# k: 3", "# k: 100000000") + "0,1,1.0\n")
+        assert main(["eval", "--config", str(cfg), "--policy", str(f)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {f} line 4: declared size 100000000 x 100000000 "
+                              "cannot be allocated")
+
 
 class TestSweep:
     def small_cfg(self):
@@ -333,14 +344,24 @@ class TestCommands:
         ("graph: {kind: matrix, u: 3}\n", "'graph.u'"),
         ("graph: {kind: poisson, k: 10}\ncache_size: 2.5\n", "'cache_size'"),
         ("graph: {kind: poisson, mean_degree: 3}\n", "'graph.k'"),
+        ("graph: {kind: poisson, k: 100000000}\n", "'graph.k' = 100000000 is too large"),
     ], ids=["graph-int", "alpha-null", "seed-list", "n-list", "matrix-scalar",
-            "fractional-cache", "poisson-no-k"])
+            "fractional-cache", "poisson-no-k", "unallocatable-k"])
     def test_malformed_config_exits_io_naming_key(self, tmp_path, capsys, body, key):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(body)
         assert main(["gen", "--config", str(cfg)]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error: config key " + key)
+        assert "Traceback" not in err
+
+    def test_sweep_malformed_seed_exits_io_naming_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("graph: {kind: poisson, k: 10}\nseed: [1]\n")
+        assert main(["sweep", "--config", str(cfg), "--axis", "q", "--values", "0.5",
+                     "--out", str(tmp_path / "sweep.csv")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'seed'")
         assert "Traceback" not in err
 
     def test_infeasible_exit_code(self, cfg_file, monkeypatch, capsys):

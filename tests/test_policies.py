@@ -1,10 +1,13 @@
 """Row-kernel solvers (method="auto") against the LP oracle."""
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cacherec import Scenario, quality_profile, validate_policy
 from cacherec import policies
@@ -90,3 +93,58 @@ def test_quality_floor_not_undercut_by_rounding_slack():
         mats = result.policy.mats.reshape(-1, 3, 3)
         assert mats[:, 0, 2].max() == 0.0
         assert_feasible(result, s)
+
+
+def test_select_is_ordered_with_ties_to_lowest_index():
+    # Binary u and small-integer V leave many equal scores in every row.
+    rng = np.random.default_rng(11)
+    k = 40
+    u = (rng.random((k, k)) < 0.3).astype(float)
+    values = rng.integers(0, 3, k).astype(float)
+    rows = np.sort(rng.choice(k, size=25, replace=False))
+    for mu in (np.zeros(rows.size), np.ones(rows.size), rng.integers(0, 3, rows.size) / 2):
+        score = values[None, :] - mu[:, None] * u[rows]
+        score[np.arange(rows.size), rows] = np.inf
+        for n in (1, 2, 3, 7):
+            want = np.argsort(score, axis=1, kind="stable")[:, :n]
+            assert np.array_equal(policies._select(values, u, mu, rows, n), want)
+
+
+def slate_mix_quality(sol, u, weights):
+    rows = np.arange(u.shape[0])[:, None]
+    return (sol.theta * (u[rows, sol.lo] @ weights)
+            + (1.0 - sol.theta) * (u[rows, sol.hi] @ weights))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 24), st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+       st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_warm_start_reaches_the_cold_optimum(seed, k, q, positional, tied_values):
+    """From any start whose hi rows meet the floor, the kernel ends at the
+    same row values as from a cold start, and meets every floor."""
+    rng = np.random.default_rng(seed)
+    s = random_scenario(rng, k=k, n=int(rng.integers(1, min(4, k))), q=q,
+                        v="skewed" if positional else None)
+    weights, floor, _, top = policies._row_problem(s, positional)
+    kernel = functools.partial(policies.row_kernel, u=s.u, weights=weights, floor=floor,
+                               top=top)
+    values = rng.integers(0, 4, k).astype(float) if tied_values else rng.uniform(0, 3, k)
+    cold = kernel(values)
+    other = kernel(rng.uniform(0, 3, k))
+    dearest = policies._select(-values, s.u, np.zeros(k), np.arange(k), s.n)
+    starts = {
+        "top": policies.RowSolution(top, top, np.ones(k)),
+        "P1": kernel(s.c),
+        "other round": other,
+        "lo == hi": policies.RowSolution(other.hi, other.hi, np.ones(k)),
+        # Rows whose dearest slate misses the floor start with hi cheaper than lo.
+        "hi cheaper": policies.RowSolution(dearest, cold.hi, np.zeros(k)),
+    }
+    want = policies._mix_value(cold, values, weights)
+    slack = 1e-12 * (1.0 + floor)
+    for label, start in starts.items():
+        warm = kernel(values, start=start)
+        got = policies._mix_value(warm, values, weights)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * values.max(),
+                                   err_msg=label)
+        assert np.all(slate_mix_quality(warm, s.u, weights) >= floor - slack), label

@@ -61,6 +61,18 @@ class TestSimulate:
         with pytest.raises(ValueError, match="invalid policy"):
             simulate(Policy.uniform(np.zeros((5, 5))), s, steps=10, seed=0)
 
+    def test_nan_entry_rejected(self):
+        # NaN fails every comparison, so only an explicit check keeps a NaN
+        # row, whose kernel support is empty, away from the sampler.
+        s = Scenario(u=np.ones((4, 4)), c=[0, 1, 0, 1], p0=np.full(4, 0.25), alpha=0.5, n=1)
+        r = np.roll(np.eye(4), 1, axis=1)  # the 4-cycle 0 -> 1 -> 2 -> 3 -> 0
+        r[0, 1] = np.nan
+        p = Policy.uniform(r)
+        with pytest.raises(ValueError, match=r"invalid policy: entry \(0, 1\) not finite"):
+            simulate(p, s, steps=100, seed=0)
+        with pytest.raises(ValueError, match=r"invalid policy: entry \(0, 1\) not finite"):
+            evaluate(p, s)
+
     def test_rate_within_cost_range(self, rng):
         s = random_scenario(rng, binary_costs=False)
         p = random_uniform_policy(rng, s)
@@ -148,6 +160,11 @@ class TestSparseSampler:
         assert got.tolist() == [1, 1, 3, 3, 3, 3]
         got = _follow(*support, np.array([1, 2, 3, 3, 4]), np.array([0.5, 0.99, 0.61, 0.6, 0.5]))
         assert got.tolist() == [0, 4, 4, 2, 0]
+
+    def test_row_without_support_raises(self):
+        kernel = np.array([[0.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [0.5, 0.5, 0.0]])
+        with pytest.raises(ValueError, match="row 1 has no positive entry"):
+            _kernel_support(kernel)
 
     def test_memory_independent_of_catalog_width(self):
         # A per-step (active cycles, K) float temporary would take about
