@@ -2,8 +2,8 @@
 
 Run from the root of a cacherec checkout:
 
-    python3 bench/run.py --out BENCH_6.json --label change
-    python3 bench/run.py --out BENCH_6.json --label parent --src ../parent/src
+    python3 bench/run.py --out BENCH_7.json --label change
+    python3 bench/run.py --out BENCH_7.json --label parent --src ../parent/src
 
 Every cell builds a Poisson-graph scenario (mean degree 8, Zipf(0.7)
 popularity, a cache of K/50 items, alpha = 0.8, q = 0.9, graph seed 1) for
@@ -11,7 +11,9 @@ K in LADDER and N in {2, 3}, with uniform clicks or the skewed clicks
 SKEWED[N]. P3 runs on both click vectors. P2 solves the uniform-click
 problem whatever the clicks are, so it runs once per (K, N). A cell records
 the median and minimum wall time of its solves, the kernel calls
-(`PolicyResult.iterations`) and the LTEC.
+(`PolicyResult.iterations`) and the LTEC. Each (N, v, policy) series climbs
+the ladder until a cell's median exceeds --budget-s; larger K are not run
+for that series. K = 3200 peaks near 1 GB.
 
 The cacherec package is imported from --src (default: this checkout's src/),
 so one script measures two checkouts with identical settings. The records go
@@ -37,7 +39,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-LADDER = (25, 50, 100, 200, 400, 800, 1600)
+LADDER = (25, 50, 100, 200, 400, 800, 1600, 3200)
 SKEWED = {2: [0.7, 0.3], 3: [0.6, 0.3, 0.1]}
 GRAPH_SEED = 1
 
@@ -105,18 +107,26 @@ def main(argv=None) -> int:
                         help="directory holding the cacherec package to measure")
     parser.add_argument("--max-k", type=int, default=LADDER[-1],
                         help="stop the ladder after this K")
+    parser.add_argument("--budget-s", type=float, default=30.0,
+                        help="stop a series after its first cell whose median exceeds this")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
     import cacherec
 
-    records = []
-    for cell in cells(args.max_k):
-        rec = run_cell(cacherec, *cell)
+    records, over_budget = [], set()
+    for k, *series in cells(args.max_k):
+        if tuple(series) in over_budget:
+            continue
+        rec = run_cell(cacherec, k, *series)
         records.append(rec)
         print(f"K={rec['k']:5d} N={rec['n']} v={rec['v']:7s} {rec['policy']}: "
               f"median {rec['median_s']:.4f} s, {rec['kernel_calls']} kernel calls, "
               f"LTEC {rec['ltec']:.15f}", flush=True)
+        if rec["median_s"] > args.budget_s:
+            over_budget.add(tuple(series))
+            print(f"  over the {args.budget_s:g} s budget: no larger K for this series",
+                  flush=True)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

@@ -61,26 +61,62 @@ def transient_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
     return scenario.alpha * click_kernel(policy, scenario)
 
 
+def factor(kernel: np.ndarray, alpha: float):
+    """LU factors of I - Q for Q = alpha * kernel.
+
+    I - Q is assembled in the buffer of the (K, K) click kernel, which is
+    overwritten; entry for entry it equals np.eye(K) - alpha * kernel. A
+    Fortran-ordered kernel, as `model.slate_kernel` returns, is also
+    factored in place.
+    """
+    a = kernel
+    a *= alpha
+    np.subtract(0.0, a, out=a)  # 0 - Q, not -Q: zeros keep a positive sign
+    a.flat[::a.shape[0] + 1] += 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns instead of raising on singular U
+        lu = lu_factor(a, overwrite_a=True)
+    if np.abs(np.diag(lu[0])).min() < 1e-300:
+        raise ValueError("singular session system; the policy violates its invariants")
+    return lu
+
+
+def cost_to_go(lu, scenario: Scenario) -> np.ndarray:
+    """V = G c from the factors of `factor`: the expected cost over the rest
+    of a cycle entered at each content."""
+    return lu_solve(lu, scenario.c)
+
+
+def report(lu, scenario: Scenario, values: np.ndarray) -> EvalReport:
+    """The `EvalReport` of the policy whose factors are `lu`, where values
+    is its `cost_to_go`. Two more solves give the visit rates and row sums."""
+    z = lu_solve(lu, scenario.p0, trans=1)      # G' p0
+    g1 = lu_solve(lu, np.ones(scenario.k))      # G 1
+    ltec = float((1.0 - scenario.alpha) * (scenario.p0 @ values))
+    return EvalReport(
+        ltec=ltec,
+        cost_to_go=values,
+        chr=1.0 - ltec if scenario.binary_costs else None,
+        z=z,
+        g_row_sums=g1,
+        cycle_length=float(scenario.p0 @ g1),
+    )
+
+
 def _factor(policy: Policy, scenario: Scenario, check: bool = True):
     if check:
         bad = validate_policy(policy, scenario, tol=EVAL_TOL)
         if bad:
             raise ValueError("invalid policy: " + "; ".join(bad[:5]))
-    a = np.eye(scenario.k) - transient_matrix(policy, scenario)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns instead of raising on singular U
-        lu = lu_factor(a)
-    if np.abs(np.diag(lu[0])).min() < 1e-300:
-        raise ValueError("singular session system; the policy violates its invariants")
-    return lu, a
+    return factor(click_kernel(policy, scenario), scenario.alpha)
 
 
 def fundamental_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
     """G = (I - Q)^{-1}; entry (i, j) is the expected number of visits to j
     before the cycle ends, starting from i. Computed by a dense LU solve."""
-    lu, a = _factor(policy, scenario)
-    g = lu_solve(lu, np.eye(scenario.k))
+    g = lu_solve(_factor(policy, scenario), np.eye(scenario.k))
     if __debug__:
+        a = np.eye(scenario.k) - transient_matrix(policy, scenario)
         resid = np.abs(a @ g - np.eye(scenario.k)).max()
         assert resid <= 1e-9 * scenario.k, f"fundamental matrix residual {resid:.3e}"
     return g
@@ -88,8 +124,7 @@ def fundamental_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
 
 def expected_cycle_cost(policy: Policy, scenario: Scenario) -> float:
     """Expected total access cost accumulated over one renewal cycle, p0' G c."""
-    lu, _ = _factor(policy, scenario)
-    return float(scenario.p0 @ lu_solve(lu, scenario.c))
+    return float(scenario.p0 @ cost_to_go(_factor(policy, scenario), scenario))
 
 
 def expected_cycle_length(alpha: float) -> float:
@@ -104,18 +139,5 @@ def evaluate(policy: Policy, scenario: Scenario, check: bool = True) -> EvalRepo
 
     One LU factorization serves all three solves (cost, visit rates, row sums).
     """
-    lu, _ = _factor(policy, scenario, check=check)
-    k = scenario.k
-    y = lu_solve(lu, scenario.c)                # G c
-    z = lu_solve(lu, scenario.p0, trans=1)      # G' p0
-    g1 = lu_solve(lu, np.ones(k))               # G 1
-    ltec = float((1.0 - scenario.alpha) * (scenario.p0 @ y))
-    hit_rate = 1.0 - ltec if scenario.binary_costs else None
-    return EvalReport(
-        ltec=ltec,
-        cost_to_go=y,
-        chr=hit_rate,
-        z=z,
-        g_row_sums=g1,
-        cycle_length=float(scenario.p0 @ g1),
-    )
+    lu = _factor(policy, scenario, check=check)
+    return report(lu, scenario, cost_to_go(lu, scenario))

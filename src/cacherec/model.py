@@ -219,55 +219,70 @@ def validate_policy(policy: Policy, scenario: Scenario, tol: float = FEAS_TOL) -
         raise ValueError(f"policy is {policy.k}x{policy.k}, scenario has K={k}")
     out: list[str] = []
 
-    def check_box(mat: np.ndarray, sums: np.ndarray, label: str):
+    def entry(idx) -> str:
+        """'entry (i, j)', with its slot ahead for a positional policy."""
+        *slot, i, j = (int(x) for x in idx)
+        return f"slot {slot[0]} entry ({i}, {j})" if slot else f"entry ({i}, {j})"
+
+    def check_box(mat: np.ndarray, sums: np.ndarray):
         # NaN fails every comparison below. A non-finite entry also leaves its
         # row sum non-finite, so only then are the entries searched.
         if not np.isfinite(sums).all():
             for idx in np.argwhere(~np.isfinite(mat))[:20]:
-                out.append(f"{label}entry {tuple(idx.tolist())} not finite: "
-                           f"{mat[tuple(idx)]}")
+                out.append(f"{entry(idx)} not finite: {mat[tuple(idx)]}")
         diag = np.abs(np.diagonal(mat, axis1=-2, axis2=-1))
-        for idx in np.argwhere(diag > tol):
-            out.append(f"{label}diagonal nonzero at {tuple(idx)}: {diag[tuple(idx)]:.3g}")
-        low = np.argwhere(mat < -tol)
-        for idx in low[:20]:
-            out.append(f"{label}entry {tuple(idx)} negative: {mat[tuple(idx)]:.3g}")
-        high = np.argwhere(mat > 1.0 + tol)
-        for idx in high[:20]:
-            out.append(f"{label}entry {tuple(idx)} above 1: {mat[tuple(idx)]:.3g}")
+        for *slot, i in np.argwhere(diag > tol):
+            out.append(f"{entry((*slot, i, i))} on the diagonal is nonzero: "
+                       f"{diag[(*slot, i)]:.3g}")
+        for idx in np.argwhere(mat < -tol)[:20]:
+            out.append(f"{entry(idx)} negative: {mat[tuple(idx)]:.3g}")
+        for idx in np.argwhere(mat > 1.0 + tol)[:20]:
+            out.append(f"{entry(idx)} above 1: {mat[tuple(idx)]:.3g}")
 
     if not policy.is_positional:
         r = policy.matrix
         sums = r.sum(axis=1)
-        check_box(r, sums, "")
+        check_box(r, sums)
         for i in np.flatnonzero(np.abs(sums - n) > tol):
-            out.append(f"row {i} sums to {sums[i]:.9g}, expected {n} "
+            out.append(f"row {int(i)} sums to {sums[i]:.9g}, expected {n} "
                        f"(off by {abs(sums[i] - n):.3g})")
     else:
         if policy.n_slots != n:
             raise ValueError(f"policy has {policy.n_slots} slot matrices, scenario has N={n}")
         mats = policy.slot_matrices
         sums = mats.sum(axis=2)
-        check_box(mats, sums, "")
+        check_box(mats, sums)
         for sn, i in np.argwhere(np.abs(sums - 1.0) > tol):
-            out.append(f"slot {sn} row {i} sums to {sums[sn, i]:.9g}, expected 1 "
+            out.append(f"slot {int(sn)} row {int(i)} sums to {sums[sn, i]:.9g}, expected 1 "
                        f"(off by {abs(sums[sn, i] - 1.0):.3g})")
         cross = mats.sum(axis=0)
         for i, j in np.argwhere(cross > 1.0 + tol):
-            out.append(f"entry ({i}, {j}) appears in slots with total frequency "
+            out.append(f"entry ({int(i)}, {int(j)}) appears in slots with total frequency "
                        f"{cross[i, j]:.9g} > 1")
     return out
+
+
+def _smallest_first(score: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) column indices of the n smallest entries of each row of
+    `score`, smallest first; equal scores go to the lowest index. Takes n
+    passes of `argmin` and overwrites each pick in `score` with inf."""
+    at = np.arange(score.shape[0])
+    pick = np.empty((score.shape[0], n), dtype=np.intp)
+    for t in range(n):
+        pick[:, t] = score.argmin(axis=1)
+        score[at, pick[:, t]] = np.inf
+    return pick
 
 
 def top_slates(u: np.ndarray, n: int) -> np.ndarray:
     """(K, N) indices of each content's N most similar other items, most
     similar first; equal scores go to the lowest index."""
-    masked = np.array(u, dtype=float)
-    k = masked.shape[0]
+    score = np.negative(u, dtype=float)
+    k = score.shape[0]
     if n >= k:
         raise ValueError(f"need n < K, got n={n}, K={k}")
-    np.fill_diagonal(masked, -1.0)  # scores are >= 0, so self never ranks top-N
-    return np.argsort(-masked, axis=1, kind="stable")[:, :n]
+    np.fill_diagonal(score, np.inf)  # self never ranks top-N
+    return _smallest_first(score, n)
 
 
 def slot_order(v: np.ndarray) -> np.ndarray:
@@ -280,6 +295,24 @@ def slot_order(v: np.ndarray) -> np.ndarray:
     return np.argsort(-v, kind="stable")
 
 
+def _slate_entries(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
+                   positional: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(K, N) policy entries of lo's and of hi's items in the mix
+    theta * lo + (1 - theta) * hi.
+
+    An item that both slates show (in the same slot, for a positional
+    policy) gets exactly 1.0 on the lo side and 0.0 on the hi side, so
+    writing the lo entries and then adding the hi entries builds the policy.
+    """
+    if positional:
+        shared_lo = shared_hi = lo == hi
+    else:
+        same = lo[:, :, None] == hi[:, None, :]
+        shared_lo, shared_hi = same.any(axis=2), same.any(axis=1)
+    theta = theta[:, None]
+    return np.where(shared_lo, 1.0, theta), np.where(shared_hi, 0.0, 1.0 - theta)
+
+
 def slate_policy(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
                  v: np.ndarray | None = None) -> Policy:
     """Policy that shows slate lo[i] with probability theta_i after content i,
@@ -290,24 +323,48 @@ def slate_policy(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
     slot_order(v)[t] and the policy is positional.
     """
     k, n = lo.shape
-    rows = np.arange(k)
-    if v is None:
-        in_lo = np.zeros((k, k), dtype=bool)
-        in_hi = np.zeros((k, k), dtype=bool)
-        np.put_along_axis(in_lo, lo, True, axis=1)
-        np.put_along_axis(in_hi, hi, True, axis=1)
-        theta = theta[:, None]
-        return Policy.uniform(np.where(in_lo & in_hi, 1.0,
-                                       in_lo * theta + in_hi * (1.0 - theta)))
-    if np.shape(v) != (n,):
+    if v is not None and np.shape(v) != (n,):
         raise ValueError(f"v must have length n={n}, got shape {np.shape(v)}")
+    on_lo, on_hi = _slate_entries(lo, hi, theta, v is not None)
+    rows = np.arange(k)[:, None]
+    if v is None:
+        r = np.zeros((k, k))
+        r[rows, lo] = on_lo
+        r[rows, hi] += on_hi
+        return Policy.uniform(r)
     mats = np.zeros((n, k, k))
     for t, slot in enumerate(slot_order(v)):
-        lo_t, hi_t = lo[:, t], hi[:, t]
-        mats[slot, rows, lo_t] = theta
-        mats[slot, rows, hi_t] += 1.0 - theta
-        mats[slot, rows[lo_t == hi_t], lo_t[lo_t == hi_t]] = 1.0
+        mats[slot, rows[:, 0], lo[:, t]] = on_lo[:, t]
+        mats[slot, rows[:, 0], hi[:, t]] += on_hi[:, t]
     return Policy.positional(mats)
+
+
+def slate_kernel(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
+                 v: np.ndarray | None = None) -> np.ndarray:
+    """Click kernel of `slate_policy(lo, hi, theta, v)`, built without the
+    policy: entry for entry what `markov.click_kernel` returns for that
+    policy and clicks `v` (uniform clicks, R/N, when v is None).
+
+    The (K, K) result is in Fortran order, so `markov.factor` can factor it
+    in place.
+    """
+    k, n = lo.shape
+    on_lo, on_hi = _slate_entries(lo, hi, theta, v is not None)
+    if v is None:
+        on_lo /= n
+        on_hi /= n
+    else:
+        # An item gets at most two nonzero terms (from lo and from hi), and
+        # a sum of two terms does not depend on their order, so this equals
+        # the sum over slots that `markov.click_kernel` takes.
+        weights = np.asarray(v, dtype=float)[slot_order(v)]
+        on_lo *= weights
+        on_hi *= weights
+    kernel = np.zeros((k, k), order="F")
+    rows = np.arange(k)[:, None]
+    kernel[rows, lo] = on_lo
+    kernel[rows, hi] += on_hi
+    return kernel
 
 
 def baseline_policy(u: np.ndarray, n: int, v: np.ndarray | None = None) -> Policy:

@@ -7,10 +7,12 @@ discounted MDP over the contents, with discount alpha and one polytope of
 slate mixtures per content. `row_kernel` solves the per-row problem
 "cheapest slate mix meeting the floor" for a value vector V, for all rows at
 once. P1 is one kernel call with V = c. P2 and P3 are policy iteration
-(Howard 1960; Puterman 1994, ch. 6): start from P1, evaluate V = G c with
-the LU that `markov.evaluate` uses, replace each row the kernel strictly
-improves, and stop when no row changes. Each round's kernel call starts
-from the slates of the round before.
+(Howard 1960; Puterman 1994, ch. 6) from P1. Each round writes the click
+kernel of the current slates (`model.slate_kernel`), factors I - Q once
+(`markov.factor`) and solves only V = G c; it replaces each row the kernel
+improves by more than a rounding margin, and starts its kernel call from the
+slates of the round before. When no row changes, the policy is built once
+and its report comes from the last round's factors (`markov.report`).
 
 An explicit LP method ("dense", "highs" or "external") instead builds the
 K^2-variable LP of `cacherec.lp` and solves it with `cacherec.simplex`; that
@@ -29,9 +31,9 @@ import numpy as np
 
 from . import lp, markov, simplex
 from .markov import EvalReport
-from .model import (Policy, Scenario, baseline_policy, quality_of, quality_profile,
-                    slate_policy, slot_order, top_quality, top_slates,
-                    validate_policy)
+from .model import (Policy, Scenario, _smallest_first, baseline_policy, quality_of,
+                    quality_profile, slate_kernel, slate_policy, slot_order, top_quality,
+                    top_slates, validate_policy)
 
 POLICY_NAMES = ("baseline", "P1", "P2", "P3")
 
@@ -41,8 +43,9 @@ POLICY_NAMES = ("baseline", "P1", "P2", "P3")
 MAX_ROUNDS = 100
 #: Breakpoint-search steps per row-kernel call before giving up.
 MAX_KERNEL_STEPS = 200
-#: A row is replaced only when its new value is lower by this relative margin,
-#: so rounding noise cannot make policy iteration cycle.
+#: A row is replaced only when its new value is lower by this margin relative
+#: to max |V|, so rounding noise cannot make policy iteration cycle. A margin
+#: relative to the row's own value would vanish on rows whose value is ~0.
 IMPROVE_RTOL = 1e-12
 
 _EPS = np.finfo(float).eps
@@ -107,13 +110,8 @@ def _select(values: np.ndarray, u: np.ndarray, mu: np.ndarray, rows: np.ndarray,
     first; equal scores go to the lowest index, as in `model.top_slates`."""
     score = u[rows] * -mu[:, None]
     score += values
-    at = np.arange(rows.size)
-    score[at, rows] = np.inf
-    pick = np.empty((rows.size, n), dtype=np.intp)
-    for t in range(n):
-        pick[:, t] = score.argmin(axis=1)
-        score[at, pick[:, t]] = np.inf
-    return pick
+    score[np.arange(rows.size), rows] = np.inf
+    return _smallest_first(score, n)
 
 
 def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
@@ -248,13 +246,13 @@ def _policy_iteration(scenario: Scenario, positional: bool, name: str) -> Policy
     sol = row_kernel(scenario.c, scenario.u, weights, floor, top)
     calls = 1
     for _ in range(MAX_ROUNDS):
-        policy = slate_policy(*sol, v)
-        report = markov.evaluate(policy, scenario, check=False)
-        values = report.cost_to_go
+        lu = markov.factor(slate_kernel(*sol, v), scenario.alpha)
+        values = markov.cost_to_go(lu, scenario)
         new = row_kernel(values, scenario.u, weights, floor, top, start=sol)
         calls += 1
         old = _mix_value(sol, values, weights)
-        better = _mix_value(new, values, weights) < old - IMPROVE_RTOL * np.abs(old)
+        margin = IMPROVE_RTOL * np.abs(values).max()
+        better = _mix_value(new, values, weights) < old - margin
         if not better.any():
             break
         sol = RowSolution(np.where(better[:, None], new.lo, sol.lo),
@@ -263,7 +261,8 @@ def _policy_iteration(scenario: Scenario, positional: bool, name: str) -> Policy
     else:
         raise SolverFailure(f"{name}: policy iteration did not settle in "
                             f"{MAX_ROUNDS} rounds")
-    return _result(name, policy, scenario, floor, report, float(scenario.p0 @ values),
+    return _result(name, slate_policy(*sol, v), scenario, floor,
+                   markov.report(lu, scenario, values), float(scenario.p0 @ values),
                    calls, t0)
 
 

@@ -284,6 +284,9 @@ def _finish(problem: LpProblem, tab: _Tableau, lb_all: np.ndarray, n: int,
 # scipy (HiGHS) backend for desk-class problems that outgrow the dense tableau.
 
 _HIGHS_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}
+#: HiGHS's default feasibility tolerances (1e-7) can leave a session LP's
+#: optimum several 1e-9 above the true one; callers compare optima at 1e-9.
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def _solve_highs(problem: LpProblem) -> LpSolution:
@@ -297,6 +300,7 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
         b_eq=problem.b_eq if problem.b_eq.size else None,
         bounds=np.column_stack([problem.lb, problem.ub]),
         method="highs",
+        options=_HIGHS_OPTIONS,
     )
     status = _HIGHS_STATUS.get(res.status, "error")
     x = np.asarray(res.x, dtype=float) if res.x is not None else np.full(problem.n_vars, np.nan)

@@ -12,6 +12,12 @@ click kernel, the entries below its uniform draw. The production sampler
 searches only each row's nonzero support and must return bitwise the same
 paths.
 
+`evaluate_each_round` is policy iteration in its plain form: every round
+builds the dense policy, assembles I - Q from `transient_matrix` and factors
+it for all three of the report's solves. The production loop writes
+only the click kernel from the slates and builds the policy and report once,
+and must return bitwise the same policy, report and kernel calls.
+
 `entrywise_session_lp` emits the session LP one coefficient at a time from
 nested loops over contents, with the f-column of pair (i, j) computed by
 index arithmetic. `lp.build_session_lp` and `build_positional_lp` assemble
@@ -20,14 +26,16 @@ entry for entry.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lu_factor, lu_solve
 
-from cacherec import markov
+from cacherec import markov, policies
 from cacherec.lp import LpProblem
-from cacherec.model import max_quality
+from cacherec.model import max_quality, slate_policy
 
 
 def vertex_optimum(problem, tol: float = 1e-7):
@@ -124,6 +132,37 @@ def dense_sample_path(policy, scenario, steps: int, rng: np.random.Generator):
         path[offsets[active] + t] = nxt
         current[active] = nxt
     return path, lengths, truncated
+
+
+def evaluate_each_round(scenario, positional: bool):
+    """Reference for `policies._policy_iteration`. Returns (policy, report,
+    kernel calls, cycle cost p0'V)."""
+    weights, floor, v, top = policies._row_problem(scenario, positional)
+    kernel = functools.partial(policies.row_kernel, u=scenario.u, weights=weights,
+                               floor=floor, top=top)
+    sol = kernel(scenario.c)
+    calls = 1
+    for _ in range(policies.MAX_ROUNDS):
+        policy = slate_policy(*sol, v)
+        lu = lu_factor(np.eye(scenario.k) - markov.transient_matrix(policy, scenario))
+        values = lu_solve(lu, scenario.c)
+        g1 = lu_solve(lu, np.ones(scenario.k))
+        ltec = float((1.0 - scenario.alpha) * (scenario.p0 @ values))
+        report = markov.EvalReport(
+            ltec=ltec, cost_to_go=values, chr=1.0 - ltec if scenario.binary_costs else None,
+            z=lu_solve(lu, scenario.p0, trans=1), g_row_sums=g1,
+            cycle_length=float(scenario.p0 @ g1))
+        new = kernel(values, start=sol)
+        calls += 1
+        old = policies._mix_value(sol, values, weights)
+        margin = policies.IMPROVE_RTOL * np.abs(values).max()
+        better = policies._mix_value(new, values, weights) < old - margin
+        if not better.any():
+            return policy, report, calls, float(scenario.p0 @ values)
+        sol = policies.RowSolution(np.where(better[:, None], new.lo, sol.lo),
+                                   np.where(better[:, None], new.hi, sol.hi),
+                                   np.where(better, new.theta, sol.theta))
+    raise AssertionError("policy iteration did not settle")
 
 
 def entrywise_session_lp(scenario, positional: bool) -> LpProblem:

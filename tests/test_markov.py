@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lu_factor
 
 from cacherec import (Policy, Scenario, evaluate, expected_cycle_cost,
-                      expected_cycle_length, fundamental_matrix, transient_matrix)
+                      expected_cycle_length, fundamental_matrix, markov, transient_matrix)
+from cacherec.model import slate_kernel, slate_policy
 from conftest import random_positional_policy, random_scenario, random_uniform_policy
 
 
@@ -139,3 +143,66 @@ class TestTransientMatrix:
         p = random_positional_policy(rng, s)
         want = s.alpha * sum(s.v[i] * p.slot_matrices[i] for i in range(s.n))
         assert np.allclose(transient_matrix(p, s), want)
+
+
+def random_slates(rng, k: int, n: int, overlap: str):
+    """(K, N) slates lo and hi of distinct items other than the row's own.
+    "equal": hi is lo; "shuffled": hi is lo in another order; "some": hi
+    keeps part of lo, in any columns; "random": independent draws."""
+    lo, hi = np.empty((k, n), dtype=np.intp), np.empty((k, n), dtype=np.intp)
+    for i in range(k):
+        others = np.delete(np.arange(k), i)
+        lo[i] = rng.choice(others, size=n, replace=False)
+        if overlap == "equal":
+            hi[i] = lo[i]
+        elif overlap == "shuffled":
+            hi[i] = rng.permutation(lo[i])
+        elif overlap == "some":
+            keep = lo[i, :int(rng.integers(0, n + 1))]
+            rest = rng.choice(np.setdiff1d(others, keep), size=n - keep.size, replace=False)
+            hi[i] = rng.permutation(np.concatenate([keep, rest]))
+        else:
+            hi[i] = rng.choice(others, size=n, replace=False)
+    return lo, hi
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 12),
+       st.sampled_from(["equal", "shuffled", "some", "random"]),
+       st.sampled_from(["zero", "one", "random"]),
+       st.sampled_from([None, "uniform", "skewed", "tied"]))
+@settings(max_examples=200, deadline=None)
+def test_slate_kernel_is_the_dense_policys_session_system(seed, k, overlap, theta, clicks):
+    """The kernel written from slates, and the I - Q that `factor` makes of
+    it, equal those of the dense `slate_policy`, entry for entry."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, min(4, k)))
+    s = random_scenario(rng, k=k, n=n, alpha=float(rng.choice([0.0, 0.8, rng.random()])))
+    if clicks == "skewed":
+        s = s.replace(v=rng.dirichlet(np.ones(n)))
+    elif clicks == "tied" and n == 3:
+        s = s.replace(v=[0.2, 0.4, 0.4])  # slots 1 and 2 tie
+    lo, hi = random_slates(rng, k, n, overlap)
+    th = {"zero": np.zeros(k), "one": np.ones(k), "random": rng.random(k)}[theta]
+    slots = None if clicks is None else s.v
+
+    policy = slate_policy(lo, hi, th, slots)
+    kernel = slate_kernel(lo, hi, th, slots)
+    want = markov.click_kernel(policy, s)
+    assert np.ascontiguousarray(kernel).tobytes() == want.tobytes()  # signed zeros too
+    lu, piv = markov.factor(kernel, s.alpha)
+    want_lu, want_piv = lu_factor(np.eye(k) - transient_matrix(policy, s))
+    assert np.ascontiguousarray(lu).tobytes() == np.ascontiguousarray(want_lu).tobytes()
+    assert np.array_equal(piv, want_piv)
+
+
+def test_evaluate_report_from_shared_builder():
+    """`evaluate` is `factor`, `cost_to_go` and `report` over the policy's kernel."""
+    s = random_scenario(np.random.default_rng(4), k=9, v="skewed")
+    p = random_positional_policy(np.random.default_rng(5), s)
+    lu = markov.factor(markov.click_kernel(p, s), s.alpha)
+    want = markov.report(lu, s, markov.cost_to_go(lu, s))
+    got = evaluate(p, s)
+    for field in ("ltec", "chr", "cycle_length"):
+        assert getattr(got, field) == getattr(want, field)
+    for field in ("cost_to_go", "z", "g_row_sums"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cacherec import (Policy, Scenario, baseline_policy, entropy, max_quality,
                       quality_of, quality_profile, validate_policy)
+from cacherec.model import top_slates
 from conftest import random_positional_policy, random_scenario, random_uniform_policy
 
 U5 = np.array([
@@ -106,6 +107,41 @@ class TestValidatePolicy:
                      p0=np.full(3, 1 / 3), alpha=0.5, n=2)
         msgs = validate_policy(Policy.positional(mats), s)
         assert any("slots with total frequency" in m for m in msgs)
+
+    def test_messages_name_plain_indices(self):
+        """Every kind of violation prints plain integers, never a numpy
+        scalar repr such as np.int64(0), and names the slot when positional."""
+        s = Scenario(u=np.ones((3, 3)) - np.eye(3), c=[0, 1, 1],
+                     p0=np.full(3, 1 / 3), alpha=0.5, n=2)
+        r = np.array([[0.5, 1.0, 0.0], [1.0, 0.0, -0.5], [1.0, 1.5, np.nan]])
+        uniform = validate_policy(Policy.uniform(r), s)
+        mats = np.stack([r / 2, r / 2])
+        mats[1, 0, 1] = 2.0
+        positional = validate_policy(Policy.positional(mats), s)
+        for msgs in (uniform, positional):
+            assert not [m for m in msgs if "np." in m]
+        kinds = {"entry (2, 2) not finite: nan", "entry (0, 0) on the diagonal is nonzero: 0.5",
+                 "entry (1, 2) negative: -0.5", "entry (2, 1) above 1: 1.5", "row 0 sums to 1.5",
+                 "row 1 sums to 0.5"}
+        assert all(any(m.startswith(kind) for m in uniform) for kind in kinds), uniform
+        kinds = {"slot 1 entry (2, 2) not finite", "slot 0 entry (0, 0) on the diagonal",
+                 "slot 1 entry (1, 2) negative", "slot 1 entry (0, 1) above 1",
+                 "slot 1 row 0 sums to", "entry (0, 1) appears in slots"}
+        assert all(any(m.startswith(kind) for m in positional) for kind in kinds), positional
+
+
+class TestTopSlates:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_matches_stable_argsort_on_ties(self, n):
+        rng = np.random.default_rng(41)
+        k = 30
+        u = rng.integers(0, 3, (k, k)) / 2.0  # three values: ties in every row
+        u[:3] = 0.0
+        np.fill_diagonal(u, 1.0)
+        masked = u.copy()
+        np.fill_diagonal(masked, -1.0)
+        want = np.argsort(-masked, axis=1, kind="stable")[:, :n]
+        assert np.array_equal(top_slates(u, n), want)
 
 
 class TestMaxQuality:

@@ -14,6 +14,7 @@ from cacherec import policies
 from cacherec.lp import build_greedy_row_lps, build_positional_lp, build_session_lp
 from cacherec.simplex import solve
 from conftest import random_scenario
+from _oracles import evaluate_each_round
 
 TOL = 1e-9
 
@@ -148,3 +149,44 @@ def test_warm_start_reaches_the_cold_optimum(seed, k, q, positional, tied_values
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * values.max(),
                                    err_msg=label)
         assert np.all(slate_mix_quality(warm, s.u, weights) >= floor - slack), label
+
+
+@pytest.mark.parametrize("positional", [False, True], ids=["P2", "P3"])
+def test_policy_iteration_matches_per_round_evaluation(positional):
+    """Building only the click kernel in each round, and the policy and report
+    once at the end, changes no bit of the answer."""
+    solver = policies.solve_positional if positional else policies.solve_session
+    for seed in range(40):
+        rng = np.random.default_rng(9100 + seed)
+        s = random_scenario(rng, k=int(rng.integers(4, 31)), q=float(rng.choice([0.0, 0.9, 1.0])),
+                            v="skewed" if seed % 2 else None, binary_costs=seed % 3 != 0)
+        policy, report, calls, objective = evaluate_each_round(s, positional)
+        got = solver(s)
+        assert np.array_equal(got.policy.mats, policy.mats), seed
+        assert (got.iterations, got.objective) == (calls, objective), seed
+        for field in ("ltec", "chr", "cycle_length"):
+            assert getattr(got.report, field) == getattr(report, field), (seed, field)
+        for field in ("cost_to_go", "z", "g_row_sums"):
+            assert np.array_equal(getattr(got.report, field), getattr(report, field)), (seed, field)
+
+
+def test_rows_worth_zero_do_not_flip_on_rounding_noise():
+    # Two cached contents both have V ~ 0, and each flip between them
+    # "improved" a row by ~1e-16; a margin relative to the row's own value
+    # let P2 cycle until it gave up after MAX_ROUNDS.
+    rng = np.random.default_rng(364)
+    s = random_scenario(rng, k=int(rng.integers(4, 41)))
+    assert (s.k, s.n) == (24, 1)
+    result = policies.solve_session(s)
+    assert result.iterations == 2
+    assert result.report.ltec == pytest.approx(session_reference(s, False), abs=1e-12)
+
+
+def test_highs_oracle_agrees_with_kernel_at_tight_tolerances():
+    # At HiGHS's default feasibility tolerances its optimum here sat 3.6e-9
+    # above the kernel's.
+    rng = np.random.default_rng(373)
+    s = random_scenario(rng, k=int(rng.integers(4, 41)), v="skewed")
+    assert (s.k, s.n) == (25, 3)
+    assert policies.solve_positional(s).report.ltec == pytest.approx(
+        session_reference(s, True), abs=1e-11)
