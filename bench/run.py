@@ -11,9 +11,7 @@ K in LADDER and N in {2, 3}, with uniform clicks or the skewed clicks
 SKEWED[N]. P3 runs on both click vectors. P2 solves the uniform-click
 problem whatever the clicks are, so it runs once per (K, N). A cell records
 the median and minimum wall time of its solves, the kernel calls
-(`PolicyResult.iterations`) and the LTEC. Each (N, v, policy) series climbs
-the ladder until a cell's median exceeds --budget-s; larger K are not run
-for that series. K = 3200 peaks near 1 GB.
+(`PolicyResult.iterations`) and the LTEC. K = 3200 peaks near 1 GB.
 
 The cacherec package is imported from --src (default: this checkout's src/),
 so one script measures two checkouts with identical settings. The records go
@@ -107,26 +105,18 @@ def main(argv=None) -> int:
                         help="directory holding the cacherec package to measure")
     parser.add_argument("--max-k", type=int, default=LADDER[-1],
                         help="stop the ladder after this K")
-    parser.add_argument("--budget-s", type=float, default=30.0,
-                        help="stop a series after its first cell whose median exceeds this")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
     import cacherec
 
-    records, over_budget = [], set()
-    for k, *series in cells(args.max_k):
-        if tuple(series) in over_budget:
-            continue
-        rec = run_cell(cacherec, k, *series)
+    records = []
+    for cell in cells(args.max_k):
+        rec = run_cell(cacherec, *cell)
         records.append(rec)
         print(f"K={rec['k']:5d} N={rec['n']} v={rec['v']:7s} {rec['policy']}: "
               f"median {rec['median_s']:.4f} s, {rec['kernel_calls']} kernel calls, "
               f"LTEC {rec['ltec']:.15f}", flush=True)
-        if rec["median_s"] > args.budget_s:
-            over_budget.add(tuple(series))
-            print(f"  over the {args.budget_s:g} s budget: no larger K for this series",
-                  flush=True)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

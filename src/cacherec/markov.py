@@ -61,7 +61,7 @@ def transient_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
     return scenario.alpha * click_kernel(policy, scenario)
 
 
-def factor(kernel: np.ndarray, alpha: float):
+def factor_in_place(kernel: np.ndarray, alpha: float):
     """LU factors of I - Q for Q = alpha * kernel.
 
     I - Q is assembled in the buffer of the (K, K) click kernel, which is
@@ -81,15 +81,9 @@ def factor(kernel: np.ndarray, alpha: float):
     return lu
 
 
-def cost_to_go(lu, scenario: Scenario) -> np.ndarray:
-    """V = G c from the factors of `factor`: the expected cost over the rest
-    of a cycle entered at each content."""
-    return lu_solve(lu, scenario.c)
-
-
 def report(lu, scenario: Scenario, values: np.ndarray) -> EvalReport:
     """The `EvalReport` of the policy whose factors are `lu`, where values
-    is its `cost_to_go`. Two more solves give the visit rates and row sums."""
+    is its cost to go G c. Two more solves give the visit rates and row sums."""
     z = lu_solve(lu, scenario.p0, trans=1)      # G' p0
     g1 = lu_solve(lu, np.ones(scenario.k))      # G 1
     ltec = float((1.0 - scenario.alpha) * (scenario.p0 @ values))
@@ -108,7 +102,7 @@ def _factor(policy: Policy, scenario: Scenario, check: bool = True):
         bad = validate_policy(policy, scenario, tol=EVAL_TOL)
         if bad:
             raise ValueError("invalid policy: " + "; ".join(bad[:5]))
-    return factor(click_kernel(policy, scenario), scenario.alpha)
+    return factor_in_place(click_kernel(policy, scenario), scenario.alpha)
 
 
 def fundamental_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
@@ -124,7 +118,7 @@ def fundamental_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
 
 def expected_cycle_cost(policy: Policy, scenario: Scenario) -> float:
     """Expected total access cost accumulated over one renewal cycle, p0' G c."""
-    return float(scenario.p0 @ cost_to_go(_factor(policy, scenario), scenario))
+    return float(scenario.p0 @ lu_solve(_factor(policy, scenario), scenario.c))
 
 
 def expected_cycle_length(alpha: float) -> float:
@@ -140,4 +134,4 @@ def evaluate(policy: Policy, scenario: Scenario, check: bool = True) -> EvalRepo
     One LU factorization serves all three solves (cost, visit rates, row sums).
     """
     lu = _factor(policy, scenario, check=check)
-    return report(lu, scenario, cost_to_go(lu, scenario))
+    return report(lu, scenario, lu_solve(lu, scenario.c))

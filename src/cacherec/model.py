@@ -345,8 +345,8 @@ def slate_kernel(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
     policy: entry for entry what `markov.click_kernel` returns for that
     policy and clicks `v` (uniform clicks, R/N, when v is None).
 
-    The (K, K) result is in Fortran order, so `markov.factor` can factor it
-    in place.
+    The (K, K) result is in Fortran order, so `markov.factor_in_place` can
+    factor it without a copy.
     """
     k, n = lo.shape
     on_lo, on_hi = _slate_entries(lo, hi, theta, v is not None)

@@ -8,11 +8,12 @@ slate mixtures per content. `row_kernel` solves the per-row problem
 "cheapest slate mix meeting the floor" for a value vector V, for all rows at
 once. P1 is one kernel call with V = c. P2 and P3 are policy iteration
 (Howard 1960; Puterman 1994, ch. 6) from P1. Each round writes the click
-kernel of the current slates (`model.slate_kernel`), factors I - Q once
-(`markov.factor`) and solves only V = G c; it replaces each row the kernel
-improves by more than a rounding margin, and starts its kernel call from the
-slates of the round before. When no row changes, the policy is built once
-and its report comes from the last round's factors (`markov.report`).
+kernel of the current slates (`model.slate_kernel`), turns it into I - Q
+and factors it once (`markov.factor_in_place`), and solves only V = G c; it
+replaces each row the kernel improves by more than a rounding margin, and
+starts its kernel call from the slates of the round before. When no row
+changes, the policy is built once and its report comes from the last
+round's factors (`markov.report`).
 
 An explicit LP method ("dense", "highs" or "external") instead builds the
 K^2-variable LP of `cacherec.lp` and solves it with `cacherec.simplex`; that
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lu_solve
 
 from . import lp, markov, simplex
 from .markov import EvalReport
@@ -246,8 +248,8 @@ def _policy_iteration(scenario: Scenario, positional: bool, name: str) -> Policy
     sol = row_kernel(scenario.c, scenario.u, weights, floor, top)
     calls = 1
     for _ in range(MAX_ROUNDS):
-        lu = markov.factor(slate_kernel(*sol, v), scenario.alpha)
-        values = markov.cost_to_go(lu, scenario)
+        lu = markov.factor_in_place(slate_kernel(*sol, v), scenario.alpha)
+        values = lu_solve(lu, scenario.c)
         new = row_kernel(values, scenario.u, weights, floor, top, start=sol)
         calls += 1
         old = _mix_value(sol, values, weights)

@@ -9,17 +9,14 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-def run_ladder(out, *args):
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--out", str(out), *args],
-                          capture_output=True, text=True, timeout=180)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return json.loads(out.read_text())
-
-
 def test_ladder_records_and_compares_two_runs(tmp_path):
     out = tmp_path / "bench.json"
     for label in ("parent", "change"):
-        doc = run_ladder(out, "--label", label, "--max-k", "25")
+        proc = subprocess.run([sys.executable, str(SCRIPT), "--out", str(out),
+                               "--label", label, "--max-k", "25"],
+                              capture_output=True, text=True, timeout=180)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(out.read_text())
     assert doc["machine"]["blas_threads"] == 1
     cells = {(r["n"], r["v"], r["policy"]) for r in doc["runs"]["change"]}
     assert cells == {(n, v, p) for n in (2, 3)
@@ -28,12 +25,3 @@ def test_ladder_records_and_compares_two_runs(tmp_path):
                for r in doc["runs"]["change"])
     assert doc["compare"]["max_ltec_diff"] == 0.0  # same code, same answers
     assert len(doc["compare"]["cells"]) == 6
-
-
-def test_series_stops_after_its_first_cell_over_budget(tmp_path):
-    # Every cell takes longer than 0 s, so each series keeps only K = 25.
-    doc = run_ladder(tmp_path / "bench.json", "--max-k", "50", "--budget-s", "0")
-    assert {r["k"] for r in doc["runs"]["change"]} == {25}
-    assert len(doc["runs"]["change"]) == 6
-    doc = run_ladder(tmp_path / "bench.json", "--max-k", "50", "--budget-s", "60")
-    assert sorted(r["k"] for r in doc["runs"]["change"]) == [25] * 6 + [50] * 6

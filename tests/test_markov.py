@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor
+from scipy.linalg import lu_factor, lu_solve
 
 from cacherec import (Policy, Scenario, evaluate, expected_cycle_cost,
                       expected_cycle_length, fundamental_matrix, markov, transient_matrix)
@@ -172,8 +172,8 @@ def random_slates(rng, k: int, n: int, overlap: str):
        st.sampled_from([None, "uniform", "skewed", "tied"]))
 @settings(max_examples=200, deadline=None)
 def test_slate_kernel_is_the_dense_policys_session_system(seed, k, overlap, theta, clicks):
-    """The kernel written from slates, and the I - Q that `factor` makes of
-    it, equal those of the dense `slate_policy`, entry for entry."""
+    """The kernel written from slates, and the I - Q that `factor_in_place`
+    makes of it, equal those of the dense `slate_policy`, entry for entry."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, min(4, k)))
     s = random_scenario(rng, k=k, n=n, alpha=float(rng.choice([0.0, 0.8, rng.random()])))
@@ -189,18 +189,19 @@ def test_slate_kernel_is_the_dense_policys_session_system(seed, k, overlap, thet
     kernel = slate_kernel(lo, hi, th, slots)
     want = markov.click_kernel(policy, s)
     assert np.ascontiguousarray(kernel).tobytes() == want.tobytes()  # signed zeros too
-    lu, piv = markov.factor(kernel, s.alpha)
+    lu, piv = markov.factor_in_place(kernel, s.alpha)
     want_lu, want_piv = lu_factor(np.eye(k) - transient_matrix(policy, s))
     assert np.ascontiguousarray(lu).tobytes() == np.ascontiguousarray(want_lu).tobytes()
     assert np.array_equal(piv, want_piv)
 
 
 def test_evaluate_report_from_shared_builder():
-    """`evaluate` is `factor`, `cost_to_go` and `report` over the policy's kernel."""
+    """`evaluate` is `factor_in_place`, the solve for G c and `report` over
+    the policy's kernel."""
     s = random_scenario(np.random.default_rng(4), k=9, v="skewed")
     p = random_positional_policy(np.random.default_rng(5), s)
-    lu = markov.factor(markov.click_kernel(p, s), s.alpha)
-    want = markov.report(lu, s, markov.cost_to_go(lu, s))
+    lu = markov.factor_in_place(markov.click_kernel(p, s), s.alpha)
+    want = markov.report(lu, s, lu_solve(lu, s.c))
     got = evaluate(p, s)
     for field in ("ltec", "chr", "cycle_length"):
         assert getattr(got, field) == getattr(want, field)
