@@ -2,16 +2,17 @@
 
 Run from the root of a cacherec checkout:
 
-    python3 bench/run.py --out BENCH_7.json --label change
-    python3 bench/run.py --out BENCH_7.json --label parent --src ../parent/src
+    python3 bench/run.py --out BENCH_8.json --label change
+    python3 bench/run.py --out BENCH_8.json --label parent --src ../parent/src
 
 Every cell builds a Poisson-graph scenario (mean degree 8, Zipf(0.7)
 popularity, a cache of K/50 items, alpha = 0.8, q = 0.9, graph seed 1) for
 K in LADDER and N in {2, 3}, with uniform clicks or the skewed clicks
 SKEWED[N]. P3 runs on both click vectors. P2 solves the uniform-click
-problem whatever the clicks are, so it runs once per (K, N). A cell records
-the median and minimum wall time of its solves, the kernel calls
-(`PolicyResult.iterations`) and the LTEC. K = 3200 peaks near 1 GB.
+problem whatever the clicks are, so it runs once per (K, N). A cell repeats
+its solve until the solves add up to TIME_FLOOR_S (at least MIN_SOLVES
+times) and records the median and minimum wall time, the number of solves,
+the kernel calls (`PolicyResult.iterations`) and the LTEC.
 
 The cacherec package is imported from --src (default: this checkout's src/),
 so one script measures two checkouts with identical settings. The records go
@@ -42,9 +43,11 @@ SKEWED = {2: [0.7, 0.3], 3: [0.6, 0.3, 0.1]}
 GRAPH_SEED = 1
 
 
-def repeats(k: int) -> int:
-    """Solves per cell: enough for a median, few enough for K = 1600."""
-    return 5 if k <= 400 else 3
+#: Each cell repeats its solve until the solves add up to this many seconds,
+#: so a cell of a few milliseconds takes hundreds of solves and its median
+#: is steady; cells of a second or more take MIN_SOLVES.
+TIME_FLOOR_S = 0.5
+MIN_SOLVES = 3
 
 
 def cells(max_k: int):
@@ -74,7 +77,7 @@ def run_cell(cacherec, k: int, n: int, v: str, name: str) -> dict:
            "cache_size": max(1, k // 50), "seed": GRAPH_SEED}
     scenario, _ = cacherec.scenario_from_config(cfg)
     times = []
-    for _ in range(repeats(k)):
+    while len(times) < MIN_SOLVES or sum(times) < TIME_FLOOR_S:
         t0 = time.perf_counter()
         result = cacherec.solve_named(name, scenario)
         times.append(time.perf_counter() - t0)

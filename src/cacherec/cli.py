@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import copy
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -52,26 +53,30 @@ def mph(p0: np.ndarray, c: np.ndarray) -> float:
 # Policy files.
 
 def write_policy_csv(path, policy: Policy, meta: dict | None = None) -> None:
+    """Write one line per stored entry, in row-major order (slot first)."""
     lines = [POLICY_SCHEMA, f"# variant: {policy.kind}", f"# k: {policy.k}"]
     if policy.is_positional:
         lines.append(f"# slots: {policy.n_slots}")
     for key, val in (meta or {}).items():
         lines.append(f"# {key}: {val}")
+    slot, i = np.divmod(policy.rows, policy.k)
+    slot, i, j, val = slot.tolist(), i.tolist(), policy.indices.tolist(), policy.data.tolist()
     if policy.is_positional:
         lines.append("n,i,j,r")
-        mats = policy.slot_matrices
-        for slot in range(mats.shape[0]):
-            for i, j in np.argwhere(mats[slot] != 0.0):
-                lines.append(f"{slot + 1},{i},{j},{mats[slot, i, j]:.17g}")
+        lines += [f"{s + 1},{a},{b},{x:.17g}" for s, a, b, x in zip(slot, i, j, val)]
     else:
         lines.append("i,j,r")
-        for i, j in np.argwhere(policy.matrix != 0.0):
-            lines.append(f"{i},{j},{policy.matrix[i, j]:.17g}")
+        lines += [f"{a},{b},{x:.17g}" for a, b, x in zip(i, j, val)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _policy_array(meta: dict) -> np.ndarray:
-    """The all-zero policy array that the metadata lines declare."""
+def _declared_shape(meta: dict) -> tuple[int, ...]:
+    """The shape of the dense policy that the metadata lines declare.
+
+    Raises ValueError when that dense view would not fit in the machine's
+    memory: no scenario of that size fits either, since its similarity matrix
+    is a dense (K, K) array. Nothing is allocated for the check.
+    """
     variant, k = meta.get("variant"), meta.get("k")
     if variant is None or k is None:
         raise ValueError("missing variant/k metadata before the column header")
@@ -83,41 +88,46 @@ def _policy_array(meta: dict) -> np.ndarray:
         raise ValueError("positional policy without slots metadata")
     else:
         shape = (meta["slots"], k, k)
-    try:
-        return np.zeros(shape)
-    except MemoryError:
-        raise ValueError(f"declared size {' x '.join(map(str, shape))} "
-                         "cannot be allocated") from None
+    need = 8 * math.prod(shape)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ValueError(f"declared size {' x '.join(map(str, shape))} cannot be allocated: "
+                         f"its dense view takes {need / 2 ** 30:.3g} GiB, the machine has "
+                         f"{memory / 2 ** 30:.3g} GiB")
+    return shape
 
 
-def _set_policy_entry(mats: np.ndarray, parts: list[str]) -> None:
-    """Store one "[n,]i,j,r" entry; raises ValueError for a malformed one."""
-    if len(parts) != mats.ndim + 1:
-        raise ValueError(f"expected {mats.ndim + 1} fields, got {len(parts)}")
-    idx = [int(x) for x in parts[:-1]]
-    val = float(parts[-1])
-    if mats.ndim == 3:
-        if not 1 <= idx[0] <= mats.shape[0]:
-            raise ValueError(f"slot {idx[0]} outside 1..{mats.shape[0]}")
-        idx[0] -= 1
-    k = mats.shape[-1]
-    if not all(0 <= x < k for x in idx[-2:]):
+def _policy_entry(shape: tuple[int, ...], parts: list[str]) -> tuple[int, float]:
+    """(row * k + j, value) of one "[n,]i,j,r" entry line, where row is
+    (n - 1) * k + i for a positional policy; raises ValueError for a
+    malformed one."""
+    if len(parts) != len(shape) + 1:
+        raise ValueError(f"expected {len(shape) + 1} fields, got {len(parts)}")
+    *slot, i, j, val = parts
+    n = int(slot[0]) if slot else 1
+    i, j, val, k = int(i), int(j), float(val), shape[-1]
+    if slot and not 1 <= n <= shape[0]:
+        raise ValueError(f"slot {n} outside 1..{shape[0]}")
+    if not (0 <= i < k and 0 <= j < k):
         raise ValueError(f"content index outside 0..{k - 1}")
     if not math.isfinite(val):
         raise ValueError(f"value {parts[-1]!r} is not finite")
-    mats[tuple(idx)] = val
+    return ((n - 1) * k + i) * k + j, val
 
 
 def read_policy_csv(path) -> Policy:
     """Read a policy file written by `write_policy_csv`.
 
     Raises ValueError, naming the file and line, for a missing header or
-    metadata, a malformed entry, a non-finite value, or an index outside
-    0..k-1 (contents) or 1..slots (positions). The variant, k and slots
-    metadata must precede the column header line.
+    metadata, a declared size too large for memory, a malformed entry, a
+    non-finite value, or an index outside 0..k-1 (contents) or 1..slots
+    (positions). The variant, k and slots metadata must precede the column
+    header line. Entry lines may come in any order; when one repeats, the
+    last value wins, and zero values are not stored.
     """
     meta: dict[str, int | str] = {}
-    schema_seen, mats, lineno = False, None, 0
+    schema_seen, shape, lineno = False, None, 0
+    entries: dict[int, float] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         try:
@@ -130,7 +140,7 @@ def read_policy_csv(path) -> Policy:
             elif line.startswith("#"):
                 key, _, val = line.lstrip("#").partition(":")
                 key, val = key.strip(), val.strip()
-                if key in ("variant", "k", "slots") and mats is not None:
+                if key in ("variant", "k", "slots") and shape is not None:
                     raise ValueError(f"{key} metadata after the column header")
                 if key == "variant":
                     meta[key] = val
@@ -138,19 +148,28 @@ def read_policy_csv(path) -> Policy:
                     meta[key] = int(val)
                     if meta[key] < 1:
                         raise ValueError(f"{key} must be positive")
-            elif mats is None:  # the column header line ends the metadata
-                mats = _policy_array(meta)
-                columns = "n,i,j,r" if mats.ndim == 3 else "i,j,r"
+            elif shape is None:  # the column header line ends the metadata
+                shape = _declared_shape(meta)
+                columns = "n,i,j,r" if len(shape) == 3 else "i,j,r"
                 if line.replace(" ", "") != columns:
                     raise ValueError(f"expected column header {columns!r}, got {line!r}")
             else:
-                _set_policy_entry(mats, line.split(","))
+                at, val = _policy_entry(shape, line.split(","))
+                entries[at] = val
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
-    if mats is None:
+    if shape is None:
         missing = "the column header line" if schema_seen else f"metadata header {POLICY_SCHEMA!r}"
         raise ValueError(f"{path} line {lineno + 1}: end of file, expected {missing}")
-    return Policy(meta["variant"], mats)
+    k, rows = shape[-1], math.prod(shape[:-1])
+    at = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
+    val = np.fromiter(entries.values(), dtype=float, count=len(entries))
+    stored = val != 0.0
+    at, val = at[stored], val[stored]
+    order = np.argsort(at)  # the keys are distinct: row-major order
+    at, val = at[order], val[order]
+    indptr = at.searchsorted(np.arange(0, (rows + 1) * k, k))
+    return Policy.from_csr(meta["variant"], k, indptr, at % k, val)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .model import Policy, Scenario, validate_policy
+from .model import Policy, Scenario, slot_sum, validate_policy
 
 #: Validation tolerance used before evaluating; loose enough to accept
 #: policies recovered from LP solutions at solver accuracy.
@@ -47,18 +47,30 @@ class EvalReport:
     cycle_length: float
 
 
-def click_kernel(policy: Policy, scenario: Scenario) -> np.ndarray:
+def click_kernel(policy: Policy, scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-stochastic next-content distribution of a user who follows the
-    recommendation: R/N for uniform clicks, sum_n v_n R^n for positional."""
+    recommendation: R/N for uniform clicks, sum_n v_n R^n for positional.
+
+    Returned as K-row CSR arrays (indptr, indices, data) with columns
+    increasing in each row; entry for entry it equals the dense kernel."""
     if policy.is_positional:
-        return np.einsum("n,nij->ij", scenario.v, policy.slot_matrices)
-    return policy.matrix / scenario.n
+        return slot_sum(policy, scenario.v)
+    return policy.indptr, policy.indices, policy.data / scenario.n
+
+
+def _dense_kernel(policy: Policy, scenario: Scenario, order: str = "C") -> np.ndarray:
+    """The click kernel scattered into a zeroed (K, K) array."""
+    indptr, cols, vals = click_kernel(policy, scenario)
+    k = scenario.k
+    kernel = np.zeros((k, k), order=order)
+    kernel[np.repeat(np.arange(k), indptr[1:] - indptr[:-1]), cols] = vals
+    return kernel
 
 
 def transient_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
-    """Transient kernel Q = alpha * click_kernel of the session chain
+    """Dense transient kernel Q = alpha * click_kernel of the session chain
     (absorption prob. 1 - alpha)."""
-    return scenario.alpha * click_kernel(policy, scenario)
+    return scenario.alpha * _dense_kernel(policy, scenario)
 
 
 def factor_in_place(kernel: np.ndarray, alpha: float):
@@ -102,7 +114,8 @@ def _factor(policy: Policy, scenario: Scenario, check: bool = True):
         bad = validate_policy(policy, scenario, tol=EVAL_TOL)
         if bad:
             raise ValueError("invalid policy: " + "; ".join(bad[:5]))
-    return factor_in_place(click_kernel(policy, scenario), scenario.alpha)
+    # The Fortran-ordered kernel becomes I - Q and its LU factors in place.
+    return factor_in_place(_dense_kernel(policy, scenario, order="F"), scenario.alpha)
 
 
 def fundamental_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:

@@ -7,9 +7,16 @@ recommendation slots, the per-position click distribution, and the required
 quality level. A `Policy` is either a single row-budget matrix (the user
 clicks uniformly over the slots) or one row-stochastic matrix per slot
 (the user clicks position n with probability v_n).
+
+A policy is held as one CSR matrix of plain numpy arrays, in canonical form
+(columns increasing within a row, no entry stored twice or as zero), with
+the slot matrices stacked slot-major. Validation, quality and the slot sums
+of the click kernel visit only the stored entries; the dense (K, K) matrix
+or (N, K, K) stack is built only on request, for the LP oracle and tests.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,32 +129,71 @@ class Scenario:
         return Scenario(**kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Policy:
-    """Recommendation policy.
+    """Recommendation policy, held as one CSR matrix of plain numpy arrays.
 
-    kind "uniform": `mats` is one (K, K) matrix whose rows sum to the slot
-    count N; entry (i, j) is the probability that j appears somewhere in the
-    slate shown after i.
+    kind "uniform": K rows; entry (i, j) is the probability that j appears
+    somewhere in the slate shown after i, and each row sums to the slot
+    count N.
 
-    kind "positional": `mats` is an (N, K, K) stack of row-stochastic
-    matrices; entry (n, i, j) is the probability that slot n shows j after i.
+    kind "positional": N*K rows in slot-major order; entry (n*K + i, j) is
+    the probability that slot n shows j after i, and each row sums to 1.
+
+    Row r's entries are data[indptr[r]:indptr[r+1]] at the columns
+    indices[indptr[r]:indptr[r+1]]. The form is canonical: columns increase
+    within each row, and no entry is stored twice or stored as zero. A policy
+    that mixes two slates per content has at most 2N entries per content.
+
+    `Policy(kind, dense)`, `Policy.uniform(r)` and `Policy.positional(mats)`
+    convert a dense (K, K) matrix or (N, K, K) stack; `Policy.from_csr` takes
+    canonical arrays as they are. `.mats`, `.matrix` and `.slot_matrices`
+    build the dense view on demand, for the LP oracle and the tests.
     """
 
     kind: str
-    mats: np.ndarray
+    k: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
-    def __post_init__(self):
-        mats = np.asarray(self.mats, dtype=float)
-        if self.kind == "uniform":
+    def __init__(self, kind: str, mats):
+        mats = np.asarray(mats, dtype=float)
+        if kind == "uniform":
             if mats.ndim != 2 or mats.shape[0] != mats.shape[1]:
                 raise ValueError(f"uniform policy needs a square matrix, got {mats.shape}")
-        elif self.kind == "positional":
+        elif kind == "positional":
             if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
                 raise ValueError(f"positional policy needs an (N, K, K) stack, got {mats.shape}")
         else:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        object.__setattr__(self, "mats", mats)
+            raise ValueError(f"unknown policy kind {kind!r}")
+        k = mats.shape[-1]
+        flat = mats.reshape(-1, k)
+        rows, cols = np.nonzero(flat)
+        indptr = np.searchsorted(rows, np.arange(flat.shape[0] + 1))
+        self._set(kind, k, indptr, cols, flat[rows, cols])
+
+    def _set(self, kind: str, k: int, indptr, indices, data) -> None:
+        if kind not in ("uniform", "positional"):
+            raise ValueError(f"unknown policy kind {kind!r}")
+        rows = len(indptr) - 1
+        if rows < 0 or rows % max(k, 1) or (kind == "uniform" and rows != k):
+            raise ValueError(f"{kind} policy on K={k} cannot have {rows} rows")
+        if len(indices) != len(data) or len(data) != indptr[-1]:
+            raise ValueError(f"row pointer ends at {indptr[-1]}, with {len(indices)} "
+                             f"columns and {len(data)} values")
+        for arr in (indptr, indices, data):
+            arr.flags.writeable = False  # `rows` is cached from indptr
+        # A frozen dataclass: fields are set once, through __dict__.
+        self.__dict__.update(kind=kind, k=int(k), indptr=indptr, indices=indices, data=data)
+
+    @classmethod
+    def from_csr(cls, kind: str, k: int, indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray) -> "Policy":
+        """Policy from canonical CSR arrays, which it keeps without a copy."""
+        policy = cls.__new__(cls)
+        policy._set(kind, k, indptr, indices, data)
+        return policy
 
     @classmethod
     def uniform(cls, r: np.ndarray) -> "Policy":
@@ -162,13 +208,22 @@ class Policy:
         return self.kind == "positional"
 
     @property
-    def k(self) -> int:
-        return self.mats.shape[-1]
-
-    @property
     def n_slots(self) -> int | None:
         """Slot count for positional policies (None for uniform)."""
-        return self.mats.shape[0] if self.is_positional else None
+        return (self.indptr.size - 1) // self.k if self.is_positional else None
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """Row of every stored entry: n*K + i for slot n of a positional
+        policy, i for a uniform one."""
+        return np.repeat(np.arange(self.indptr.size - 1), self.indptr[1:] - self.indptr[:-1])
+
+    @property
+    def mats(self) -> np.ndarray:
+        """Dense view: the (K, K) matrix, or the (N, K, K) slot stack."""
+        out = np.zeros((self.indptr.size - 1, self.k))
+        out[self.rows, self.indices] = self.data
+        return out.reshape(-1, self.k, self.k) if self.is_positional else out
 
     @property
     def matrix(self) -> np.ndarray:
@@ -181,6 +236,34 @@ class Policy:
         if not self.is_positional:
             raise ValueError("uniform policy has no slot matrices; use .matrix")
         return self.mats
+
+
+def slot_sum(policy: Policy, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sum_n weights[n] * R^n over the slot matrices of a positional policy,
+    as K-row CSR arrays (indptr, indices, data) with columns increasing in
+    each row.
+
+    Each entry's terms are added in slot order, starting from zero, which is
+    the order of a sum over the dense (N, K, K) stack, so the two agree
+    bitwise.
+    """
+    k = policy.k
+    slot, i = np.divmod(policy.rows, k)
+    terms = np.asarray(weights, dtype=float)[slot] * policy.data
+    key = i * k + policy.indices
+    order = np.argsort(key, kind="stable")  # the terms of (i, j) stay in slot order
+    key, terms = key[order], terms[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    start = np.flatnonzero(first)
+    total = terms[start] + 0.0  # 0 + x: a lone -0.0 sums to 0.0
+    group = np.cumsum(first) - 1
+    rank = np.arange(key.size) - start[group]
+    for t in range(1, int(rank.max(initial=0)) + 1):
+        at = rank == t
+        total[group[at]] += terms[at]
+    key = key[start]
+    return key.searchsorted(np.arange(0, (k + 1) * k, k)), key % k, total
 
 
 @dataclass(frozen=True)
@@ -212,53 +295,51 @@ def validate_policy(policy: Policy, scenario: Scenario, tol: float = FEAS_TOL) -
 
     An empty list means the policy is feasible within `tol`. Dimension
     mismatches raise instead of being reported, since no entry-level
-    diagnosis is possible.
+    diagnosis is possible. Only the stored entries are visited; an entry not
+    stored is zero and breaks no bound.
     """
     k, n = scenario.k, scenario.n
     if policy.k != k:
         raise ValueError(f"policy is {policy.k}x{policy.k}, scenario has K={k}")
+    if policy.is_positional and policy.n_slots != n:
+        raise ValueError(f"policy has {policy.n_slots} slot matrices, scenario has N={n}")
     out: list[str] = []
+    rows, j, val = policy.rows, policy.indices, policy.data
 
-    def entry(idx) -> str:
+    def entry(at) -> str:
         """'entry (i, j)', with its slot ahead for a positional policy."""
-        *slot, i, j = (int(x) for x in idx)
-        return f"slot {slot[0]} entry ({i}, {j})" if slot else f"entry ({i}, {j})"
+        slot, i = divmod(int(rows[at]), k)
+        where = f"entry ({i}, {int(j[at])})"
+        return f"slot {slot} {where}" if policy.is_positional else where
 
-    def check_box(mat: np.ndarray, sums: np.ndarray):
-        # NaN fails every comparison below. A non-finite entry also leaves its
-        # row sum non-finite, so only then are the entries searched.
-        if not np.isfinite(sums).all():
-            for idx in np.argwhere(~np.isfinite(mat))[:20]:
-                out.append(f"{entry(idx)} not finite: {mat[tuple(idx)]}")
-        diag = np.abs(np.diagonal(mat, axis1=-2, axis2=-1))
-        for *slot, i in np.argwhere(diag > tol):
-            out.append(f"{entry((*slot, i, i))} on the diagonal is nonzero: "
-                       f"{diag[(*slot, i)]:.3g}")
-        for idx in np.argwhere(mat < -tol)[:20]:
-            out.append(f"{entry(idx)} negative: {mat[tuple(idx)]:.3g}")
-        for idx in np.argwhere(mat > 1.0 + tol)[:20]:
-            out.append(f"{entry(idx)} above 1: {mat[tuple(idx)]:.3g}")
+    # NaN fails every comparison below. A non-finite entry also leaves its row
+    # sum non-finite, so only then are the entries searched.
+    sums = np.bincount(rows, weights=val, minlength=policy.indptr.size - 1)
+    if not np.isfinite(sums).all():
+        for at in (~np.isfinite(val)).nonzero()[0][:20]:
+            out.append(f"{entry(at)} not finite: {val[at]}")
+    diagonal = (rows % k if policy.is_positional else rows) == j
+    for at in (diagonal & (np.abs(val) > tol)).nonzero()[0]:
+        out.append(f"{entry(at)} on the diagonal is nonzero: {np.abs(val[at]):.3g}")
+    for at in (val < -tol).nonzero()[0][:20]:
+        out.append(f"{entry(at)} negative: {val[at]:.3g}")
+    for at in (val > 1.0 + tol).nonzero()[0][:20]:
+        out.append(f"{entry(at)} above 1: {val[at]:.3g}")
 
     if not policy.is_positional:
-        r = policy.matrix
-        sums = r.sum(axis=1)
-        check_box(r, sums)
-        for i in np.flatnonzero(np.abs(sums - n) > tol):
-            out.append(f"row {int(i)} sums to {sums[i]:.9g}, expected {n} "
-                       f"(off by {abs(sums[i] - n):.3g})")
+        for row in (np.abs(sums - n) > tol).nonzero()[0]:
+            out.append(f"row {int(row)} sums to {sums[row]:.9g}, expected {n} "
+                       f"(off by {abs(sums[row] - n):.3g})")
     else:
-        if policy.n_slots != n:
-            raise ValueError(f"policy has {policy.n_slots} slot matrices, scenario has N={n}")
-        mats = policy.slot_matrices
-        sums = mats.sum(axis=2)
-        check_box(mats, sums)
-        for sn, i in np.argwhere(np.abs(sums - 1.0) > tol):
-            out.append(f"slot {int(sn)} row {int(i)} sums to {sums[sn, i]:.9g}, expected 1 "
-                       f"(off by {abs(sums[sn, i] - 1.0):.3g})")
-        cross = mats.sum(axis=0)
-        for i, j in np.argwhere(cross > 1.0 + tol):
-            out.append(f"entry ({int(i)}, {int(j)}) appears in slots with total frequency "
-                       f"{cross[i, j]:.9g} > 1")
+        sums = sums.reshape(n, k)
+        for sn, row in np.argwhere(np.abs(sums - 1.0) > tol):
+            out.append(f"slot {int(sn)} row {int(row)} sums to {sums[sn, row]:.9g}, "
+                       f"expected 1 (off by {abs(sums[sn, row] - 1.0):.3g})")
+        indptr, cols, cross = slot_sum(policy, np.ones(n))
+        for at in (cross > 1.0 + tol).nonzero()[0]:
+            i = int(indptr.searchsorted(at, side="right")) - 1
+            out.append(f"entry ({i}, {int(cols[at])}) appears in slots with "
+                       f"total frequency {cross[at]:.9g} > 1")
     return out
 
 
@@ -313,6 +394,19 @@ def _slate_entries(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
     return np.where(shared_lo, 1.0, theta), np.where(shared_hi, 0.0, 1.0 - theta)
 
 
+def _csr_rows(cols: np.ndarray, vals: np.ndarray, k: int):
+    """Canonical CSR arrays (indptr, indices, data) of rows given as
+    (rows, width) arrays of columns and values, in which no column repeats
+    among a row's nonzero values. Zeros are dropped and each row's columns
+    sorted."""
+    offsets = np.arange(0, (cols.shape[0] + 1) * k, k)
+    keep = vals != 0.0
+    key = (cols + offsets[:-1, None])[keep]  # row * K + column
+    order = key.argsort()
+    key = key[order]
+    return key.searchsorted(offsets), key % k, vals[keep][order]
+
+
 def slate_policy(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
                  v: np.ndarray | None = None) -> Policy:
     """Policy that shows slate lo[i] with probability theta_i after content i,
@@ -320,23 +414,29 @@ def slate_policy(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
 
     lo and hi are (K, N) item indices. Without `v` the slates are unordered
     and the policy is uniform; with `v`, column t of each slate goes to slot
-    slot_order(v)[t] and the policy is positional.
+    slot_order(v)[t] and the policy is positional. Row i of a uniform policy
+    holds lo[i] and hi[i]; row n*K + i of a positional one holds the lo and
+    hi items of slot n. An item both show keeps its lo entry, 1.0, and drops
+    its hi entry, 0.0, so no entry repeats; when hi is lo, that is every item.
     """
     k, n = lo.shape
     if v is not None and np.shape(v) != (n,):
         raise ValueError(f"v must have length n={n}, got shape {np.shape(v)}")
-    on_lo, on_hi = _slate_entries(lo, hi, theta, v is not None)
-    rows = np.arange(k)[:, None]
+    if hi is lo:
+        cols, vals = lo, np.ones(lo.shape)
+    else:
+        on_lo, on_hi = _slate_entries(lo, hi, theta, v is not None)
+        cols, vals = np.concatenate([lo, hi], axis=1), np.concatenate([on_lo, on_hi], axis=1)
     if v is None:
-        r = np.zeros((k, k))
-        r[rows, lo] = on_lo
-        r[rows, hi] += on_hi
-        return Policy.uniform(r)
-    mats = np.zeros((n, k, k))
-    for t, slot in enumerate(slot_order(v)):
-        mats[slot, rows[:, 0], lo[:, t]] = on_lo[:, t]
-        mats[slot, rows[:, 0], hi[:, t]] += on_hi[:, t]
-    return Policy.positional(mats)
+        return Policy.from_csr("uniform", k, *_csr_rows(cols, vals, k))
+    # Slot n shows slate column t = column[n]: entry t of lo and N + t of hi.
+    column = np.argsort(slot_order(v))
+    take = column[:, None] + np.arange(0, cols.shape[1], n)
+
+    def by_slot(a):
+        return a[:, take].transpose(1, 0, 2).reshape(n * k, -1)
+
+    return Policy.from_csr("positional", k, *_csr_rows(by_slot(cols), by_slot(vals), k))
 
 
 def slate_kernel(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
@@ -379,10 +479,16 @@ def baseline_policy(u: np.ndarray, n: int, v: np.ndarray | None = None) -> Polic
 
 
 def _slate_quality(policy: Policy, u: np.ndarray, v: np.ndarray | None) -> np.ndarray:
+    """Per-content quality: each row's sum of r_ij u_ij, taken over its
+    entries in column order; for a positional policy the per-slot sums are
+    weighted by v."""
+    rows, k = policy.rows, policy.k
+    i = rows % k if policy.is_positional else rows
+    per_row = np.bincount(rows, weights=policy.data * u[i, policy.indices],
+                          minlength=policy.indptr.size - 1)
     if not policy.is_positional:
-        return (policy.matrix * u).sum(axis=1)
-    per_slot = (policy.slot_matrices * u[None, :, :]).sum(axis=2)  # (N, K)
-    return np.asarray(v, dtype=float) @ per_slot
+        return per_row
+    return np.asarray(v, dtype=float) @ per_row.reshape(-1, k)
 
 
 def max_quality(u: np.ndarray, n: int, v: np.ndarray | None = None) -> np.ndarray:

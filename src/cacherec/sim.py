@@ -47,22 +47,33 @@ class SimReport:
     n_cycles: int
 
 
-def _kernel_support(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kernel_support(kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive entries of a row-stochastic kernel in CSR form, for sampling.
 
-    Returns (indptr, cols, cum): row i's support is cols[indptr[i]:indptr[i+1]]
-    in column order, and cum holds the row's cumulative sums at those columns,
-    the same floats a dense row cumsum has there. Raises ValueError for a
-    row with no positive entry, which has nothing to sample.
+    kernel is K-row CSR arrays (indptr, indices, data), columns increasing in
+    each row, as `markov.click_kernel` returns. Returns (indptr, cols, cum):
+    row i's support is cols[indptr[i]:indptr[i+1]] in column order, and cum
+    holds the row's cumulative sums at those columns. Each row is summed
+    from its first entry on, one entry at a time, so cum holds the same
+    floats a dense row cumsum has there. Raises ValueError for a row with
+    no positive entry, which has nothing to sample.
     """
-    rows, cols = np.nonzero(kernel > 0.0)
-    cum = np.cumsum(kernel, axis=1)[rows, cols]
-    indptr = np.searchsorted(rows, np.arange(kernel.shape[0] + 1))
-    empty = np.flatnonzero(np.diff(indptr) == 0)
+    indptr, cols, vals = kernel
+    counts = np.diff(indptr)
+    cum = vals.copy()
+    for t in range(1, int(counts.max(initial=0))):
+        at = indptr[:-1][counts > t] + t
+        cum[at] += cum[at - 1]
+    positive = vals > 0.0
+    k = counts.size
+    per_row = np.bincount(np.repeat(np.arange(k), counts)[positive], minlength=k)
+    empty = np.flatnonzero(per_row == 0)
     if empty.size:
         raise ValueError(f"click kernel row {empty[0]} has no positive entry "
                          f"({empty.size} such rows)")
-    return indptr, cols, cum
+    support = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(per_row, out=support[1:])
+    return support, cols[positive], cum[positive]
 
 
 def _follow(indptr: np.ndarray, cols: np.ndarray, cum: np.ndarray,

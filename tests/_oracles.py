@@ -12,6 +12,13 @@ click kernel, the entries below its uniform draw. The production sampler
 searches only each row's nonzero support and must return bitwise the same
 paths.
 
+`dense_validate_policy`, `dense_click_kernel`, `dense_kernel_support` and
+`dense_policy_csv` are the policy checks, click kernel, sampling support and
+policy file computed on the dense (K, K) matrix or (N, K, K) stack of a
+policy. The production versions visit only the stored entries of the CSR
+policy and must return the same violations, the same kernel, bitwise the
+same cumulative sums and the same file bytes.
+
 `evaluate_each_round` is policy iteration in its plain form: every round
 builds the dense policy, assembles I - Q from `transient_matrix` and factors
 it for all three of the report's solves. The production loop writes
@@ -35,7 +42,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from cacherec import markov, policies
 from cacherec.lp import LpProblem
-from cacherec.model import max_quality, slate_policy
+from cacherec.model import FEAS_TOL, max_quality, slate_policy
 
 
 def vertex_optimum(problem, tol: float = 1e-7):
@@ -89,6 +96,101 @@ def vertex_optimum(problem, tol: float = 1e-7):
     return "optimal", xs[best], float(objs[best])
 
 
+def dense_validate_policy(policy, scenario, tol: float = FEAS_TOL) -> list[str]:
+    """Reference for `model.validate_policy`, on the dense view."""
+    k, n = scenario.k, scenario.n
+    if policy.k != k:
+        raise ValueError(f"policy is {policy.k}x{policy.k}, scenario has K={k}")
+    out: list[str] = []
+
+    def entry(idx) -> str:
+        """'entry (i, j)', with its slot ahead for a positional policy."""
+        *slot, i, j = (int(x) for x in idx)
+        return f"slot {slot[0]} entry ({i}, {j})" if slot else f"entry ({i}, {j})"
+
+    def check_box(mat: np.ndarray, sums: np.ndarray):
+        # NaN fails every comparison below. A non-finite entry also leaves its
+        # row sum non-finite, so only then are the entries searched.
+        if not np.isfinite(sums).all():
+            for idx in np.argwhere(~np.isfinite(mat))[:20]:
+                out.append(f"{entry(idx)} not finite: {mat[tuple(idx)]}")
+        diag = np.abs(np.diagonal(mat, axis1=-2, axis2=-1))
+        for *slot, i in np.argwhere(diag > tol):
+            out.append(f"{entry((*slot, i, i))} on the diagonal is nonzero: "
+                       f"{diag[(*slot, i)]:.3g}")
+        for idx in np.argwhere(mat < -tol)[:20]:
+            out.append(f"{entry(idx)} negative: {mat[tuple(idx)]:.3g}")
+        for idx in np.argwhere(mat > 1.0 + tol)[:20]:
+            out.append(f"{entry(idx)} above 1: {mat[tuple(idx)]:.3g}")
+
+    if not policy.is_positional:
+        r = policy.matrix
+        sums = r.sum(axis=1)
+        check_box(r, sums)
+        for i in np.flatnonzero(np.abs(sums - n) > tol):
+            out.append(f"row {int(i)} sums to {sums[i]:.9g}, expected {n} "
+                       f"(off by {abs(sums[i] - n):.3g})")
+    else:
+        if policy.n_slots != n:
+            raise ValueError(f"policy has {policy.n_slots} slot matrices, scenario has N={n}")
+        mats = policy.slot_matrices
+        sums = mats.sum(axis=2)
+        check_box(mats, sums)
+        for sn, i in np.argwhere(np.abs(sums - 1.0) > tol):
+            out.append(f"slot {int(sn)} row {int(i)} sums to {sums[sn, i]:.9g}, expected 1 "
+                       f"(off by {abs(sums[sn, i] - 1.0):.3g})")
+        cross = mats.sum(axis=0)
+        for i, j in np.argwhere(cross > 1.0 + tol):
+            out.append(f"entry ({int(i)}, {int(j)}) appears in slots with total frequency "
+                       f"{cross[i, j]:.9g} > 1")
+    return out
+
+
+def dense_click_kernel(policy, scenario) -> np.ndarray:
+    """Reference for `markov.click_kernel`, as a dense (K, K) array."""
+    if policy.is_positional:
+        return np.einsum("n,nij->ij", scenario.v, policy.slot_matrices)
+    return policy.matrix / scenario.n
+
+
+def dense_kernel_support(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference for `sim._kernel_support`, from a dense (K, K) kernel."""
+    rows, cols = np.nonzero(kernel > 0.0)
+    cum = np.cumsum(kernel, axis=1)[rows, cols]
+    indptr = np.searchsorted(rows, np.arange(kernel.shape[0] + 1))
+    empty = np.flatnonzero(np.diff(indptr) == 0)
+    if empty.size:
+        raise ValueError(f"click kernel row {empty[0]} has no positive entry "
+                         f"({empty.size} such rows)")
+    return indptr, cols, cum
+
+
+def dense_policy_csv(policy, meta: dict | None = None) -> str:
+    """Reference for `cli.write_policy_csv`: the file text, from the dense view."""
+    lines = ["# cacherec-policy v1", f"# variant: {policy.kind}", f"# k: {policy.k}"]
+    if policy.is_positional:
+        lines.append(f"# slots: {policy.n_slots}")
+    for key, val in (meta or {}).items():
+        lines.append(f"# {key}: {val}")
+    if policy.is_positional:
+        lines.append("n,i,j,r")
+        mats = policy.slot_matrices
+        for slot in range(mats.shape[0]):
+            for i, j in np.argwhere(mats[slot] != 0.0):
+                lines.append(f"{slot + 1},{i},{j},{mats[slot, i, j]:.17g}")
+    else:
+        lines.append("i,j,r")
+        for i, j in np.argwhere(policy.matrix != 0.0):
+            lines.append(f"{i},{j},{policy.matrix[i, j]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def csr_arrays(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of the nonzero entries of a 2-D array."""
+    rows, cols = np.nonzero(dense)
+    return np.searchsorted(rows, np.arange(dense.shape[0] + 1)), cols, dense[rows, cols]
+
+
 def dense_sample_path(policy, scenario, steps: int, rng: np.random.Generator):
     """Reference for `sim._sample_path`: same draws, O(K) scan per step.
 
@@ -115,7 +217,7 @@ def dense_sample_path(policy, scenario, steps: int, rng: np.random.Generator):
         lengths[-1] -= int(ends[n_cycles - 1]) - steps
     offsets = np.concatenate([[0], np.cumsum(lengths[:-1])])
 
-    row_cum = np.cumsum(markov.click_kernel(policy, scenario), axis=1)
+    row_cum = np.cumsum(dense_click_kernel(policy, scenario), axis=1)
 
     path = np.empty(steps, dtype=np.int64)
     p0_cum = np.cumsum(scenario.p0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cacherec import Policy, Scenario
+from cacherec.model import slate_policy
 from cacherec.lp import LpProblem
 from scipy import sparse
 
@@ -75,6 +76,70 @@ def random_positional_policy(rng: np.random.Generator, scenario: Scenario,
             for slot in range(n):
                 mats[slot, i, picks[slot]] += w[m]
     return Policy.positional(mats)
+
+
+def random_slate_policy(rng: np.random.Generator, scenario: Scenario,
+                        positional: bool) -> Policy:
+    """A policy of the shape the solvers return: per content, a mix of two
+    random slates with a random weight, which may be 0 or 1."""
+    k, n = scenario.k, scenario.n
+    lo, hi = np.empty((k, n), dtype=np.intp), np.empty((k, n), dtype=np.intp)
+    for i in range(k):
+        others = np.delete(np.arange(k), i)
+        lo[i] = rng.choice(others, size=n, replace=False)
+        hi[i] = rng.permutation(lo[i]) if rng.random() < 0.3 else rng.choice(
+            others, size=n, replace=False)
+    theta = rng.choice([0.0, 1.0, rng.random()], size=k)
+    return slate_policy(lo, hi, theta, scenario.v if positional else None)
+
+
+#: Ways `corrupt_policy` breaks a policy.
+CORRUPTIONS = ("nan", "negative", "above-one", "diagonal", "row-sum", "cross-slot", "zero")
+
+
+def corrupt_policy(rng: np.random.Generator, policy: Policy, how: list[str]) -> Policy:
+    """The policy with each corruption in `how` applied to its dense view at
+    a random row: a NaN, a negative entry, an entry above 1, a nonzero
+    diagonal, a scaled row sum, one item in two slots (positional only) or a
+    stored entry set to zero."""
+    mats = policy.mats
+    k = policy.k
+    rows = mats.reshape(-1, k)
+    for kind in how:
+        r = int(rng.integers(rows.shape[0]))
+        i = r % k
+        j = int(rng.choice(np.delete(np.arange(k), i)))
+        if kind == "nan":
+            rows[r, j] = np.nan
+        elif kind == "negative":
+            rows[r, j] = -rng.uniform(1e-3, 1.0)
+        elif kind == "above-one":
+            rows[r, j] = 1.0 + rng.uniform(1e-3, 1.0)
+        elif kind == "diagonal":
+            rows[r, i] = rng.uniform(1e-3, 1.0)
+        elif kind == "row-sum":
+            rows[r] *= rng.uniform(0.5, 1.5)
+        elif kind == "cross-slot" and policy.is_positional and mats.shape[0] > 1:
+            other = (r // k + 1) % mats.shape[0]
+            mats[other, i, j] = mats[r // k, i, j] = rng.uniform(0.5, 1.0)
+        elif kind == "zero":
+            stored = np.flatnonzero(rows[r])
+            if stored.size:
+                rows[r, rng.choice(stored)] = 0.0
+    return Policy(policy.kind, mats)
+
+
+def assert_canonical(policy: Policy) -> None:
+    """Columns increase within each row and no stored entry is zero."""
+    indptr, cols = policy.indptr, policy.indices
+    assert indptr[0] == 0 and np.all(np.diff(indptr) >= 0)
+    assert indptr[-1] == cols.size == policy.data.size
+    assert np.all((cols >= 0) & (cols < policy.k))
+    step = np.diff(cols)
+    starts = np.zeros(cols.size, dtype=bool)
+    starts[indptr[:-1][indptr[:-1] < cols.size]] = True
+    assert np.all(step[~starts[1:]] > 0)
+    assert np.all(policy.data != 0.0)
 
 
 def random_box_lp(rng: np.random.Generator, n_vars: int | None = None) -> LpProblem:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,11 @@ from cacherec.cli import (EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, SweepSpec, apply_ax
                           gain, main, mph, read_policy_csv, run_sweep,
                           write_policy_csv, write_sweep_csv)
 from cacherec.data import scenario_from_config
-from cacherec.model import Policy
-from conftest import random_positional_policy, random_scenario, random_uniform_policy
+from cacherec.model import Policy, validate_policy
+from cacherec.policies import solve_named
+from _oracles import dense_policy_csv, dense_validate_policy
+from conftest import (assert_canonical, random_positional_policy, random_scenario,
+                      random_slate_policy, random_uniform_policy)
 
 
 class TestGain:
@@ -133,6 +137,20 @@ class TestPolicyFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {f} line 4: declared size 100000000 x 100000000 "
                               "cannot be allocated")
+
+    def test_declared_size_allocates_nothing_dense(self, tmp_path):
+        # A 10 000-content policy with two entries: the reader's memory is
+        # its row pointer, not the 800 MB dense view.
+        f = tmp_path / "p.csv"
+        f.write_text(self.UNIFORM_HEAD.replace("# k: 3", "# k: 10000") + "0,1,1.0\n9999,5,0.5\n")
+        tracemalloc.start()
+        try:
+            policy = read_policy_csv(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"reader peaked at {peak / 1e6:.1f} MB"
+        assert policy.k == 10_000 and policy.data.tolist() == [1.0, 0.5]
 
 
 class TestSweep:
@@ -441,3 +459,80 @@ def test_policy_csv_round_trips_or_raises_value_error(policy, mutations):
                 idx[0] -= 1
             kept[tuple(idx)] = float(val)
         assert np.array_equal(back.mats, kept)
+
+
+def toy_benchmark_results():
+    """Every solved policy of the benchmark's toy scenarios: baseline, P1 and
+    P2 on uniform clicks, P3 and the positional baseline on skewed clicks."""
+    def cfg(k, degree, n, seed, v="uniform"):
+        return {"graph": {"kind": "poisson", "k": k, "mean_degree": degree}, "alpha": 0.8,
+                "n": n, "v": v, "q": 0.9, "zipf_s": 0.7, "cache_size": max(1, k // 50),
+                "seed": seed}
+
+    out = []
+    for k, degree, seed in ((16, 4, 0), (8, 3, 1), (30, 4, 2)):
+        scenario, _ = scenario_from_config(cfg(k, degree, 2, seed))
+        out += [(f"{name}-k{k}", solve_named(name, scenario))
+                for name in ("baseline", "P1", "P2")]
+    for k, degree, seed in ((12, 4, 3), (30, 4, 4)):
+        scenario, _ = scenario_from_config(cfg(k, degree, 3, seed, [0.6, 0.3, 0.1]))
+        out += [(f"{name}-k{k}", solve_named(name, scenario)) for name in ("baseline", "P3")]
+    return out
+
+
+@pytest.mark.parametrize("label,result", toy_benchmark_results(),
+                         ids=[label for label, _ in toy_benchmark_results()])
+def test_policy_file_bytes_match_dense_writer(tmp_path, label, result):
+    """The file lists the stored entries in row-major order, exactly the
+    lines the dense writer printed for the nonzeros, and reads back to the
+    same arrays."""
+    path = tmp_path / "p.csv"
+    meta = {"problem": label, "ltec": f"{result.report.ltec:.12g}"}
+    write_policy_csv(path, result.policy, meta=meta)
+    assert path.read_text() == dense_policy_csv(result.policy, meta)
+    back = read_policy_csv(path)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(back, name).tobytes() == getattr(result.policy, name).tobytes()
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.booleans(),
+       st.lists(st.tuples(st.sampled_from(["dup", "zero", "swap"]), st.integers(0, 10 ** 6),
+                          st.integers(0, 10 ** 6)), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_policy_reader_keeps_last_value_and_drops_zeros(seed, k, positional, edits):
+    """Entry lines in any order, repeated with other values or set to zero,
+    read back as the dense array that applies them in file order, stored in
+    canonical form; the reader's validation matches the dense oracle's."""
+    rng = np.random.default_rng(seed)
+    s = random_scenario(rng, k=max(k, 3), v="skewed" if positional else None)
+    policy = random_slate_policy(rng, s, positional)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        write_policy_csv(path, policy)
+        lines = path.read_text().splitlines()
+        head = lines.index("n,i,j,r" if positional else "i,j,r") + 1
+        entries = lines[head:]
+        for op, at, to in edits:
+            if not entries:
+                break
+            line = entries[at % len(entries)]
+            *idx, _ = line.split(",")
+            if op == "dup":
+                entries.insert(to % (len(entries) + 1), ",".join(idx + [repr(rng.random())]))
+            elif op == "zero":
+                entries.insert(to % (len(entries) + 1), ",".join(idx + ["-0.0"]))
+            else:
+                a, b = at % len(entries), to % len(entries)
+                entries[a], entries[b] = entries[b], entries[a]
+        path.write_text("\n".join(lines[:head] + entries) + "\n")
+        back = read_policy_csv(path)
+    want = np.zeros_like(policy.mats)
+    for line in entries:
+        *idx, val = line.split(",")
+        idx = [int(x) for x in idx]
+        if positional:
+            idx[0] -= 1
+        want[tuple(idx)] = float(val)
+    assert np.array_equal(back.mats, want)
+    assert_canonical(back)
+    assert validate_policy(back, s) == dense_validate_policy(back, s)

@@ -10,7 +10,9 @@ from scipy.linalg import lu_factor, lu_solve
 from cacherec import (Policy, Scenario, evaluate, expected_cycle_cost,
                       expected_cycle_length, fundamental_matrix, markov, transient_matrix)
 from cacherec.model import slate_kernel, slate_policy
-from conftest import random_positional_policy, random_scenario, random_uniform_policy
+from _oracles import dense_click_kernel
+from conftest import (random_positional_policy, random_scenario, random_slate_policy,
+                      random_uniform_policy)
 
 
 def two_state(alpha=0.5, c=(0, 1), p0=(0.5, 0.5)):
@@ -187,7 +189,7 @@ def test_slate_kernel_is_the_dense_policys_session_system(seed, k, overlap, thet
 
     policy = slate_policy(lo, hi, th, slots)
     kernel = slate_kernel(lo, hi, th, slots)
-    want = markov.click_kernel(policy, s)
+    want = dense_click_kernel(policy, s)
     assert np.ascontiguousarray(kernel).tobytes() == want.tobytes()  # signed zeros too
     lu, piv = markov.factor_in_place(kernel, s.alpha)
     want_lu, want_piv = lu_factor(np.eye(k) - transient_matrix(policy, s))
@@ -200,10 +202,49 @@ def test_evaluate_report_from_shared_builder():
     the policy's kernel."""
     s = random_scenario(np.random.default_rng(4), k=9, v="skewed")
     p = random_positional_policy(np.random.default_rng(5), s)
-    lu = markov.factor_in_place(markov.click_kernel(p, s), s.alpha)
+    lu = markov.factor_in_place(dense_click_kernel(p, s), s.alpha)
     want = markov.report(lu, s, lu_solve(lu, s.c))
     got = evaluate(p, s)
     for field in ("ltec", "chr", "cycle_length"):
         assert getattr(got, field) == getattr(want, field)
     for field in ("cost_to_go", "z", "g_row_sums"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_evaluate_factors_a_fortran_buffer_in_place(monkeypatch):
+    """`evaluate` hands `lu_factor` the Fortran-ordered I - Q it built from
+    the policy's entries, which LAPACK overwrites instead of copying."""
+    seen = []
+
+    def spy(a, **kw):
+        lu = lu_factor(a, **kw)
+        seen.append((a.flags.f_contiguous, kw.get("overwrite_a"), np.shares_memory(lu[0], a)))
+        return lu
+
+    monkeypatch.setattr(markov, "lu_factor", spy)
+    s = random_scenario(np.random.default_rng(2), k=8, v="skewed")
+    evaluate(random_positional_policy(np.random.default_rng(3), s), s)
+    assert seen == [(True, True, True)]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 12), st.booleans(),
+       st.sampled_from(["mix", "slates"]))
+@settings(max_examples=100, deadline=None)
+def test_evaluate_matches_dense_oracle(seed, k, positional, source):
+    """`evaluate` agrees with one dense solve of (I - Q) V = c built from the
+    dense policy: bitwise on the solvers' two-slate policies, whose click
+    kernel entries have at most two terms, and to 1e-12 on any policy."""
+    rng = np.random.default_rng(seed)
+    s = random_scenario(rng, k=k, v="skewed" if positional else None)
+    if source == "slates":
+        policy = random_slate_policy(rng, s, positional)
+    else:
+        policy = (random_positional_policy if positional else random_uniform_policy)(rng, s)
+    lu = lu_factor(np.eye(k) - s.alpha * dense_click_kernel(policy, s))
+    values = lu_solve(lu, s.c)
+    got = evaluate(policy, s)
+    if source == "slates":
+        assert got.cost_to_go.tobytes() == values.tobytes()
+        assert got.z.tobytes() == lu_solve(lu, s.p0, trans=1).tobytes()
+    assert np.allclose(got.cost_to_go, values, rtol=0.0, atol=1e-12 * np.abs(values).max())
+    assert abs(got.ltec - (1.0 - s.alpha) * float(s.p0 @ values)) <= 1e-12

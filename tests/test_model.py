@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from cacherec import (Policy, Scenario, baseline_policy, entropy, max_quality,
                       quality_of, quality_profile, validate_policy)
-from cacherec.model import top_slates
-from conftest import random_positional_policy, random_scenario, random_uniform_policy
+from cacherec.model import FEAS_TOL, top_slates
+from _oracles import dense_validate_policy
+from conftest import (CORRUPTIONS, assert_canonical, corrupt_policy, random_positional_policy,
+                      random_scenario, random_slate_policy, random_uniform_policy)
 
 U5 = np.array([
     [0.0, 1.0, 1.0, 0.2, 0.0],
@@ -304,3 +306,53 @@ class TestEntropy:
         assert entropy(perm) == pytest.approx(h, abs=1e-12)
         if not np.allclose(v, 1 / v.size):
             assert h < 1.0
+
+
+class TestSparsePolicy:
+    def test_dense_constructor_drops_zeros_and_sorts(self):
+        p = Policy.uniform([[0.0, 0.5, 0.5], [1.0, 0.0, -0.0], [0.25, 0.75, 0.0]])
+        assert p.indptr.tolist() == [0, 2, 3, 5]
+        assert p.indices.tolist() == [1, 2, 0, 0, 1]
+        assert p.data.tolist() == [0.5, 0.5, 1.0, 0.25, 0.75]
+
+    def test_positional_rows_are_slot_major(self):
+        mats = np.zeros((2, 3, 3))
+        mats[1, 0, 2] = mats[0, 2, 1] = 1.0
+        p = Policy.positional(mats)
+        assert p.n_slots == 2 and p.k == 3
+        assert p.rows.tolist() == [2, 3]  # slot 0 row 2, then slot 1 row 0
+        assert np.array_equal(p.slot_matrices, mats)
+
+    def test_arrays_are_read_only(self):
+        p = baseline_policy(U5, 2)
+        with pytest.raises(ValueError):
+            p.data[0] = 0.5
+
+    @pytest.mark.parametrize("kind,rows", [("uniform", 4), ("positional", 7), ("other", 3)])
+    def test_inconsistent_csr_rejected(self, kind, rows):
+        with pytest.raises(ValueError):
+            Policy.from_csr(kind, 3, np.zeros(rows + 1, dtype=np.intp),
+                            np.zeros(0, dtype=np.intp), np.zeros(0))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 9), st.booleans(),
+       st.sampled_from(["mix", "slates"]),
+       st.lists(st.sampled_from(CORRUPTIONS), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_validation_on_entries_matches_dense_oracle(seed, k, positional, source, how):
+    """On random and corrupted policies, the CSR checks report the dense
+    checks' violations in the same order and words, the policy is in
+    canonical form, and Policy -> dense view -> Policy is bitwise the same."""
+    rng = np.random.default_rng(seed)
+    s = random_scenario(rng, k=k, v="skewed" if positional else None)
+    if source == "slates":
+        policy = random_slate_policy(rng, s, positional)
+    else:
+        policy = (random_positional_policy if positional else random_uniform_policy)(rng, s)
+    policy = corrupt_policy(rng, policy, how)
+    assert_canonical(policy)
+    for tol in (FEAS_TOL, 1e-6):
+        assert validate_policy(policy, s, tol) == dense_validate_policy(policy, s, tol)
+    back = Policy(policy.kind, policy.mats)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(back, name).tobytes() == getattr(policy, name).tobytes()

@@ -5,14 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cacherec import (Policy, Scenario, baseline_policy, evaluate, scenario_from_config,
+from cacherec import (Policy, Scenario, baseline_policy, evaluate, markov, scenario_from_config,
                       solve_positional, solve_session)
-from cacherec.markov import click_kernel
 from cacherec.sim import (_follow, _kernel_support, _sample_path, brute_force_optimum,
                           merge_reports, render_slate, simulate)
-from _oracles import dense_sample_path
-from conftest import (random_dense_policy, random_positional_policy, random_scenario,
+from _oracles import csr_arrays, dense_click_kernel, dense_kernel_support, dense_sample_path
+from conftest import (CORRUPTIONS, corrupt_policy, random_dense_policy,
+                      random_positional_policy, random_scenario, random_slate_policy,
                       random_uniform_policy)
 
 
@@ -143,7 +145,7 @@ class TestSparseSampler:
         path, lengths, _ = _sample_path(policy, scenario, 20_000, np.random.default_rng(1))
         followed = np.ones(path.size, dtype=bool)
         followed[np.concatenate([[0], np.cumsum(lengths[:-1])])] = False
-        kernel = click_kernel(policy, scenario)
+        kernel = dense_click_kernel(policy, scenario)
         assert np.all(kernel[path[:-1][followed[1:]], path[1:][followed[1:]]] > 0.0)
 
     def test_rounding_overflow_stays_on_support(self):
@@ -154,7 +156,7 @@ class TestSparseSampler:
                            [0.0, 0.0, 0.0, 0.0, 1.0],
                            [0.2, 0.2, 0.2, 0.0, 0.4],
                            [1.0, 0.0, 0.0, 0.0, 0.0]])
-        support = _kernel_support(kernel)
+        support = _kernel_support(csr_arrays(kernel))
         u = np.array([0.0, 0.3, 0.31, 0.6, 0.7, 0.999])
         got = _follow(*support, np.zeros(u.size, dtype=np.int64), u)
         assert got.tolist() == [1, 1, 3, 3, 3, 3]
@@ -164,7 +166,7 @@ class TestSparseSampler:
     def test_row_without_support_raises(self):
         kernel = np.array([[0.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [0.5, 0.5, 0.0]])
         with pytest.raises(ValueError, match="row 1 has no positive entry"):
-            _kernel_support(kernel)
+            _kernel_support(csr_arrays(kernel))
 
     def test_memory_independent_of_catalog_width(self):
         # A per-step (active cycles, K) float temporary would take about
@@ -267,3 +269,39 @@ class TestRenderSlate:
         rows = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="sum to 1"):
             render_slate(rows, 2, 0)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 9), st.booleans(),
+       st.sampled_from(["mix", "slates"]),
+       st.lists(st.sampled_from(CORRUPTIONS), max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_support_on_entries_matches_dense_oracle(seed, k, positional, source, how):
+    """The click kernel built from the policy's entries is the dense kernel,
+    entry for entry, and its sampling support has the dense support's rows
+    and columns and bitwise the same cumulative sums (or the same error)."""
+    rng = np.random.default_rng(seed)
+    s = random_scenario(rng, k=k, v="skewed" if positional else None)
+    if source == "slates":
+        policy = random_slate_policy(rng, s, positional)
+    else:
+        policy = (random_positional_policy if positional else random_uniform_policy)(rng, s)
+    policy = corrupt_policy(rng, policy, how)
+    kernel = markov.click_kernel(policy, s)
+    dense = dense_click_kernel(policy, s)
+    assert np.all(np.diff(kernel[0]) >= 0) and kernel[0][-1] == kernel[1].size
+    scattered = np.zeros((k, k))
+    scattered[np.repeat(np.arange(k), np.diff(kernel[0])), kernel[1]] = kernel[2]
+    assert scattered.tobytes() == dense.tobytes()
+
+    def support(fn, kernel):
+        try:
+            return fn(kernel)
+        except ValueError as exc:
+            return str(exc)
+
+    got, want = support(_kernel_support, kernel), support(dense_kernel_support, dense)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2].tobytes() == want[2].tobytes()
