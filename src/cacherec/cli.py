@@ -73,9 +73,12 @@ def write_policy_csv(path, policy: Policy, meta: dict | None = None) -> None:
 def _declared_shape(meta: dict) -> tuple[int, ...]:
     """The shape of the dense policy that the metadata lines declare.
 
-    Raises ValueError when that dense view would not fit in the machine's
-    memory: no scenario of that size fits either, since its similarity matrix
-    is a dense (K, K) array. Nothing is allocated for the check.
+    Raises ValueError when a positional policy declares k or more slots (a
+    slate shows at most k - 1 items), or when the dense view would not fit
+    in the machine's memory: no scenario of that size fits either, since its
+    similarity matrix is a dense (K, K) array. Nothing is allocated for the
+    checks. Together they bound the reader's row pointer, slots * k + 1
+    entries, below the size of that similarity matrix.
     """
     variant, k = meta.get("variant"), meta.get("k")
     if variant is None or k is None:
@@ -86,6 +89,9 @@ def _declared_shape(meta: dict) -> tuple[int, ...]:
         raise ValueError(f"unknown variant {variant!r}")
     elif "slots" not in meta:
         raise ValueError("positional policy without slots metadata")
+    elif meta["slots"] >= k:
+        raise ValueError(f"slots {meta['slots']} must be below k = {k}: a slate "
+                         f"shows at most k - 1 items")
     else:
         shape = (meta["slots"], k, k)
     need = 8 * math.prod(shape)

@@ -417,16 +417,13 @@ def slate_policy(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
     slot_order(v)[t] and the policy is positional. Row i of a uniform policy
     holds lo[i] and hi[i]; row n*K + i of a positional one holds the lo and
     hi items of slot n. An item both show keeps its lo entry, 1.0, and drops
-    its hi entry, 0.0, so no entry repeats; when hi is lo, that is every item.
+    its hi entry, 0.0, so no entry repeats.
     """
     k, n = lo.shape
     if v is not None and np.shape(v) != (n,):
         raise ValueError(f"v must have length n={n}, got shape {np.shape(v)}")
-    if hi is lo:
-        cols, vals = lo, np.ones(lo.shape)
-    else:
-        on_lo, on_hi = _slate_entries(lo, hi, theta, v is not None)
-        cols, vals = np.concatenate([lo, hi], axis=1), np.concatenate([on_lo, on_hi], axis=1)
+    on_lo, on_hi = _slate_entries(lo, hi, theta, v is not None)
+    cols, vals = np.concatenate([lo, hi], axis=1), np.concatenate([on_lo, on_hi], axis=1)
     if v is None:
         return Policy.from_csr("uniform", k, *_csr_rows(cols, vals, k))
     # Slot n shows slate column t = column[n]: entry t of lo and N + t of hi.

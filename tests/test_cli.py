@@ -152,6 +152,25 @@ class TestPolicyFiles:
         assert peak < 1e6, f"reader peaked at {peak / 1e6:.1f} MB"
         assert policy.k == 10_000 and policy.data.tolist() == [1.0, 0.5]
 
+    def test_eval_declared_slots_beyond_k_exits_io(self, tmp_path, capsys):
+        # Its dense view is only 8 GB, but 10**9 rows would need an 8 GB row
+        # pointer; the slot count is refused before anything is allocated.
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text("graph: {kind: poisson, k: 10}\n")
+        f = tmp_path / "p.csv"
+        f.write_text(self.POSITIONAL_HEAD.replace("# k: 3", "# k: 1")
+                     .replace("# slots: 2", "# slots: 1000000000") + "1,0,0,1.0\n")
+        tracemalloc.start()
+        try:
+            code = main(["eval", "--config", str(cfg), "--policy", str(f)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_IO
+        assert peak < 1e7, f"eval peaked at {peak / 1e6:.1f} MB"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {f} line 5: slots 1000000000 must be below k = 1")
+
 
 class TestSweep:
     def small_cfg(self):
@@ -401,9 +420,10 @@ POLICY_MUTANTS = ["", "x", "#", "-1", "0", "1", "2", "7", "0.5", "nan", "inf", "
 
 @st.composite
 def small_policies(draw):
-    """A uniform or positional policy on K <= 5 contents (a few slots)."""
+    """A uniform or positional policy on K <= 5 contents (a few slots, fewer
+    than K, since a slate shows at most K - 1 items)."""
     k = draw(st.integers(2, 5))
-    slots = draw(st.integers(0, 3))  # 0: uniform
+    slots = draw(st.integers(0, min(3, k - 1)))  # 0: uniform
     shape = (slots, k, k) if slots else (k, k)
     vals = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]) | st.floats(0.01, 1.0),
                          min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))

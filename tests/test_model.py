@@ -278,6 +278,35 @@ class TestQualityOf:
         assert np.all(prof.achieved <= prof.q_max + 1e-7)
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.integers(9, 200), st.integers(1, 4), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_max_quality_against_dense_row_sums(seed, k, n, positional):
+    """max_quality adds a row's entries in column order. numpy's pairwise
+    sum over the dense row, which it replaced, adds the same terms in
+    another order once a row holds three or more: uniform clicks with N >= 3
+    can then differ in the last bits, while N <= 2 and every positional
+    floor (one entry per slot row) stay bitwise equal."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((k, k))
+    np.fill_diagonal(u, 0.0)
+    v = np.sort(rng.dirichlet(np.ones(n)))[::-1] if positional else None
+    got = max_quality(u, n, v)
+    policy = baseline_policy(u, n, v)
+    if positional:
+        assert np.array_equal(got, v @ (policy.slot_matrices * u).sum(axis=2))
+        return
+    cols = np.sort(top_slates(u, n), axis=1)
+    in_column_order = np.zeros(k)
+    for t in range(n):
+        in_column_order += u[np.arange(k), cols[:, t]]
+    assert np.array_equal(got, in_column_order)
+    dense = (policy.matrix * u).sum(axis=1)
+    if n <= 2:
+        assert np.array_equal(got, dense)
+    else:
+        assert np.all(np.abs(got - dense) <= n * np.spacing(dense))
+
+
 class TestEntropy:
     def test_uniform_is_one(self):
         assert entropy([0.5, 0.5]) == pytest.approx(1.0)
