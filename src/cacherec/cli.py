@@ -239,53 +239,102 @@ def apply_axis(cfg: dict, axis: str, value) -> dict:
     return out
 
 
-def _sweep_cell(payload) -> dict:
-    cfg, axis, value, policy_name, seeds, solve_kw = payload
-    t0 = time.perf_counter()
-    row = {"axis": axis, "policy": policy_name, "status": "ok",
-           "chr": None, "ltec": None, "mph": None, "value": value}
+def _status(exc: Exception) -> str:
+    """A failed sweep row's status text."""
+    if isinstance(exc, policies.InfeasibleProblem):
+        return f"infeasible: {exc}"
+    return f"error: {type(exc).__name__}: {exc}"
+
+
+def _sweep_graphs(cfg: dict, seeds: list[int]) -> list:
+    """Per seed, the similarity matrix of the config's graph, or the status
+    text of the error that building it raised. No sweep axis changes it."""
+    graphs = []
+    for seed in seeds:
+        try:
+            graphs.append(data.graph_from_config({**cfg, "seed": seed})[0])
+        except Exception as exc:  # every row fails with it, in order of seeds
+            graphs.append(_status(exc))
+    return graphs
+
+
+def _sweep_point(payload) -> list[dict]:
+    """The rows of one axis value, one per policy in order.
+
+    The axis is applied once, and each seed's scenario is built once on that
+    seed's graph and serves every policy. A row takes the status of its first
+    failure, in order of seeds: the axis, the graph, the scenario or its own
+    solve; a failed row is not solved on later seeds. Its wall_time_s is its
+    solve time summed over the seeds.
+    """
+    cfg, axis, value, names, graphs, solve_kw = payload
+    rows = [{"axis": axis, "policy": name, "status": "ok", "chr": None, "ltec": None,
+             "mph": None, "value": value, "wall_time_s": 0.0} for name in names]
+    found = [[] for _ in names]  # per row: (ltec, chr, mph, axis value) per seed
+
+    def fail(status: str) -> None:
+        for row in rows:
+            if row["status"] == "ok":
+                row["status"] = status
+
     try:
-        chrs, ltecs, mphs, axis_vals = [], [], [], []
-        for seed in seeds:
-            cell_cfg = apply_axis(cfg, axis, value)
-            cell_cfg["seed"] = seed
-            scenario, _ = data.scenario_from_config(cell_cfg)
-            result = policies.solve_named(policy_name, scenario, **solve_kw)
-            ltecs.append(result.report.ltec)
-            chrs.append(result.report.chr)
-            mphs.append(mph(scenario.p0, scenario.c) if scenario.binary_costs else None)
-            axis_vals.append(entropy(scenario.v) if axis == "Hv" else value)
-        row["ltec"] = float(np.mean(ltecs))
-        row["chr"] = float(np.mean(chrs)) if None not in chrs else None
-        row["mph"] = float(np.mean(mphs)) if None not in mphs else None
-        row["value"] = axis_vals[0]
-    except policies.InfeasibleProblem as exc:
-        row["status"] = f"infeasible: {exc}"
-    except Exception as exc:  # record and keep sweeping
-        row["status"] = f"error: {type(exc).__name__}: {exc}"
-    row["wall_time_s"] = time.perf_counter() - t0
-    return row
+        point_cfg = apply_axis(cfg, axis, value)
+    except Exception as exc:
+        fail(_status(exc))
+        return rows
+    for graph in graphs:
+        if isinstance(graph, str):
+            fail(graph)
+            continue
+        try:
+            scenario = data.scenario_on_graph(point_cfg, graph)
+        except Exception as exc:
+            fail(_status(exc))
+            continue
+        for row, results in zip(rows, found):
+            if row["status"] != "ok":
+                continue
+            t0 = time.perf_counter()
+            try:
+                report = policies.solve_named(row["policy"], scenario, **solve_kw).report
+                results.append((report.ltec, report.chr,
+                                mph(scenario.p0, scenario.c) if scenario.binary_costs else None,
+                                entropy(scenario.v) if axis == "Hv" else value))
+            except Exception as exc:  # record and keep sweeping
+                row["status"] = _status(exc)
+            row["wall_time_s"] += time.perf_counter() - t0
+    for row, results in zip(rows, found):
+        if row["status"] == "ok":
+            ltecs, chrs, mphs, axis_vals = zip(*results)
+            row["ltec"] = float(np.mean(ltecs))
+            row["chr"] = float(np.mean(chrs)) if None not in chrs else None
+            row["mph"] = float(np.mean(mphs)) if None not in mphs else None
+            row["value"] = axis_vals[0]
+    return rows
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Execute every (axis value, policy) cell; row order is deterministic."""
-    cells = [(spec.config, spec.axis, value, name, spec.seeds, spec.solve_kw)
-             for value in spec.values for name in spec.policies]
+    """Execute every (axis value, policy) cell; row order is deterministic.
+
+    Each seed's graph is built once for the whole sweep, and each axis value
+    is one `_sweep_point` task, run in order or on the worker pool.
+    """
+    graphs = _sweep_graphs(spec.config, spec.seeds)
+    points = [(spec.config, spec.axis, value, spec.policies, graphs, spec.solve_kw)
+              for value in spec.values]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+            groups = list(pool.map(_sweep_point, points))
     else:
-        rows = [_sweep_cell(cell) for cell in cells]
+        groups = list(map(_sweep_point, points))
 
     # attach gains against the reference policy at the same axis point
-    per_value = len(spec.policies)
-    for block in range(len(spec.values)):
-        group = rows[block * per_value: (block + 1) * per_value]
+    for group in groups:
         ref = next((r for r in group if r["policy"] == spec.reference), None)
         for row in group:
-            g = gain(row["chr"], ref["chr"]) if ref and ref["status"] == "ok" else None
-            row["gain_pct"] = g
-    return rows
+            row["gain_pct"] = gain(row["chr"], ref["chr"]) if ref and ref["status"] == "ok" \
+                else None
+    return [row for group in groups for row in group]
 
 
 def _fmt(x) -> str:

@@ -198,23 +198,11 @@ def _floats(val, key: str) -> np.ndarray:
                          f"got {reprlib.repr(val)}") from None
 
 
-def scenario_from_config(cfg: dict, base_dir=".") -> tuple[Scenario, GraphStats | None]:
-    """Build a Scenario from a config dict.
-
-    Recognized keys:
-        graph:  {kind: poisson, k, mean_degree}              (synthetic)
-                {kind: edgelist, path, saturation, component_first}
-                {kind: matrix, u: [[...]]}                   (inline, tests)
-        alpha, n, q: scalars
-        v:      "uniform" or a list of N click probabilities
-        p0:     explicit popularity list  |  zipf_s: exponent
-        c:      explicit cost list        |  cache_size: count
-        seed:   base RNG seed (graph generation; also returned to callers)
-
-    A missing or mistyped value, or a non-integral count, raises ValueError
-    naming its key.
-    """
-    cfg = dict(cfg)
+def graph_from_config(cfg: dict, base_dir=".") -> tuple[np.ndarray, GraphStats | None]:
+    """The (K, K) similarity matrix and graph statistics (None for an inline
+    matrix) that the config's `graph` section and `seed` describe; see
+    `scenario_from_config` for the keys. A missing or mistyped value raises
+    ValueError naming its key."""
     seed = _count(cfg.get("seed", 0), "seed")
     graph = cfg.get("graph")
     if graph is None:
@@ -227,30 +215,34 @@ def scenario_from_config(cfg: dict, base_dir=".") -> tuple[Scenario, GraphStats 
         raise ValueError(f"unknown graph kind {kind!r}")
     if needs[kind] not in graph:
         raise ValueError(f"config key 'graph.{needs[kind]}' is required for a {kind} graph")
-    stats: GraphStats | None = None
     if kind == "poisson":
         k = _count(graph["k"], "graph.k")
         try:
-            u, stats = gen_poisson_graph(
+            return gen_poisson_graph(
                 k, _number(graph.get("mean_degree", 8.0), "graph.mean_degree"), seed)
         except MemoryError:
             raise ValueError(f"config key 'graph.k' = {k} is too large: "
                              f"a {k} x {k} graph cannot be allocated") from None
-    elif kind == "edgelist":
+    if kind == "edgelist":
         if not isinstance(graph["path"], str):
             raise ValueError(f"config key 'graph.path' must be a file path, got {graph['path']!r}")
-        u, stats = load_edgelist(
+        return load_edgelist(
             Path(base_dir) / graph["path"],
             _number(graph.get("saturation", -1.0), "graph.saturation"),
             component_before_saturation=bool(graph.get("component_first", False)),
         )
-        k = u.shape[0]
-    else:
-        u = _floats(graph["u"], "graph.u")
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError(f"config key 'graph.u' must be a square matrix, got shape {u.shape}")
-        k = u.shape[0]
+    u = _floats(graph["u"], "graph.u")
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"config key 'graph.u' must be a square matrix, got shape {u.shape}")
+    return u, None
 
+
+def scenario_on_graph(cfg: dict, u: np.ndarray) -> Scenario:
+    """The Scenario that the config's non-graph keys describe on the
+    similarity matrix `u`, which is not modified: popularity, cache, clicks,
+    alpha, n and q. A missing or mistyped value raises ValueError naming its
+    key."""
+    k = u.shape[0]
     if "p0" in cfg:
         p0 = _floats(cfg["p0"], "p0")
         if p0.shape != (k,):
@@ -266,13 +258,33 @@ def scenario_from_config(cfg: dict, base_dir=".") -> tuple[Scenario, GraphStats 
     v_cfg = cfg.get("v", "uniform")
     v = None if (v_cfg is None or v_cfg == "uniform") else _floats(v_cfg, "v")
 
-    scenario = Scenario(
+    return Scenario(
         u=u, c=c, p0=p0,
         alpha=_number(cfg.get("alpha", 0.8), "alpha"),
         n=_count(cfg.get("n", 2), "n"), v=v,
         q=_number(cfg.get("q", 0.9), "q"),
     )
-    return scenario, stats
+
+
+def scenario_from_config(cfg: dict, base_dir=".") -> tuple[Scenario, GraphStats | None]:
+    """Build a Scenario from a config dict: `graph_from_config`, then
+    `scenario_on_graph`.
+
+    Recognized keys:
+        graph:  {kind: poisson, k, mean_degree}              (synthetic)
+                {kind: edgelist, path, saturation, component_first}
+                {kind: matrix, u: [[...]]}                   (inline, tests)
+        alpha, n, q: scalars
+        v:      "uniform" or a list of N click probabilities
+        p0:     explicit popularity list  |  zipf_s: exponent
+        c:      explicit cost list        |  cache_size: count
+        seed:   base RNG seed (graph generation; also returned to callers)
+
+    A missing or mistyped value, or a non-integral count, raises ValueError
+    naming its key.
+    """
+    u, stats = graph_from_config(cfg, base_dir)
+    return scenario_on_graph(cfg, u), stats
 
 
 def save_scenario_npz(path, scenario: Scenario) -> None:

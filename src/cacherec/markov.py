@@ -11,11 +11,10 @@ request (LTEC) = (1 - alpha) * p0' G c.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .model import Policy, Scenario, slot_sum, validate_policy
 
@@ -74,30 +73,44 @@ def transient_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
 
 
 def factor_in_place(kernel: np.ndarray, alpha: float):
-    """LU factors of I - Q for Q = alpha * kernel.
+    """LU factors (lu, piv) of I - Q for Q = alpha * kernel, from LAPACK's
+    dgetrf; `solve` takes them.
 
-    I - Q is assembled in the buffer of the (K, K) click kernel, which is
-    overwritten; entry for entry it equals np.eye(K) - alpha * kernel. A
+    I - Q is assembled in the buffer of the (K, K) float click kernel, which
+    is overwritten; entry for entry it equals np.eye(K) - alpha * kernel. A
     Fortran-ordered kernel, as `model.slate_kernel` returns, is also
-    factored in place.
+    factored in place. Raises ValueError when I - Q holds a NaN or an
+    infinity, or when it is singular.
     """
     a = kernel
     a *= alpha
     np.subtract(0.0, a, out=a)  # 0 - Q, not -Q: zeros keep a positive sign
     a.flat[::a.shape[0] + 1] += 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns instead of raising on singular U
-        lu = lu_factor(a, overwrite_a=True)
-    if np.abs(np.diag(lu[0])).min() < 1e-300:
+    if not np.isfinite(a).all():
+        raise ValueError("session system I - Q contains NaN or infinite values")
+    lu, piv, info = dgetrf(a, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
+    if np.abs(np.diag(lu)).min() < 1e-300:
         raise ValueError("singular session system; the policy violates its invariants")
-    return lu
+    return lu, piv
+
+
+def solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """x with (I - Q) x = b, or (I - Q)' x = b for trans=1, from the factors
+    of `factor_in_place`; b is a (K,) vector or a (K, m) matrix and is not
+    overwritten."""
+    x, info = dgetrs(*lu, b, trans=trans)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrs")
+    return x
 
 
 def report(lu, scenario: Scenario, values: np.ndarray) -> EvalReport:
     """The `EvalReport` of the policy whose factors are `lu`, where values
     is its cost to go G c. Two more solves give the visit rates and row sums."""
-    z = lu_solve(lu, scenario.p0, trans=1)      # G' p0
-    g1 = lu_solve(lu, np.ones(scenario.k))      # G 1
+    z = solve(lu, scenario.p0, trans=1)         # G' p0
+    g1 = solve(lu, np.ones(scenario.k))         # G 1
     ltec = float((1.0 - scenario.alpha) * (scenario.p0 @ values))
     return EvalReport(
         ltec=ltec,
@@ -121,7 +134,7 @@ def _factor(policy: Policy, scenario: Scenario, check: bool = True):
 def fundamental_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
     """G = (I - Q)^{-1}; entry (i, j) is the expected number of visits to j
     before the cycle ends, starting from i. Computed by a dense LU solve."""
-    g = lu_solve(_factor(policy, scenario), np.eye(scenario.k))
+    g = solve(_factor(policy, scenario), np.eye(scenario.k))
     if __debug__:
         a = np.eye(scenario.k) - transient_matrix(policy, scenario)
         resid = np.abs(a @ g - np.eye(scenario.k)).max()
@@ -131,7 +144,7 @@ def fundamental_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
 
 def expected_cycle_cost(policy: Policy, scenario: Scenario) -> float:
     """Expected total access cost accumulated over one renewal cycle, p0' G c."""
-    return float(scenario.p0 @ lu_solve(_factor(policy, scenario), scenario.c))
+    return float(scenario.p0 @ solve(_factor(policy, scenario), scenario.c))
 
 
 def expected_cycle_length(alpha: float) -> float:
@@ -147,4 +160,4 @@ def evaluate(policy: Policy, scenario: Scenario, check: bool = True) -> EvalRepo
     One LU factorization serves all three solves (cost, visit rates, row sums).
     """
     lu = _factor(policy, scenario, check=check)
-    return report(lu, scenario, lu_solve(lu, scenario.c))
+    return report(lu, scenario, solve(lu, scenario.c))

@@ -110,13 +110,14 @@ class Scenario:
         """Catalog size."""
         return self.u.shape[0]
 
-    @property
+    @functools.cached_property
     def uniform_clicks(self) -> bool:
         """Every slot is clicked with probability 1/N, to within 1e-12."""
         return bool(np.all(np.abs(self.v - 1.0 / self.n) <= 1e-12))
 
-    @property
+    @functools.cached_property
     def binary_costs(self) -> bool:
+        """Every access cost is 0 or 1 (1 = cache miss)."""
         return bool(np.all((self.c == 0.0) | (self.c == 1.0)))
 
     def replace(self, **changes) -> "Scenario":

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from . import lp, markov, simplex
 from .markov import EvalReport
@@ -249,7 +248,7 @@ def _policy_iteration(scenario: Scenario, positional: bool, name: str) -> Policy
     calls = 1
     for _ in range(MAX_ROUNDS):
         lu = markov.factor_in_place(slate_kernel(*sol, v), scenario.alpha)
-        values = lu_solve(lu, scenario.c)
+        values = markov.solve(lu, scenario.c)
         new = row_kernel(values, scenario.u, weights, floor, top, start=sol)
         calls += 1
         old = _mix_value(sol, values, weights)

@@ -25,6 +25,12 @@ it for all three of the report's solves. The production loop writes
 only the click kernel from the slates and builds the policy and report once,
 and must return bitwise the same policy, report and kernel calls.
 
+`sweep_each_cell` is the parameter sweep in its plain form: every
+(axis value, policy) cell applies the axis and rebuilds the graph and the
+scenario from the config for each seed. `cli.run_sweep` builds each seed's
+graph once and each axis value's scenario once, and must return the same
+rows, `wall_time_s` aside.
+
 `entrywise_session_lp` emits the session LP one coefficient at a time from
 nested loops over contents, with the f-column of pair (i, j) computed by
 index arithmetic. `lp.build_session_lp` and `build_positional_lp` assemble
@@ -40,9 +46,10 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 
-from cacherec import markov, policies
+from cacherec import data, markov, policies
+from cacherec.cli import apply_axis, gain, mph
 from cacherec.lp import LpProblem
-from cacherec.model import FEAS_TOL, max_quality, slate_policy
+from cacherec.model import FEAS_TOL, entropy, max_quality, slate_policy
 
 
 def vertex_optimum(problem, tol: float = 1e-7):
@@ -265,6 +272,46 @@ def evaluate_each_round(scenario, positional: bool):
                                    np.where(better[:, None], new.hi, sol.hi),
                                    np.where(better, new.theta, sol.theta))
     raise AssertionError("policy iteration did not settle")
+
+
+def _sweep_cell(cfg, axis, value, policy_name, seeds, solve_kw) -> dict:
+    row = {"axis": axis, "policy": policy_name, "status": "ok",
+           "chr": None, "ltec": None, "mph": None, "value": value}
+    try:
+        chrs, ltecs, mphs, axis_vals = [], [], [], []
+        for seed in seeds:
+            cell_cfg = apply_axis(cfg, axis, value)
+            cell_cfg["seed"] = seed
+            scenario, _ = data.scenario_from_config(cell_cfg)
+            result = policies.solve_named(policy_name, scenario, **solve_kw)
+            ltecs.append(result.report.ltec)
+            chrs.append(result.report.chr)
+            mphs.append(mph(scenario.p0, scenario.c) if scenario.binary_costs else None)
+            axis_vals.append(entropy(scenario.v) if axis == "Hv" else value)
+        row["ltec"] = float(np.mean(ltecs))
+        row["chr"] = float(np.mean(chrs)) if None not in chrs else None
+        row["mph"] = float(np.mean(mphs)) if None not in mphs else None
+        row["value"] = axis_vals[0]
+    except policies.InfeasibleProblem as exc:
+        row["status"] = f"infeasible: {exc}"
+    except Exception as exc:
+        row["status"] = f"error: {type(exc).__name__}: {exc}"
+    return row
+
+
+def sweep_each_cell(spec) -> list[dict]:
+    """Reference for `cli.run_sweep`: the rows, without wall_time_s, of a
+    sweep that rebuilds the scenario in every cell."""
+    rows = [_sweep_cell(spec.config, spec.axis, value, name, spec.seeds, spec.solve_kw)
+            for value in spec.values for name in spec.policies]
+    per_value = len(spec.policies)
+    for block in range(len(spec.values)):
+        group = rows[block * per_value: (block + 1) * per_value]
+        ref = next((r for r in group if r["policy"] == spec.reference), None)
+        for row in group:
+            row["gain_pct"] = gain(row["chr"], ref["chr"]) if ref and ref["status"] == "ok" \
+                else None
+    return rows
 
 
 def entrywise_session_lp(scenario, positional: bool) -> LpProblem:

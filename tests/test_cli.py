@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cacherec import data, policies
 from cacherec.cli import (EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, SweepSpec, apply_axis,
                           gain, main, mph, read_policy_csv, run_sweep,
                           write_policy_csv, write_sweep_csv)
 from cacherec.data import scenario_from_config
 from cacherec.model import Policy, validate_policy
 from cacherec.policies import solve_named
-from _oracles import dense_policy_csv, dense_validate_policy
+from _oracles import dense_policy_csv, dense_validate_policy, sweep_each_cell
 from conftest import (assert_canonical, random_positional_policy, random_scenario,
                       random_slate_policy, random_uniform_policy)
 
@@ -172,6 +173,10 @@ class TestPolicyFiles:
         assert err.startswith(f"error: {f} line 5: slots 1000000000 must be below k = 1")
 
 
+def without_wall_time(rows: list[dict]) -> list[dict]:
+    return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in rows]
+
+
 class TestSweep:
     def small_cfg(self):
         return {
@@ -251,6 +256,89 @@ class TestSweep:
         rows = run_sweep(spec)
         assert rows[0]["status"] == "ok"
         assert 0.0 < rows[0]["value"] < 1.0  # realized click entropy
+
+    @pytest.mark.parametrize("seeds", [[11], [11, 12]])
+    @pytest.mark.parametrize("axis, values, names, graph", [
+        ("q", [0.7, 0.95], ["baseline", "P1", "P2"], None),
+        ("N", [2, 3, 10], ["P2", "P1"], None),  # N >= K = 10 fails
+        ("alpha", [0.0, 0.8], ["baseline", "P1", "P2"], None),
+        ("s", [0.3, 1.2], ["P1", "P2"], None),
+        ("Hv", [0.5, 1.5], ["baseline", "P1", "P2", "P3"], None),
+        ("C", [0, 3, 11], ["P1", "P2"], None),  # a cache of 11 > K fails
+        ("q", [0.8, 0.9], ["P1", "P2"], {"kind": "poisson"}),  # no k
+        ("q", [0.8], ["P1", "P2"], {"kind": "poisson", "k": 10, "mean_degree": 12}),
+        ("alpha", [0.7], ["P1"], {"kind": "matrix", "u": [[0, 1], [1]]}),
+    ])
+    def test_rows_match_per_cell_rebuild(self, axis, values, names, graph, seeds):
+        """Sharing each seed's graph and each axis point's scenario changes no
+        row; wall_time_s aside."""
+        cfg = {**self.small_cfg(), "graph": graph or {"kind": "poisson", "k": 10,
+                                                        "mean_degree": 3}}
+        spec = SweepSpec(config=cfg, axis=axis, values=values, policies=names, seeds=seeds)
+        want = sweep_each_cell(spec)
+        got = without_wall_time(run_sweep(spec))
+        assert got == want
+        if graph is not None:
+            assert all(row["status"].startswith("error: ValueError") for row in got)
+
+    def test_failed_solve_marks_only_its_row(self, monkeypatch):
+        """P2 fails on the second seed's scenario only, and P1 with its solver
+        setting everywhere: the baseline rows still solve."""
+        cfg = {**self.small_cfg(), "graph": {"kind": "poisson", "k": 10, "mean_degree": 3}}
+        second, _ = data.gen_poisson_graph(10, 3, 12)
+        solve = policies.solve_named
+
+        def failing(name, scenario, **kw):
+            if name == "P2" and np.array_equal(scenario.u, second):
+                raise RuntimeError("no P2 here")
+            return solve(name, scenario, **(kw if name == "P1" else {}))
+
+        monkeypatch.setattr(policies, "solve_named", failing)
+        spec = SweepSpec(config=cfg, axis="q", values=[0.7, 0.9],
+                         policies=["baseline", "P1", "P2"], seeds=[11, 12],
+                         solve_kw={"method": "external"})
+        rows = run_sweep(spec)
+        assert [row["status"] for row in rows[:3]] == [
+            "ok", "error: ValueError: method='external' needs external_cmd",
+            "error: RuntimeError: no P2 here"]
+        assert without_wall_time(rows) == sweep_each_cell(spec)
+
+    def test_first_failing_seed_names_the_status(self):
+        cfg = self.small_cfg()
+        spec = SweepSpec(config=cfg, axis="q", values=[0.8], policies=["P1", "P2"],
+                         seeds=[11, -1, 12], workers=2)
+        rows = run_sweep(spec)
+        assert [row["status"] for row in rows] == [
+            "error: ValueError: config key 'seed' must be a whole number >= 0, got -1"] * 2
+        assert without_wall_time(rows) == sweep_each_cell(spec)
+
+    def test_workers_match_per_cell_rebuild(self):
+        spec = SweepSpec(config=self.small_cfg(), axis="N", values=[2, 3, 14],
+                         policies=["P1", "P2"], seeds=[11, 12], workers=2)
+        got = without_wall_time(run_sweep(spec))
+        assert got == sweep_each_cell(spec)
+        assert [row["status"] == "ok" for row in got] == [True] * 4 + [False] * 2
+
+    def test_graph_built_once_per_seed(self, monkeypatch):
+        calls = []
+        gen = data.gen_poisson_graph
+
+        def spy(k, mean_degree, seed):
+            calls.append(seed)
+            return gen(k, mean_degree, seed)
+
+        monkeypatch.setattr(data, "gen_poisson_graph", spy)
+        rows = run_sweep(SweepSpec(config=self.small_cfg(), axis="alpha",
+                                   values=[0.5, 0.7, 0.9], policies=["baseline", "P1", "P2"],
+                                   seeds=[11, 12]))
+        assert [row["status"] for row in rows] == ["ok"] * 9
+        assert calls == [11, 12]
+
+    def test_wall_time_is_solve_time(self):
+        rows = run_sweep(SweepSpec(config=self.small_cfg(), axis="N", values=[2, 14],
+                                   policies=["P1", "P2"]))
+        assert all(row["wall_time_s"] > 0.0 for row in rows[:2])
+        assert [row["wall_time_s"] for row in rows[2:]] == [0.0, 0.0]  # no solve ran
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="axis"):

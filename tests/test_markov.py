@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf
 
 from cacherec import (Policy, Scenario, evaluate, expected_cycle_cost,
                       expected_cycle_length, fundamental_matrix, markov, transient_matrix)
@@ -212,19 +213,52 @@ def test_evaluate_report_from_shared_builder():
 
 
 def test_evaluate_factors_a_fortran_buffer_in_place(monkeypatch):
-    """`evaluate` hands `lu_factor` the Fortran-ordered I - Q it built from
+    """`evaluate` hands `dgetrf` the Fortran-ordered I - Q it built from
     the policy's entries, which LAPACK overwrites instead of copying."""
     seen = []
 
     def spy(a, **kw):
-        lu = lu_factor(a, **kw)
-        seen.append((a.flags.f_contiguous, kw.get("overwrite_a"), np.shares_memory(lu[0], a)))
-        return lu
+        lu, piv, info = dgetrf(a, **kw)
+        seen.append((a.flags.f_contiguous, kw.get("overwrite_a"), np.shares_memory(lu, a)))
+        return lu, piv, info
 
-    monkeypatch.setattr(markov, "lu_factor", spy)
+    monkeypatch.setattr(markov, "dgetrf", spy)
     s = random_scenario(np.random.default_rng(2), k=8, v="skewed")
     evaluate(random_positional_policy(np.random.default_rng(3), s), s)
     assert seen == [(True, True, True)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_factor_rejects_a_non_finite_kernel(bad):
+    kernel = np.full((3, 3), 0.5, order="F")
+    kernel[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        markov.factor_in_place(kernel, 0.8)
+
+
+def test_factor_rejects_a_singular_system():
+    # I - Q = [[1, -1], [-1, 1]]: the second pivot is exactly zero.
+    with pytest.raises(ValueError, match="singular"):
+        markov.factor_in_place(np.array([[0.0, 2.0], [2.0, 0.0]], order="F"), 0.5)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.sampled_from([0, 1]),
+       st.sampled_from([None, 1, 3]))
+@settings(max_examples=100, deadline=None)
+def test_solve_is_scipy_lu_solve(seed, k, trans, columns):
+    """`markov.solve` over the factors of `factor_in_place` gives bitwise
+    what `scipy.linalg.lu_solve` gives, and leaves the right-hand side alone."""
+    rng = np.random.default_rng(seed)
+    kernel = rng.random((k, k))
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    lu = markov.factor_in_place(np.asfortranarray(kernel), float(rng.uniform(0.0, 0.99)))
+    b = rng.standard_normal(k if columns is None else (k, columns))
+    before = b.copy()
+    got = markov.solve(lu, b, trans=trans)
+    want = lu_solve(lu, b, trans=trans)
+    assert got.shape == want.shape == b.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(b, before)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 12), st.booleans(),

@@ -67,6 +67,17 @@ class TestScenario:
         assert scenario5(v=[0.5, 0.5]).uniform_clicks
         assert not scenario5(v=[0.5 + 4e-6, 0.5 - 4e-6]).uniform_clicks
 
+    def test_flags_follow_replace(self):
+        """The cost and click flags are computed once per scenario; a replaced
+        scenario computes its own."""
+        s = scenario5(v=[0.7, 0.3])
+        assert s.binary_costs and not s.uniform_clicks
+        fractional = s.replace(c=[1, 0.5, 1, 1, 0])
+        assert not fractional.binary_costs and s.binary_costs
+        assert s.replace(n=3).uniform_clicks and not s.uniform_clicks
+        assert not s.replace(v=[0.5, 0.5]).replace(v=[0.6, 0.4]).uniform_clicks
+        assert fractional.replace(c=[1, 0, 1, 1, 0]).binary_costs
+
     def test_replace_resets_clicks_on_new_n(self):
         s = scenario5(v=[0.7, 0.3])
         s2 = s.replace(n=3)
