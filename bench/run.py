@@ -12,13 +12,17 @@ SKEWED[N]. P3 runs on both click vectors. P2 solves the uniform-click
 problem whatever the clicks are, so it runs once per (K, N). A cell repeats
 its solve until the solves add up to TIME_FLOOR_S (at least MIN_SOLVES
 times) and records the median and minimum wall time, the number of solves,
-the kernel calls (`PolicyResult.iterations`) and the LTEC.
+the kernel calls (`PolicyResult.iterations`) and the LTEC. A P3 cell then
+simulates SIM_STEPS requests of its policy (seed SIM_SEED) the same way,
+until the simulations add up to TIME_FLOOR_S, and records their median
+wall time and the empirical cost rate.
 
 The cacherec package is imported from --src (default: this checkout's src/),
 so one script measures two checkouts with identical settings. The records go
 to `runs[label]` of the --out file, and the file's other labels are kept.
 Once it holds both a "parent" and a "change" run, `compare` lists each
-cell's time ratio (change / parent) and LTEC difference. The script uses one
+cell's time ratio (change / parent) and LTEC difference, and for P3 cells
+the simulation's time ratio and cost-rate difference. The script uses one
 BLAS thread and needs only the standard library and numpy.
 """
 from __future__ import annotations
@@ -48,6 +52,9 @@ GRAPH_SEED = 1
 #: is steady; cells of a second or more take MIN_SOLVES.
 TIME_FLOOR_S = 0.5
 MIN_SOLVES = 3
+#: The session a P3 cell simulates, as `cacherec sim` would.
+SIM_STEPS = 250_000
+SIM_SEED = 1
 
 
 def cells(max_k: int):
@@ -76,14 +83,27 @@ def run_cell(cacherec, k: int, n: int, v: str, name: str) -> dict:
            "v": SKEWED[n] if v == "skewed" else "uniform", "q": 0.9, "zipf_s": 0.7,
            "cache_size": max(1, k // 50), "seed": GRAPH_SEED}
     scenario, _ = cacherec.scenario_from_config(cfg)
+    times, result = timed(lambda: cacherec.solve_named(name, scenario))
+    rec = {"k": k, "n": n, "v": v, "policy": name, "median_s": statistics.median(times),
+           "min_s": min(times), "solves": len(times), "kernel_calls": result.iterations,
+           "ltec": result.report.ltec}
+    if name == "P3":
+        times, report = timed(lambda: cacherec.simulate(result.policy, scenario,
+                                                        steps=SIM_STEPS, seed=SIM_SEED))
+        rec.update(sim_median_s=statistics.median(times),
+                   empirical_cost_rate=report.empirical_cost_rate)
+    return rec
+
+
+def timed(fn) -> tuple[list[float], object]:
+    """Wall times of repeated calls of fn, until they add up to TIME_FLOOR_S
+    (at least MIN_SOLVES calls), and the last call's result."""
     times = []
     while len(times) < MIN_SOLVES or sum(times) < TIME_FLOOR_S:
         t0 = time.perf_counter()
-        result = cacherec.solve_named(name, scenario)
+        out = fn()
         times.append(time.perf_counter() - t0)
-    return {"k": k, "n": n, "v": v, "policy": name, "median_s": statistics.median(times),
-            "min_s": min(times), "solves": len(times), "kernel_calls": result.iterations,
-            "ltec": result.report.ltec}
+    return times, out
 
 
 def compare(parent: list[dict], change: list[dict]) -> dict:
@@ -91,12 +111,23 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
         return rec["k"], rec["n"], rec["v"], rec["policy"]
 
     before = {key(rec): rec for rec in parent}
-    rows = [{"k": rec["k"], "n": rec["n"], "v": rec["v"], "policy": rec["policy"],
-             "time_ratio": rec["median_s"] / before[key(rec)]["median_s"],
-             "kernel_calls": [before[key(rec)]["kernel_calls"], rec["kernel_calls"]],
-             "ltec_diff": abs(rec["ltec"] - before[key(rec)]["ltec"])}
-            for rec in change if key(rec) in before]
+    rows = []
+    for rec in change:
+        prev = before.get(key(rec))
+        if prev is None:
+            continue
+        row = {"k": rec["k"], "n": rec["n"], "v": rec["v"], "policy": rec["policy"],
+               "time_ratio": rec["median_s"] / prev["median_s"],
+               "kernel_calls": [prev["kernel_calls"], rec["kernel_calls"]],
+               "ltec_diff": abs(rec["ltec"] - prev["ltec"])}
+        if "sim_median_s" in rec and "sim_median_s" in prev:
+            row.update(sim_ratio=rec["sim_median_s"] / prev["sim_median_s"],
+                       sim_rate_diff=abs(rec["empirical_cost_rate"]
+                                         - prev["empirical_cost_rate"]))
+        rows.append(row)
     return {"max_ltec_diff": max((row["ltec_diff"] for row in rows), default=None),
+            "max_sim_rate_diff": max((row["sim_rate_diff"] for row in rows
+                                      if "sim_rate_diff" in row), default=None),
             "cells": rows}
 
 
@@ -117,9 +148,11 @@ def main(argv=None) -> int:
     for cell in cells(args.max_k):
         rec = run_cell(cacherec, *cell)
         records.append(rec)
+        sim = (f", sim median {rec['sim_median_s']:.4f} s"
+               if "sim_median_s" in rec else "")
         print(f"K={rec['k']:5d} N={rec['n']} v={rec['v']:7s} {rec['policy']}: "
               f"median {rec['median_s']:.4f} s, {rec['kernel_calls']} kernel calls, "
-              f"LTEC {rec['ltec']:.15f}", flush=True)
+              f"LTEC {rec['ltec']:.15f}{sim}", flush=True)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -127,7 +160,9 @@ def main(argv=None) -> int:
     doc.setdefault("runs", {})[args.label] = records
     if {"parent", "change"} <= doc["runs"].keys():
         doc["compare"] = compare(doc["runs"]["parent"], doc["runs"]["change"])
-        print(f"max |LTEC change - parent| = {doc['compare']['max_ltec_diff']!r}")
+        print(f"max |LTEC change - parent| = {doc['compare']['max_ltec_diff']!r}, "
+              f"max |sim cost rate change - parent| = "
+              f"{doc['compare']['max_sim_rate_diff']!r}")
     out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

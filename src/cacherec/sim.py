@@ -7,6 +7,17 @@ geometric and independent of the visited path, which lets the simulator draw
 all cycle lengths up front and advance every active cycle in lock-step with
 vectorized sampling - the produced request sequence is distributed exactly
 like the sequential step-by-step walk.
+
+Every draw is an inverse-CDF pick. Cycle starts search the popularity CDF
+through a guide table of M >= 4K buckets. A followed request searches its
+row of a step table, the click kernel's positive support padded to one
+power-of-two width W: log2(W) branch-free rounds of flat takes and compares
+for all active cycles at once. The tables take O(K W + K) memory. The
+sampled paths are bitwise those of a dense scan over each cumulative row
+wherever that scan stays on the row's support. It leaves the support for a
+draw above a row total that rounding left below 1, where it lands on
+content K - 1 and the step table on the row's last positive entry, and for
+a draw of exactly 0 in a row whose first entry is 0.
 """
 from __future__ import annotations
 
@@ -76,24 +87,68 @@ def _kernel_support(kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return support, cols[positive], cum[positive]
 
 
-def _follow(indptr: np.ndarray, cols: np.ndarray, cum: np.ndarray,
-            current: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _step_table(support) -> tuple[np.ndarray, np.ndarray, int]:
+    """`_kernel_support` padded to one width, for fixed-depth inverse-CDF steps.
+
+    Returns (thr, cols, width), two flat arrays of K rows of `width` entries
+    (the widest support rounded up to a power of two); row i starts at
+    i * width. thr holds the row's cumulative sums at every support entry but
+    the last, then +inf; cols holds the row's support columns, then its last
+    support column again. Counting a row's thresholds below u therefore
+    picks the first support column whose cumulative sum reaches u, or the
+    last one when rounding leaves the row total below u.
+    """
+    indptr, cols, cum = support
+    counts = np.diff(indptr)
+    k = counts.size
+    width = 1 << int(counts.max() - 1).bit_length()
+    last = indptr[1:] - 1
+    at = np.arange(cols.size) + np.repeat(np.arange(k) * width - indptr[:-1], counts)
+    thr = np.full(k * width, np.inf)
+    thr[at] = cum
+    thr[at[last]] = np.inf
+    table = np.repeat(cols[last], width)
+    table[at] = cols
+    return thr, table, width
+
+
+def _step(table: tuple[np.ndarray, np.ndarray, int], current: np.ndarray,
+          u: np.ndarray) -> np.ndarray:
     """Inverse-CDF step from each content current[j] with uniform u[j].
 
-    Picks the first support column of the row whose cumulative sum reaches
-    u[j], or the row's last support column when rounding leaves the row total
-    below u[j]. A lock-step binary search inside each row's segment of the
-    support, so a step costs O(log nnz(row)) per cycle.
+    log2(width) branch-free rounds of a binary search over each row of the
+    step table: a round with stride s moves to the upper half when the
+    threshold s - 1 entries on is below u. Thresholds increase along a row,
+    so the search ends on the count of the row's thresholds below u.
     """
-    first = indptr[current]
-    count = indptr[current + 1] - first - 1  # the last entry is never tested
-    while count.any():
-        half = count >> 1
-        mid = first + half
-        right = (count > 0) & (cum[mid] < u)
-        first = np.where(right, mid + 1, first)
-        count = np.where(right, count - half - 1, half)
-    return cols[first]
+    thr, cols, width = table
+    pos = current * width
+    s = width >> 1
+    while s:
+        pos += (thr[s - 1:].take(pos) < u) * s
+        s >>= 1
+    return cols.take(pos)
+
+
+def _guide_search(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(cum, r, side="right")` by a guide table (Chen & Asau 1974).
+
+    cum is nondecreasing and r lies in [0, 1). With M >= 4K buckets, M a power
+    of two, r * M and b / M are exact, so guide[floor(r * M)] counts the cum
+    entries <= b / M <= r: a lower bound on the answer. An upward scan over
+    the draws still undecided, past +inf appended to cum, then gives
+    searchsorted's index.
+    """
+    k = cum.size
+    m = 1 << (4 * k - 1).bit_length()
+    guide = np.searchsorted(cum, np.arange(m) / m, side="right")
+    idx = guide.take((r * m).astype(np.intp))
+    cum = np.append(cum, np.inf)
+    todo = np.flatnonzero(cum.take(idx) <= r)
+    while todo.size:
+        idx[todo] += 1
+        todo = todo.take(np.flatnonzero(cum.take(idx.take(todo)) <= r.take(todo)))
+    return idx
 
 
 def _sample_path(policy: Policy, scenario: Scenario, steps: int,
@@ -128,21 +183,27 @@ def _sample_path(policy: Policy, scenario: Scenario, steps: int,
     offsets = np.concatenate([[0], np.cumsum(lengths[:-1])])
 
     path = np.empty(steps, dtype=np.int64)
-    p0_cum = np.cumsum(scenario.p0)
-    starts = np.searchsorted(p0_cum, rng.random(n_cycles), side="right")
-    starts = np.minimum(starts, k - 1)
+    starts = np.minimum(_guide_search(np.cumsum(scenario.p0), rng.random(n_cycles)), k - 1)
     path[offsets] = starts
 
     # Advance every active cycle by one followed request per step, drawing
-    # one uniform per active cycle in cycle order.
-    support = _kernel_support(markov.click_kernel(policy, scenario))
-    active = np.arange(n_cycles)
-    current = starts
-    for t in range(1, int(lengths.max())):
-        keep = lengths[active] > t
-        active, current = active[keep], current[keep]
-        current = _follow(*support, current, rng.random(active.size))
-        path[offsets[active] + t] = current
+    # one uniform per active cycle in cycle order. An active cycle carries its
+    # next path position; follows[p] says whether position p continues the
+    # cycle that holds position p - 1.
+    table = _step_table(_kernel_support(markov.click_kernel(policy, scenario)))
+    follows = np.ones(steps + 1, dtype=bool)
+    follows[offsets] = False
+    follows[steps] = False
+    live = np.flatnonzero(lengths > 1)
+    pos = offsets.take(live) + 1
+    current = starts.take(live)
+    while pos.size:
+        current = _step(table, current, rng.random(pos.size))
+        path[pos] = current
+        pos += 1
+        live = np.flatnonzero(follows.take(pos))
+        if live.size < pos.size:
+            pos, current = pos.take(live), current.take(live)
     return path, lengths, truncated
 
 
@@ -197,10 +258,14 @@ def merge_reports(reports: list[SimReport]) -> SimReport:
     w = steps / steps.sum()
     rate = float(np.sum(w * [r.empirical_cost_rate for r in reports]))
     stderr = float(np.sqrt(np.sum((w * [r.stderr for r in reports]) ** 2)))
+    # A report without a completed cycle still carries its partial cycle's
+    # length, so it keeps a weight of one cycle.
     cycles = np.array([max(r.n_cycles, 1) for r in reports], dtype=float)
     cw = cycles / cycles.sum()
     mean_len = float(np.sum(cw * [r.mean_cycle_length for r in reports]))
-    len_se = float(np.sqrt(np.nansum((cw * [r.cycle_length_stderr for r in reports]) ** 2)))
+    terms = cw * [r.cycle_length_stderr for r in reports]
+    len_se = (float(np.sqrt(np.nansum(terms ** 2))) if np.isfinite(terms).any()
+              else float("nan"))
     any_chr = all(r.empirical_chr is not None for r in reports)
     return SimReport(
         steps=int(steps.sum()),
@@ -210,7 +275,7 @@ def merge_reports(reports: list[SimReport]) -> SimReport:
         stderr=stderr,
         seed=reports[0].seed,
         cycle_length_stderr=len_se,
-        n_cycles=int(cycles.sum()),
+        n_cycles=sum(r.n_cycles for r in reports),
     )
 
 
@@ -298,10 +363,16 @@ def render_slate(row_policy: np.ndarray, n: int, seed) -> np.ndarray:
             raise ValueError(f"row sums to {row.sum()!r}, expected the slot count {n}")
         if np.any(row < -1e-7) or np.any(row > 1.0 + 1e-7):
             raise ValueError("row entries must lie in [0, 1]")
-        cum = np.concatenate([[0.0], np.cumsum(np.maximum(row, 0.0))])
+        cum = np.concatenate([[0.0], np.cumsum(np.clip(row, 0.0, 1.0))])
         targets = rng.random() + np.arange(n)
         picks = np.searchsorted(cum, targets, side="right") - 1
-        # entries <= 1 make successive picks strictly increasing, hence distinct
+        # entries <= 1 make successive picks strictly increasing, hence distinct;
+        # the tolerance admits entries up to 1 + 1e-7, hence the clip
+        if picks[-1] == row.size:
+            # The last target passed a row total just below N: take the row's
+            # last positive item not yet on the slate, as the sampler does.
+            free = np.setdiff1d(np.flatnonzero(row > 0.0), picks[:-1])
+            picks[-1] = free[-1]
         return picks
 
     if row.ndim == 2:
@@ -320,7 +391,9 @@ def render_slate(row_policy: np.ndarray, n: int, seed) -> np.ndarray:
                 weights = np.where(used, 0.0, 1.0)   # degenerate residual: any unused item
                 total = weights.sum()
             cum = np.cumsum(weights / total)
-            pick = int(np.minimum(np.searchsorted(cum, rng.random(), side="right"), k - 1))
+            # a draw past a float total below 1 takes the last positive unused item
+            pick = min(int(np.searchsorted(cum, rng.random(), side="right")),
+                       int(np.flatnonzero(weights)[-1]))
             chosen.append(pick)
             used[pick] = True
         return np.array(chosen)

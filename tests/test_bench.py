@@ -23,5 +23,11 @@ def test_ladder_records_and_compares_two_runs(tmp_path):
                      for v, p in (("uniform", "P2"), ("uniform", "P3"), ("skewed", "P3"))}
     assert all(r["k"] == 25 and r["kernel_calls"] >= 1 and 0 < r["ltec"] <= 1
                for r in doc["runs"]["change"])
+    sims = [r for r in doc["runs"]["change"] if r["policy"] == "P3"]
+    assert len(sims) == 4
+    assert all(r["sim_median_s"] > 0 and 0 <= r["empirical_cost_rate"] <= 1 for r in sims)
     assert doc["compare"]["max_ltec_diff"] == 0.0  # same code, same answers
     assert len(doc["compare"]["cells"]) == 6
+    compared = [c for c in doc["compare"]["cells"] if c["policy"] == "P3"]
+    assert all(c["sim_ratio"] > 0 and c["sim_rate_diff"] == 0.0 for c in compared)
+    assert doc["compare"]["max_sim_rate_diff"] == 0.0

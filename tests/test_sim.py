@@ -10,12 +10,24 @@ from hypothesis import strategies as st
 
 from cacherec import (Policy, Scenario, baseline_policy, evaluate, markov, scenario_from_config,
                       solve_positional, solve_session)
-from cacherec.sim import (_follow, _kernel_support, _sample_path, brute_force_optimum,
-                          merge_reports, render_slate, simulate)
+from cacherec.sim import (SimReport, _guide_search, _kernel_support, _sample_path, _step,
+                          _step_table, brute_force_optimum, merge_reports, render_slate,
+                          simulate)
 from _oracles import csr_arrays, dense_click_kernel, dense_kernel_support, dense_sample_path
 from conftest import (CORRUPTIONS, corrupt_policy, random_dense_policy,
                       random_positional_policy, random_scenario, random_slate_policy,
                       random_uniform_policy)
+
+
+class FixedDraws(np.random.Generator):
+    """A Generator whose `random()` returns the given draws in turn."""
+
+    def __init__(self, *draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = list(draws)
+
+    def random(self, *args, **kwargs):
+        return self.draws.pop(0)
 
 
 def two_state(alpha=0.5):
@@ -99,6 +111,21 @@ class TestSimulate:
         assert abs(merged.empirical_cost_rate - 0.5) <= 3 * merged.stderr
         assert merged.stderr < max(r.stderr for r in reps)
 
+    def test_merge_reports_counts_completed_cycles(self):
+        def report(n_cycles, len_se):
+            return SimReport(steps=10, empirical_cost_rate=0.5, empirical_chr=0.5,
+                             mean_cycle_length=10.0, stderr=0.1, seed=0,
+                             cycle_length_stderr=len_se, n_cycles=n_cycles)
+
+        # No completed cycle anywhere: nothing to count, no error estimate.
+        merged = merge_reports([report(0, float("nan")), report(0, float("nan"))])
+        assert merged.n_cycles == 0
+        assert np.isnan(merged.cycle_length_stderr)
+        assert merged.mean_cycle_length == 10.0
+        merged = merge_reports([report(0, float("nan")), report(3, 0.4)])
+        assert merged.n_cycles == 3
+        assert merged.cycle_length_stderr == pytest.approx(0.75 * 0.4)
+
 
 def graph_scenario(k: int, n: int, v="uniform", q: float = 0.9,
                    alpha: float = 0.8) -> Scenario:
@@ -156,11 +183,11 @@ class TestSparseSampler:
                            [0.0, 0.0, 0.0, 0.0, 1.0],
                            [0.2, 0.2, 0.2, 0.0, 0.4],
                            [1.0, 0.0, 0.0, 0.0, 0.0]])
-        support = _kernel_support(csr_arrays(kernel))
+        table = _step_table(_kernel_support(csr_arrays(kernel)))
         u = np.array([0.0, 0.3, 0.31, 0.6, 0.7, 0.999])
-        got = _follow(*support, np.zeros(u.size, dtype=np.int64), u)
+        got = _step(table, np.zeros(u.size, dtype=np.int64), u)
         assert got.tolist() == [1, 1, 3, 3, 3, 3]
-        got = _follow(*support, np.array([1, 2, 3, 3, 4]), np.array([0.5, 0.99, 0.61, 0.6, 0.5]))
+        got = _step(table, np.array([1, 2, 3, 3, 4]), np.array([0.5, 0.99, 0.61, 0.6, 0.5]))
         assert got.tolist() == [0, 4, 4, 2, 0]
 
     def test_row_without_support_raises(self):
@@ -265,6 +292,25 @@ class TestRenderSlate:
             assert len(set(slate.tolist())) == 2
             assert slate[0] == 1  # slot 1 always gets its item
 
+    def test_overshooting_draw_stays_on_the_row(self):
+        # The row sums to N - 5e-8, inside the tolerance; the last target
+        # 1.99999999 lies past the row total, where searchsorted finds no item.
+        row = np.array([0.0, 1.0, 1.0 - 5e-8, 0.0])
+        assert render_slate(row, 2, FixedDraws(0.99999999)).tolist() == [1, 2]
+
+    def test_entry_above_one_within_tolerance_gives_distinct_items(self):
+        # Item 1's interval would hold both targets 0 and 1 unclipped.
+        row = np.array([0.0, 1.0 + 9e-8, 1.0 - 9e-8])
+        assert render_slate(row, 2, FixedDraws(0.0)).tolist() == [1, 2]
+
+    def test_positional_overshoot_takes_last_positive_unused_item(self):
+        # Seven entries of 1/7 cumulate to 1 - 2**-52 after renormalizing, so
+        # the largest draw below 1 passes the total; item 7 has weight 0.
+        rows = np.array([[1 / 7] * 7 + [0.0]] * 2)
+        assert np.cumsum(rows[0] / rows[0].sum())[-1] < 1.0
+        last = np.nextafter(1.0, 0.0)
+        assert render_slate(rows, 2, FixedDraws(last, last)).tolist() == [6, 5]
+
     def test_positional_row_sum_checked(self):
         rows = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="sum to 1"):
@@ -305,3 +351,59 @@ def test_support_on_entries_matches_dense_oracle(seed, k, positional, source, ho
     else:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[2].tobytes() == want[2].tobytes()
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3000),
+       st.sampled_from(["uniform", "zipf", "ties", "short"]))
+@settings(max_examples=200, deadline=None)
+def test_guide_search_matches_searchsorted(seed, k, shape):
+    """The guide-table search returns searchsorted's index for draws at 0,
+    at cumulative sums, just below 1 and past a float total below 1."""
+    rng = np.random.default_rng(seed)
+    if shape == "zipf":
+        p = 1.0 / np.arange(1, k + 1) ** rng.uniform(0.5, 2.0)
+    else:
+        p = rng.random(k)
+    if shape == "ties":  # zero-probability contents repeat a cumulative sum
+        p[rng.random(k) < 0.5] = 0.0
+        p[rng.integers(k)] = 1.0
+    cum = np.cumsum(p / p.sum())
+    if shape == "short":
+        cum *= 1.0 - rng.uniform(1e-16, 1e-3)
+    below_one = np.nextafter(1.0, 0.0)
+    past = cum[-1] + (1.0 - cum[-1]) * rng.random(20) if cum[-1] < 1.0 else []
+    r = np.concatenate([[0.0, below_one], cum[cum < 1.0][:200], rng.random(500),
+                        np.minimum(past, below_one)])
+    assert np.array_equal(_guide_search(cum, r), np.searchsorted(cum, r, side="right"))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_step_table_matches_dense_scan(seed, k, short):
+    """A step picks the first support column whose cumulative sum reaches the
+    draw, or the row's last support column where the draw passes a row total
+    below 1. For draws above 0 that is the dense inverse-CDF scan's pick,
+    clamped to the last support column; a draw of 0 stops the dense scan on
+    a zero column that precedes the support."""
+    rng = np.random.default_rng(seed)
+    kernel = np.zeros((k, k))
+    for i in range(k):
+        cols = rng.choice(k, rng.integers(1, k + 1), replace=False)
+        kernel[i, cols] = rng.random(cols.size) + 1e-3
+        kernel[i] /= kernel[i].sum()
+        if short and rng.random() < 0.5:  # a total below 1, as rounding can leave
+            kernel[i] *= 1.0 - rng.uniform(1e-16, 1e-2)
+    row_cum = np.cumsum(kernel, axis=1)
+    current = rng.integers(k, size=400)
+    u = rng.random(400)
+    u[:50] = np.nextafter(1.0, 0.0)
+    u[50:100] = 0.0
+    at = rng.integers(k, size=100)  # draws equal to a cumulative sum of their row
+    u[100:200] = np.minimum(row_cum[current[100:200], at], np.nextafter(1.0, 0.0))
+    last = k - 1 - np.argmax(kernel[:, ::-1] > 0.0, axis=1)
+    hit = (kernel[current] > 0.0) & (row_cum[current] >= u[:, None])
+    want = np.where(hit.any(axis=1), hit.argmax(axis=1), last[current])
+    scan = np.minimum((row_cum[current] < u[:, None]).sum(axis=1), last[current])
+    assert np.array_equal(want[u > 0.0], scan[u > 0.0])
+    got = _step(_step_table(_kernel_support(csr_arrays(kernel))), current, u)
+    assert np.array_equal(got, want)
