@@ -1,14 +1,13 @@
 """Command-line harness: build scenarios, solve policies, evaluate, sweep.
 
-Subcommands: gen, ingest, solve, eval, sim, sweep, oracle. Exit codes:
-0 ok, 2 infeasible problem, 3 solver failure, 4 I/O or config error.
+Subcommands: gen, ingest, solve, eval, sim, sweep, oracle. Exit codes: 0 ok,
+2 infeasible problem, 3 solver failure, 4 I/O, config or usage error.
 """
 from __future__ import annotations
 
 import argparse
 import copy
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -94,12 +93,7 @@ def _declared_shape(meta: dict) -> tuple[int, ...]:
                          f"shows at most k - 1 items")
     else:
         shape = (meta["slots"], k, k)
-    need = 8 * math.prod(shape)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise ValueError(f"declared size {' x '.join(map(str, shape))} cannot be allocated: "
-                         f"its dense view takes {need / 2 ** 30:.3g} GiB, the machine has "
-                         f"{memory / 2 ** 30:.3g} GiB")
+    data.check_fits(shape, "declared size")
     return shape
 
 
@@ -209,6 +203,8 @@ class SweepSpec:
             raise ValueError(f"unknown policies: {sorted(unknown)}")
         if not self.policies:
             raise ValueError("sweep needs at least one policy")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if not self.seeds:
             self.seeds = [data._count(self.config.get("seed", 0), "seed")]
 
@@ -362,21 +358,42 @@ def write_sweep_csv(path, spec: SweepSpec, rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 # Commands.
 
-def _load_scenario(args) -> tuple[Scenario, dict]:
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg = data.load_config(args.config)
-    for key in ("alpha", "q", "n", "zipf_s", "cache_size", "seed"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "scenario", None):
-        return data.load_scenario_npz(args.scenario), cfg
-    if not cfg:
-        raise ValueError("provide --config or --scenario")
-    scenario, _ = data.scenario_from_config(cfg, base_dir=Path(args.config).parent
-                                            if getattr(args, "config", None) else ".")
-    return scenario, cfg
+_OVERRIDES = ("alpha", "q", "n", "zipf_s", "cache_size", "seed")
+
+
+def _config(args, sampler_seed: bool = False) -> dict:
+    """The --config document with the override flags given applied. A flag
+    that the document would ignore raises ValueError naming it, except
+    --seed when it seeds the sampler."""
+    cfg = data.load_config(args.config)
+    graph, ignored = cfg.get("graph"), {}
+    if "p0" in cfg:
+        ignored["zipf_s"] = "lists p0"
+    if "c" in cfg:
+        ignored["cache_size"] = "lists c"
+    if isinstance(graph, dict) and graph.get("kind", "poisson") != "poisson" and not sampler_seed:
+        ignored["seed"] = f"has a {graph['kind']} graph, which takes no seed"
+    for key in _OVERRIDES:
+        if getattr(args, key, None) is not None:
+            if key in ignored:
+                raise ValueError(f"--{key.replace('_', '-')} would be ignored: "
+                                 f"{args.config} {ignored[key]}")
+            cfg[key] = getattr(args, key)
+    return cfg
+
+
+def _load_scenario(args, sampler_seed: bool = False) -> Scenario:
+    """The --config scenario with the overrides applied, or the saved
+    --scenario. A saved scenario takes no override: one given raises
+    ValueError naming its flag, except --seed when it seeds the sampler."""
+    if args.config:
+        return data.scenario_from_config(_config(args, sampler_seed),
+                                         base_dir=Path(args.config).parent)[0]
+    for key in _OVERRIDES:
+        if getattr(args, key) is not None and not (sampler_seed and key == "seed"):
+            raise ValueError(f"--{key.replace('_', '-')} cannot change the saved "
+                             f"--scenario {args.scenario}; use --config")
+    return data.load_scenario_npz(args.scenario)
 
 
 def _solve_kw(args) -> dict:
@@ -385,6 +402,8 @@ def _solve_kw(args) -> dict:
         if not args.external_cmd:
             raise ValueError("--solver external needs --external-cmd")
         kw["external_cmd"] = args.external_cmd
+    elif args.external_cmd is not None:
+        raise ValueError(f"--external-cmd needs --solver external, not {args.solver}")
     return kw
 
 
@@ -394,41 +413,34 @@ def _print_report(tag: str, report: markov.EvalReport) -> None:
           f"cycle_length={report.cycle_length:.4f}")
 
 
-def cmd_gen(args) -> int:
-    cfg = data.load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    scenario, stats = data.scenario_from_config(cfg, base_dir=Path(args.config).parent)
+def _save_scenario(scenario: Scenario, stats: data.GraphStats | None, out: str | None) -> int:
+    """Describe a scenario built by gen or ingest, and write it to `out` if given."""
     if stats:
         print(f"graph: nodes={stats.nodes} arcs={stats.arcs} "
               f"mean_neighbors={stats.mean_neighbors:.2f} std={stats.std_neighbors:.2f}")
     print(f"scenario: K={scenario.k} N={scenario.n} alpha={scenario.alpha} "
           f"q={scenario.q} cached={int((scenario.c == 0).sum())}")
-    if args.out:
-        data.save_scenario_npz(args.out, scenario)
-        print(f"wrote {args.out}")
+    if out:
+        data.save_scenario_npz(out, scenario)
+        print(f"wrote {out}")
     return EXIT_OK
+
+
+def cmd_gen(args) -> int:
+    return _save_scenario(*data.scenario_from_config(
+        _config(args), base_dir=Path(args.config).parent), args.out)
 
 
 def cmd_ingest(args) -> int:
     u, stats = data.load_edgelist(args.edges, args.threshold,
                                   component_before_saturation=args.component_first)
-    print(f"graph: nodes={stats.nodes} arcs={stats.arcs} "
-          f"mean_neighbors={stats.mean_neighbors:.2f} std={stats.std_neighbors:.2f}")
     cfg = data.load_config(args.config) if args.config else {}
     cfg["graph"] = {"kind": "matrix", "u": u.tolist()}
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    scenario, _ = data.scenario_from_config(cfg)
-    print(f"scenario: K={scenario.k} N={scenario.n} alpha={scenario.alpha} q={scenario.q}")
-    if args.out:
-        data.save_scenario_npz(args.out, scenario)
-        print(f"wrote {args.out}")
-    return EXIT_OK
+    return _save_scenario(data.scenario_from_config(cfg)[0], stats, args.out)
 
 
 def cmd_solve(args) -> int:
-    scenario, _ = _load_scenario(args)
+    scenario = _load_scenario(args)
     name = _PROBLEM_POLICY[args.problem]
     result = policies.solve_named(name, scenario, **_solve_kw(args))
     _print_report(name, result.report)
@@ -445,7 +457,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scenario, _ = _load_scenario(args)
+    scenario = _load_scenario(args)
     policy = read_policy_csv(args.policy)
     report = markov.evaluate(policy, scenario)
     _print_report(args.policy, report)
@@ -455,7 +467,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    scenario, _ = _load_scenario(args)
+    scenario = _load_scenario(args, sampler_seed=True)
     policy = read_policy_csv(args.policy)
     report = sim.simulate(policy, scenario, steps=args.steps, seed=args.seed or 0)
     hit = "NA" if report.empirical_chr is None else f"{report.empirical_chr:.6f}"
@@ -470,7 +482,7 @@ def cmd_sim(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    scenario, _ = _load_scenario(args)
+    scenario = _load_scenario(args)
     best, policy = sim.brute_force_optimum(scenario, cap=args.cap)
     hit = f" CHR={1 - best:.6f}" if scenario.binary_costs else ""
     print(f"brute-force optimum: LTEC={best:.6f}{hit}")
@@ -481,14 +493,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = data.load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    values = [float(v) for v in args.values.split(",")]
     spec = SweepSpec(
-        config=cfg,
+        config=_config(args),
         axis=args.axis,
-        values=values,
+        values=[float(v) for v in args.values.split(",")],
         policies=args.policies.split(","),
         reference=args.reference,
         solve_kw=_solve_kw(args),
@@ -510,25 +518,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cost-aware recommendation policies: solve, evaluate, simulate, sweep.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_input=True):
-        p.add_argument("--config", help="YAML/JSON scenario config")
-        if scenario_input:
-            p.add_argument("--scenario", help="scenario .npz produced by gen/ingest")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--seed", type=int, default=None)
+    def scenario_input(p, seed_help="seed of the config's graph"):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="YAML/JSON scenario config")
+        source.add_argument("--scenario", help="scenario .npz from gen/ingest; no overrides")
+        p.add_argument("--seed", type=int, help=seed_help)
+        for flag, kind in (("--alpha", float), ("--q", float), ("--n", int),
+                           ("--zipf-s", float), ("--cache-size", int)):
+            p.add_argument(flag, type=kind, help="overrides the config key")
+
+    def solver(p):
         p.add_argument("--solver", choices=sorted(_SOLVER_METHODS), default="auto",
                        help="auto: policy iteration over the row kernel; "
                             "builtin, highs, external: the LP oracle")
-        p.add_argument("--external-cmd", default=None,
+        p.add_argument("--external-cmd",
                        help="external solver command; {lp} and {out} are substituted")
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--zipf-s", dest="zipf_s", type=float, default=None)
-        p.add_argument("--cache-size", dest="cache_size", type=int, default=None)
 
     p = sub.add_parser("gen", help="generate a scenario from a config")
-    common(p, scenario_input=False)
+    p.add_argument("--config", required=True, help="YAML/JSON scenario config")
+    p.add_argument("--seed", type=int, help="seed of the config's graph")
+    p.add_argument("--out", help="scenario .npz to write")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("ingest", help="build a scenario from an edge list")
@@ -537,28 +546,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="saturate weights above this to 1 (negative keeps raw weights)")
     p.add_argument("--component-first", action="store_true",
                    help="extract the largest component before saturating")
-    common(p, scenario_input=False)
+    p.add_argument("--config", help="YAML/JSON config of the non-graph keys")
+    p.add_argument("--out", help="scenario .npz to write")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("solve", help="solve one of the policy problems")
     p.add_argument("--problem", choices=sorted(_PROBLEM_POLICY), required=True)
-    common(p)
+    scenario_input(p)
+    p.add_argument("--out", help="policy file to write (default policy.csv)")
+    solver(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("eval", help="evaluate a policy file analytically")
     p.add_argument("--policy", required=True)
-    common(p)
+    scenario_input(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sim", help="Monte Carlo simulation of a policy file")
     p.add_argument("--policy", required=True)
     p.add_argument("--steps", type=int, default=10 ** 6)
-    common(p)
+    scenario_input(p, seed_help="seed of the sampler, and of the config's graph")
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("oracle", help="exhaustive search over deterministic policies")
     p.add_argument("--cap", type=int, default=sim.BRUTE_FORCE_CAP)
-    common(p)
+    scenario_input(p)
+    p.add_argument("--out", help="policy file to write")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV")
@@ -567,16 +580,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", default="P1,P2")
     p.add_argument("--reference", default="P1", help="gain reference policy")
     p.add_argument("--workers", type=int, default=1)
-    common(p, scenario_input=False)
+    p.add_argument("--config", required=True, help="YAML/JSON scenario config")
+    p.add_argument("--seed", type=int, help="seed of the config's graph")
+    p.add_argument("--out", help="sweep CSV to write (default sweep.csv)")
+    solver(p)
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's usage errors exit 2, the infeasible code
+        return EXIT_IO if exc.code else EXIT_OK
     except policies.InfeasibleProblem as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -11,6 +11,8 @@ see `scenario_from_config` for the recognized keys.
 """
 from __future__ import annotations
 
+import math
+import os
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,6 +163,21 @@ def place_cache(p0: np.ndarray, cache_size: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Config documents and scenario files.
 
+def machine_memory() -> int:
+    """Physical memory of the machine in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_fits(shape: tuple[int, ...], what: str) -> None:
+    """Raise ValueError, starting with `what` and the shape, when a float
+    array of `shape` would exceed the machine's memory. Nothing is allocated."""
+    need, memory = 8 * math.prod(shape), machine_memory()
+    if need > memory:
+        raise ValueError(f"{what} {' x '.join(map(str, shape))} cannot be allocated: it "
+                         f"takes {need / 2 ** 30:.3g} GiB, the machine has "
+                         f"{memory / 2 ** 30:.3g} GiB")
+
+
 def load_config(path) -> dict:
     """Read a YAML (or JSON) scenario config into a dict."""
     with open(path) as fh:
@@ -217,6 +234,7 @@ def graph_from_config(cfg: dict, base_dir=".") -> tuple[np.ndarray, GraphStats |
         raise ValueError(f"config key 'graph.{needs[kind]}' is required for a {kind} graph")
     if kind == "poisson":
         k = _count(graph["k"], "graph.k")
+        check_fits((k, k), f"config key 'graph.k' = {k} is too large: its similarity matrix")
         try:
             return gen_poisson_graph(
                 k, _number(graph.get("mean_degree", 8.0), "graph.mean_degree"), seed)

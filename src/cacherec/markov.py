@@ -57,11 +57,11 @@ def click_kernel(policy: Policy, scenario: Scenario) -> tuple[np.ndarray, np.nda
     return policy.indptr, policy.indices, policy.data / scenario.n
 
 
-def _dense_kernel(policy: Policy, scenario: Scenario, order: str = "C") -> np.ndarray:
-    """The click kernel scattered into a zeroed (K, K) array."""
+def _dense_kernel(policy: Policy, scenario: Scenario) -> np.ndarray:
+    """The click kernel scattered into a zeroed Fortran-ordered (K, K) array."""
     indptr, cols, vals = click_kernel(policy, scenario)
     k = scenario.k
-    kernel = np.zeros((k, k), order=order)
+    kernel = np.zeros((k, k), order="F")
     kernel[np.repeat(np.arange(k), indptr[1:] - indptr[:-1]), cols] = vals
     return kernel
 
@@ -122,13 +122,11 @@ def report(lu, scenario: Scenario, values: np.ndarray) -> EvalReport:
     )
 
 
-def _factor(policy: Policy, scenario: Scenario, check: bool = True):
-    if check:
-        bad = validate_policy(policy, scenario, tol=EVAL_TOL)
-        if bad:
-            raise ValueError("invalid policy: " + "; ".join(bad[:5]))
-    # The Fortran-ordered kernel becomes I - Q and its LU factors in place.
-    return factor_in_place(_dense_kernel(policy, scenario, order="F"), scenario.alpha)
+def _factor(policy: Policy, scenario: Scenario):
+    bad = validate_policy(policy, scenario, tol=EVAL_TOL)
+    if bad:
+        raise ValueError("invalid policy: " + "; ".join(bad[:5]))
+    return factor_in_place(_dense_kernel(policy, scenario), scenario.alpha)
 
 
 def fundamental_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
@@ -154,10 +152,10 @@ def expected_cycle_length(alpha: float) -> float:
     return 1.0 / (1.0 - alpha)
 
 
-def evaluate(policy: Policy, scenario: Scenario, check: bool = True) -> EvalReport:
+def evaluate(policy: Policy, scenario: Scenario) -> EvalReport:
     """Full analytic report: LTEC, hit rate, visit rates, cycle diagnostics.
 
     One LU factorization serves all three solves (cost, visit rates, row sums).
     """
-    lu = _factor(policy, scenario, check=check)
+    lu = _factor(policy, scenario)
     return report(lu, scenario, solve(lu, scenario.c))

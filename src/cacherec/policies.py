@@ -235,10 +235,10 @@ def _greedy_kernel(scenario: Scenario) -> PolicyResult:
     t0 = time.perf_counter()
     weights, floor, _, top = _row_problem(scenario, positional=False)
     sol = row_kernel(scenario.c, scenario.u, weights, floor, top)
-    policy = slate_policy(*sol)
-    report = markov.evaluate(policy, scenario, check=False)
+    lu = markov.factor_in_place(slate_kernel(*sol), scenario.alpha)
+    report = markov.report(lu, scenario, markov.solve(lu, scenario.c))
     myopic_cost = float(scenario.p0 @ _mix_value(sol, scenario.c, weights))
-    return _result("P1", policy, scenario, floor, report, myopic_cost, 1, t0)
+    return _result("P1", slate_policy(*sol), scenario, floor, report, myopic_cost, 1, t0)
 
 
 def _policy_iteration(scenario: Scenario, positional: bool, name: str) -> PolicyResult:

@@ -207,12 +207,11 @@ def _sample_path(policy: Policy, scenario: Scenario, steps: int,
     return path, lengths, truncated
 
 
-def simulate(policy: Policy, scenario: Scenario, steps: int, seed: int,
-             tol: float = 1e-6) -> SimReport:
+def simulate(policy: Policy, scenario: Scenario, steps: int, seed: int) -> SimReport:
     """Simulate `steps` requests and report empirical cost rate and cycle stats."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    bad = validate_policy(policy, scenario, tol=tol)
+    bad = validate_policy(policy, scenario, tol=markov.EVAL_TOL)
     if bad:
         raise ValueError("invalid policy: " + "; ".join(bad[:5]))
     seed = int(seed)

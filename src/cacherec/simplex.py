@@ -8,7 +8,7 @@ Phase 1 minimizes the sum of one artificial per row; leftover artificials
 name the tightest row on infeasibility.
 
 The dense tableau (method="dense") is meant for desk-scale problems (a few
-thousand variables). method="auto" and method="highs" use scipy's HiGHS,
+thousand variables). method="highs" uses scipy's HiGHS,
 and method="external" shells out to a user-configured solver through the
 plain-text interchange dump.
 """
@@ -25,6 +25,8 @@ from .lp import LpProblem, format_lp, parse_solution_text
 
 _PIVOT_TOL = 1e-10
 _STALL_LIMIT = 50
+_FEAS_TOL = 1e-8  # phase-1 residual, relative to 1 + max|b|, above which the LP is infeasible
+_OPT_TOL = 1e-9   # reduced-cost magnitude below which no column improves the objective
 
 
 @dataclass
@@ -44,13 +46,12 @@ class LpSolution:
     message: str = ""
 
 
-def solve(problem: LpProblem, *, method: str = "auto", feas_tol: float = 1e-8,
-          opt_tol: float = 1e-9, max_iters: int | None = None,
+def solve(problem: LpProblem, *, method: str = "highs", max_iters: int | None = None,
           external_cmd: str | None = None) -> LpSolution:
     """Solve an LpProblem; infeasible/unbounded are reported via status, never raised."""
     if method == "dense":
-        return _solve_dense(problem, feas_tol, opt_tol, max_iters)
-    if method in ("auto", "highs"):
+        return _solve_dense(problem, max_iters)
+    if method == "highs":
         return _solve_highs(problem)
     if method == "external":
         if not external_cmd:
@@ -81,7 +82,7 @@ class _Tableau:
         return mask
 
 
-def _iterate(tab: _Tableau, opt_tol: float, max_iters: int) -> str:
+def _iterate(tab: _Tableau, max_iters: int) -> str:
     """Run pivots until optimal/unbounded/iteration-limit for the current costs."""
     while True:
         if tab.iterations >= max_iters:
@@ -89,7 +90,7 @@ def _iterate(tab: _Tableau, opt_tol: float, max_iters: int) -> str:
 
         in_basis = tab.in_basis()
         movable = ~in_basis & tab.allowed & (tab.rng > 0)
-        improving = movable & np.where(tab.at_upper, tab.rc > opt_tol, tab.rc < -opt_tol)
+        improving = movable & np.where(tab.at_upper, tab.rc > _OPT_TOL, tab.rc < -_OPT_TOL)
         if not improving.any():
             return "optimal"
         if tab.bland:
@@ -155,8 +156,7 @@ def _iterate(tab: _Tableau, opt_tol: float, max_iters: int) -> str:
             tab.stall = 0
 
 
-def _solve_dense(problem: LpProblem, feas_tol: float, opt_tol: float,
-                 max_iters: int | None) -> LpSolution:
+def _solve_dense(problem: LpProblem, max_iters: int | None) -> LpSolution:
     n = problem.n_vars
     me, mu = problem.b_eq.shape[0], problem.b_ub.shape[0]
     m = me + mu
@@ -196,7 +196,7 @@ def _solve_dense(problem: LpProblem, feas_tol: float, opt_tol: float,
     # Phase 1: minimize the sum of artificials. With the artificial basis,
     # the reduced cost of column j is -sum_i a_ij.
     tab.rc[: n + mu] = -tab.t[:, : n + mu].sum(axis=0)
-    status = _iterate(tab, opt_tol, max_iters)
+    status = _iterate(tab, max_iters)
     if status != "optimal":
         return _finish(problem, tab, lb, n, status if status == "iteration-limit" else "error",
                        message=f"phase 1 ended with {status}")
@@ -204,7 +204,7 @@ def _solve_dense(problem: LpProblem, feas_tol: float, opt_tol: float,
     art_mask = tab.basis >= n + mu
     infeasibility = float(tab.xb[art_mask].sum()) if art_mask.any() else 0.0
     scale = 1.0 + (np.abs(b).max() if b.size else 0.0)
-    if infeasibility > feas_tol * scale:
+    if infeasibility > _FEAS_TOL * scale:
         names = problem.eq_names + problem.ub_names
         rows = np.flatnonzero(art_mask)
         worst = rows[np.argmax(tab.xb[rows])]
@@ -222,7 +222,7 @@ def _solve_dense(problem: LpProblem, feas_tol: float, opt_tol: float,
     tab.rc = cost - cost[tab.basis] @ tab.t
     tab.rc[tab.basis] = 0.0
     tab.stall = 0
-    status = _iterate(tab, opt_tol, max_iters)
+    status = _iterate(tab, max_iters)
     return _finish(problem, tab, lb, n, status)
 
 

@@ -1,6 +1,7 @@
 """CLI: metrics, policy files, sweep CSVs, subcommands, exit codes."""
 from __future__ import annotations
 
+import argparse
 import re
 import tempfile
 import tracemalloc
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cacherec import data, policies
+from cacherec import cli, data, policies
 from cacherec.cli import (EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, SweepSpec, apply_axis,
-                          gain, main, mph, read_policy_csv, run_sweep,
+                          build_parser, gain, main, mph, read_policy_csv, run_sweep,
                           write_policy_csv, write_sweep_csv)
 from cacherec.data import scenario_from_config
 from cacherec.model import Policy, validate_policy
@@ -347,6 +348,8 @@ class TestSweep:
             SweepSpec(config=self.small_cfg(), axis="q", values=[])
         with pytest.raises(ValueError, match="unknown policies"):
             SweepSpec(config=self.small_cfg(), axis="q", values=[0.5], policies=["P9"])
+        with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+            SweepSpec(config=self.small_cfg(), axis="q", values=[0.5], workers=0)
 
 
 class TestCommands:
@@ -451,11 +454,14 @@ class TestCommands:
     def test_ingest(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1 0.9\n1 2 0.8\n2 3 0.7\n3 0 0.6\n0 2 0.5\n")
+        cfg = tmp_path / "keys.yaml"
+        cfg.write_text("n: 1\n")
         out = tmp_path / "scen.npz"
         assert main(["ingest", "--edges", str(edges), "--threshold", "0.1",
-                     "--out", str(out), "--n", "1"]) == EXIT_OK
+                     "--out", str(out), "--config", str(cfg)]) == EXIT_OK
         assert out.exists()
         assert "graph: nodes=4" in capsys.readouterr().out
+        assert data.load_scenario_npz(out).n == 1
 
     def test_bad_config_is_io_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.yaml"
@@ -500,6 +506,199 @@ class TestCommands:
                             lambda name, s, **kw: boom())
         assert main(["solve", "--problem", "uni", "--config",
                      str(cfg_file)]) == EXIT_INFEASIBLE
+
+    def test_sweep_zero_workers_exits_io_without_a_pool(self, cfg_file, tmp_path, monkeypatch,
+                                                       capsys):
+        def no_pool(*a, **kw):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        assert main(["sweep", "--config", str(cfg_file), "--axis", "q", "--values", "0.5",
+                     "--workers", "0", "--out", str(tmp_path / "sweep.csv")]) == EXIT_IO
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv,err", [
+        (["gen", "--config", "{cfg}"], "error: config key 'graph.k' = 400 is too large: its "
+                                       "similarity matrix 400 x 400 cannot be allocated"),
+        (["eval", "--config", "{small}", "--policy", "{policy}"],
+         "line 4: declared size 400 x 400 cannot be allocated"),
+    ], ids=["config-graph-k", "policy-file-k"])
+    def test_dense_size_beyond_memory_exits_io_before_allocating(self, tmp_path, monkeypatch,
+                                                                capsys, argv, err):
+        # A 400 x 400 float matrix takes 1.28 MB; the machine is said to have 1 MB.
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text("graph: {kind: poisson, k: 400}\n")
+        small = tmp_path / "small.yaml"
+        small.write_text("graph: {kind: poisson, k: 10}\n")
+        policy = tmp_path / "p.csv"
+        policy.write_text(TestPolicyFiles.UNIFORM_HEAD.replace("# k: 3", "# k: 400") +
+                          "0,1,1.0\n")
+        monkeypatch.setattr(data, "machine_memory", lambda: 2 ** 20)
+        tracemalloc.start()
+        try:
+            code = main([a.format(cfg=cfg, small=small, policy=policy) for a in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_IO
+        assert err in capsys.readouterr().err
+        assert peak < 5e5, f"peaked at {peak / 1e6:.2f} MB"
+
+
+#: The scenario, output and solver flags. A subcommand that does not read one
+#: refuses it; gen, ingest and sweep read no saved scenario, so no --scenario.
+SHARED_FLAGS = ("--config", "--scenario", "--out", "--seed", "--solver", "--external-cmd",
+                "--alpha", "--q", "--n", "--zipf-s", "--cache-size")
+NO_SCENARIO_INPUT = ("gen", "ingest", "sweep")
+#: Each subcommand's flags (beside -h); README's "Command line" table lists the same.
+FLAGS = {
+    "gen": {"--config", "--seed", "--out"},
+    "ingest": {"--edges", "--threshold", "--component-first", "--config", "--out"},
+    "solve": {"--problem", "--config", "--scenario", "--seed", "--alpha", "--q", "--n",
+              "--zipf-s", "--cache-size", "--out", "--solver", "--external-cmd"},
+    "eval": {"--policy", "--config", "--scenario", "--seed", "--alpha", "--q", "--n",
+             "--zipf-s", "--cache-size"},
+    "sim": {"--policy", "--steps", "--config", "--scenario", "--seed", "--alpha", "--q",
+            "--n", "--zipf-s", "--cache-size"},
+    "oracle": {"--cap", "--config", "--scenario", "--seed", "--alpha", "--q", "--n",
+               "--zipf-s", "--cache-size", "--out"},
+    "sweep": {"--axis", "--values", "--policies", "--reference", "--workers", "--config",
+              "--seed", "--out", "--solver", "--external-cmd"},
+}
+#: A valid command line of each subcommand, before any optional flag.
+BASE_ARGV = {
+    "gen": ["gen", "--config", "c.yaml"],
+    "ingest": ["ingest", "--edges", "edges.txt"],
+    "solve": ["solve", "--problem", "uni", "--config", "c.yaml"],
+    "eval": ["eval", "--policy", "p.csv", "--config", "c.yaml"],
+    "sim": ["sim", "--policy", "p.csv", "--config", "c.yaml"],
+    "oracle": ["oracle", "--config", "c.yaml"],
+    "sweep": ["sweep", "--config", "c.yaml", "--axis", "q", "--values", "0.5"],
+}
+
+
+def parser_flags() -> dict[str, set[str]]:
+    """Each subcommand's flags, as `build_parser()` declares them."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for action in p._actions if action.dest != "help"
+                   for flag in action.option_strings}
+            for name, p in subparsers.choices.items()}
+
+
+DROPPED = [(name, flag) for name, flags in parser_flags().items() for flag in SHARED_FLAGS
+           if flag not in flags and not (flag == "--scenario" and name in NO_SCENARIO_INPUT)]
+
+
+class TestFlags:
+    def test_each_subcommand_takes_only_its_flags(self):
+        assert parser_flags() == FLAGS
+        assert sum(map(len, FLAGS.values())) == 59
+        assert len(DROPPED) == 87 - 59
+
+    @pytest.mark.parametrize("name,flag", DROPPED, ids=[f"{n}{f}" for n, f in DROPPED])
+    def test_dropped_flag_exits_io_naming_it(self, name, flag, capsys):
+        build_parser().parse_args(BASE_ARGV[name])  # valid without the flag
+        assert main(BASE_ARGV[name] + [flag, "1"]) == EXIT_IO
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_usage_errors_exit_io_and_help_exits_ok(self, capsys):
+        assert main(["solve", "--config", "c.yaml"]) == EXIT_IO
+        assert "the following arguments are required: --problem" in capsys.readouterr().err
+        assert main(["solve", "--problem", "uni"]) == EXIT_IO
+        assert "one of the arguments --config --scenario is required" in \
+            capsys.readouterr().err
+        assert main([]) == EXIT_IO
+        for argv in (["-h"], ["solve", "-h"], ["sweep", "--help"]):
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out.startswith("usage: cacherec")
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """A config, the scenario gen saves from it and a P2 policy file."""
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("graph: {kind: poisson, k: 12, mean_degree: 4}\n"
+                       "alpha: 0.7\nn: 2\nq: 0.8\ncache_size: 2\nseed: 7\n")
+        npz, policy = tmp_path / "s.npz", tmp_path / "p.csv"
+        assert main(["gen", "--config", str(cfg), "--out", str(npz)]) == EXIT_OK
+        assert main(["solve", "--problem", "uni", "--config", str(cfg),
+                     "--out", str(policy)]) == EXIT_OK
+        return cfg, npz, policy
+
+    @pytest.mark.parametrize("name", ["solve", "eval", "oracle"])
+    @pytest.mark.parametrize("extra,flag", [
+        (["--config", "{cfg}"], "--config"), (["--alpha", "0.3"], "--alpha"),
+        (["--q", "0.5"], "--q"), (["--n", "3"], "--n"), (["--zipf-s", "1.0"], "--zipf-s"),
+        (["--cache-size", "3"], "--cache-size"), (["--seed", "5"], "--seed"),
+    ], ids=["config", "alpha", "q", "n", "zipf-s", "cache-size", "seed"])
+    def test_saved_scenario_refuses_what_it_cannot_honour(self, saved, tmp_path, capsys,
+                                                         name, extra, flag):
+        cfg, npz, policy = saved
+        capsys.readouterr()
+        argv = {"solve": ["solve", "--problem", "uni", "--out", str(tmp_path / "q.csv")],
+                "eval": ["eval", "--policy", str(policy)], "oracle": ["oracle"]}[name]
+        assert main(argv + ["--scenario", str(npz)] + [a.format(cfg=cfg) for a in extra]) \
+            == EXIT_IO
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "q.csv").exists()
+
+    def test_sim_seed_seeds_the_sampler_of_a_saved_scenario(self, saved, capsys):
+        _, npz, policy = saved
+        capsys.readouterr()
+        base = ["sim", "--scenario", str(npz), "--policy", str(policy), "--steps", "2000"]
+        outs = []
+        for seed in ("3", "3", "4"):
+            assert main(base + ["--seed", seed]) == EXIT_OK
+            outs.append(capsys.readouterr().out.split("analytic")[0])
+        assert outs[0] == outs[1] != outs[2]
+        assert "(seed 3)" in outs[0]
+
+    TRIANGLE = "graph: {kind: matrix, u: [[0,1,1],[1,0,1],[1,1,0]]}\nn: 1\nq: 0\n"
+
+    @pytest.mark.parametrize("body,argv,flag", [
+        ("p0: [0.5, 0.3, 0.2]\n", ["solve", "--problem", "uni", "--zipf-s", "1.0"], "--zipf-s"),
+        ("c: [0, 1, 1]\n", ["oracle", "--cache-size", "2"], "--cache-size"),
+        ("", ["gen", "--seed", "3"], "--seed"),
+        ("", ["solve", "--problem", "uni", "--seed", "3"], "--seed"),
+        ("", ["sweep", "--axis", "q", "--values", "0.5", "--seed", "3"], "--seed"),
+    ], ids=["zipf-s-beside-p0", "cache-size-beside-c", "gen-seed", "solve-seed", "sweep-seed"])
+    def test_config_refuses_a_flag_it_would_ignore(self, tmp_path, capsys, body, argv, flag):
+        cfg = tmp_path / "triangle.yaml"
+        cfg.write_text(self.TRIANGLE + body)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"error: {flag} would be ignored: {cfg} ")
+        assert not out.exists()
+
+    def test_sim_seed_acts_on_a_graph_without_one(self, tmp_path, capsys):
+        cfg, policy = tmp_path / "triangle.yaml", tmp_path / "p.csv"
+        cfg.write_text(self.TRIANGLE)
+        assert main(["solve", "--problem", "uni", "--config", str(cfg),
+                     "--out", str(policy)]) == EXIT_OK
+        assert main(["sim", "--config", str(cfg), "--policy", str(policy), "--steps", "100",
+                     "--seed", "5"]) == EXIT_OK
+        assert "(seed 5)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["solve", "eval"])
+    def test_override_applies_to_a_config(self, saved, tmp_path, capsys, name):
+        cfg, _, policy = saved
+        argv = {"solve": ["solve", "--problem", "uni", "--out", str(tmp_path / "q.csv")],
+                "eval": ["eval", "--policy", str(policy)]}[name] + ["--config", str(cfg)]
+        ltec = []
+        for extra in ([], ["--alpha", "0.3"]):
+            capsys.readouterr()
+            assert main(argv + extra) == EXIT_OK
+            ltec.append(float(capsys.readouterr().out.split("LTEC=")[1].split()[0]))
+        assert ltec[0] != ltec[1]
+
+    def test_external_cmd_needs_the_external_solver(self, saved, capsys):
+        cfg = saved[0]
+        capsys.readouterr()
+        assert main(["solve", "--problem", "uni", "--config", str(cfg),
+                     "--external-cmd", "mysolver {lp} {out}"]) == EXIT_IO
+        assert "--external-cmd needs --solver external" in capsys.readouterr().err
 
 
 POLICY_MUTANTS = ["", "x", "#", "-1", "0", "1", "2", "7", "0.5", "nan", "inf", "1e999",
