@@ -11,8 +11,8 @@ Run: python demos/01_session_cost_model.py
 import numpy as np
 
 from cacherec import (Policy, Scenario, baseline_policy, evaluate,
-                      expected_cycle_length, fundamental_matrix, max_quality,
-                      quality_of, simulate, transient_matrix, validate_policy)
+                      expected_cycle_length, max_quality, quality_of, simulate,
+                      validate_policy)
 
 # instead of a similarity graph, write one small matrix by hand: content 4
 # is cached but unrelated to content 0, whose best matches are 1 and 2.
@@ -36,24 +36,26 @@ print("=== quality accounting ===")
 qmax = max_quality(u, scenario.n)
 print(f"max achievable quality per content: {qmax}")
 base = baseline_policy(u, scenario.n)
-print(f"baseline slate for content 0: items {np.flatnonzero(base.matrix[0])}")
+print(f"baseline slate for content 0: items {np.flatnonzero(base.mats[0])}")
 print(f"baseline quality equals the max exactly: "
       f"{np.array_equal(quality_of(base, scenario), qmax)}")
 
 # A policy may hedge: always show item 1, split the second slot between
 # item 2 and the cached item 4. Quality drops to 80% of max but the session
 # keeps drifting toward the cache.
-r = base.matrix.astype(float).copy()
+r = base.mats
 r[0] = [0.0, 1.0, 0.6, 0.0, 0.4]
-nudged = Policy.uniform(r)
+nudged = Policy("uniform", r)
 print(f"nudged policy row 0: {r[0]} -> quality {quality_of(nudged, scenario)[0]:.2f} "
       f"(floor is q*qmax = {scenario.q * qmax[0]:.2f})")
 assert validate_policy(nudged, scenario) == []
 
 print("\n=== the absorbing-chain machinery ===")
-q_kernel = transient_matrix(nudged, scenario)
+# with uniform clicks the user picks each of the N slate items alike, so the
+# transient kernel is Q = alpha * R / N and the fundamental matrix G = (I - Q)^-1
+q_kernel = scenario.alpha * nudged.mats / scenario.n
 print(f"transient kernel row sums (all alpha): {q_kernel.sum(axis=1)}")
-g = fundamental_matrix(nudged, scenario)
+g = np.linalg.inv(np.eye(scenario.k) - q_kernel)
 print(f"fundamental matrix row sums = expected cycle length "
       f"{g.sum(axis=1)[0]:.3f} = 1/(1-alpha) = {expected_cycle_length(scenario.alpha):.3f}")
 

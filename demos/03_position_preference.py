@@ -38,6 +38,6 @@ print("\nskewed clicks help: the optimizer parks a quality item in the "
 
 print("\nsingle slot: nothing to place, the two coincide exactly")
 s1 = base.replace(n=1)
-r2 = solve_session(s1).policy.matrix
-r3 = solve_positional(s1).policy.slot_matrices[0]
+r2 = solve_session(s1).policy.mats
+r3 = solve_positional(s1).policy.mats[0]
 print(f"max |P2 - P3| entry difference at N=1: {np.abs(r2 - r3).max():.2e}")

@@ -1,17 +1,18 @@
 """Cost-aware recommendation policies for long viewing sessions.
 
 Build a `Scenario` (similarity matrix, access costs, popularity, click
-model), then solve for a policy (`policies.solve_session` and friends),
-evaluate it analytically (`markov.evaluate`), and cross-check by simulation
-(`sim.simulate`).
+model), then solve for a policy: P1 (`solve_greedy`), P2 (`solve_session`)
+and P3 (`solve_positional`) all run one row-kernel routine, of which P1 is
+the first round. Evaluate a `Policy` analytically (`evaluate`: the cost to
+go G c, the visit rates G'p0 and the row sums G 1 of the session chain's
+fundamental matrix G), and cross-check by simulation (`simulate`).
 """
 from .data import (GraphStats, gen_poisson_graph, load_edgelist, place_cache,
                    scenario_from_config, zipf_popularity)
 from .lp import (LpProblem, RecoveredPolicy, build_greedy_row_lps,
                  build_positional_lp, build_session_lp, format_lp, parse_lp,
                  recover_policy)
-from .markov import (EvalReport, click_kernel, evaluate, expected_cycle_cost,
-                     expected_cycle_length, fundamental_matrix, transient_matrix)
+from .markov import EvalReport, click_kernel, evaluate, expected_cycle_length
 from .model import (Policy, QualityProfile, Scenario, baseline_policy, entropy,
                     max_quality, quality_of, quality_profile, validate_policy)
 from .policies import (InfeasibleProblem, PolicyResult, SolverFailure,
@@ -27,11 +28,10 @@ __all__ = [
     "Policy", "PolicyResult", "QualityProfile", "RecoveredPolicy", "Scenario",
     "SimReport", "SolverFailure", "baseline_policy", "brute_force_optimum",
     "build_greedy_row_lps", "build_positional_lp", "build_session_lp",
-    "click_kernel", "entropy", "evaluate", "expected_cycle_cost",
-    "expected_cycle_length", "format_lp", "fundamental_matrix", "gen_poisson_graph",
-    "load_edgelist", "max_quality", "merge_reports", "parse_lp", "place_cache",
-    "quality_of", "quality_profile", "recover_policy", "render_slate",
+    "click_kernel", "entropy", "evaluate", "expected_cycle_length", "format_lp",
+    "gen_poisson_graph", "load_edgelist", "max_quality", "merge_reports", "parse_lp",
+    "place_cache", "quality_of", "quality_profile", "recover_policy", "render_slate",
     "scenario_from_config", "simulate", "solve", "solve_baseline", "solve_greedy",
-    "solve_named", "solve_positional", "solve_session", "transient_matrix",
-    "validate_policy", "zipf_popularity",
+    "solve_named", "solve_positional", "solve_session", "validate_policy",
+    "zipf_popularity",
 ]

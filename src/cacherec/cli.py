@@ -181,7 +181,9 @@ class SweepSpec:
 
     Hv values are position-zipf exponents; each cell's realized click
     entropy is reported as the axis value. Multiple seeds average the
-    reported metrics over scenario replications.
+    reported metrics over scenario replications. The gain reference must be
+    one of the policies, and a solver method other than "auto" needs a
+    policy that runs a solver (P1, P2 or P3).
     """
 
     config: dict
@@ -203,6 +205,13 @@ class SweepSpec:
             raise ValueError(f"unknown policies: {sorted(unknown)}")
         if not self.policies:
             raise ValueError("sweep needs at least one policy")
+        if self.reference not in self.policies:
+            raise ValueError(f"gain reference {self.reference!r} is not among the "
+                             f"swept policies {self.policies}")
+        method = self.solve_kw.get("method", "auto")
+        if method != "auto" and not {"P1", "P2", "P3"} & set(self.policies):
+            raise ValueError(f"solver method {method!r} would be ignored: the swept "
+                             f"policies {self.policies} run no solver")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if not self.seeds:
@@ -435,6 +444,10 @@ def cmd_ingest(args) -> int:
     u, stats = data.load_edgelist(args.edges, args.threshold,
                                   component_before_saturation=args.component_first)
     cfg = data.load_config(args.config) if args.config else {}
+    for key in ("graph", "seed"):
+        if key in cfg:
+            raise ValueError(f"config key {key!r} would be ignored: the edge list "
+                             f"{args.edges} is the graph")
     cfg["graph"] = {"kind": "matrix", "u": u.tolist()}
     return _save_scenario(data.scenario_from_config(cfg)[0], stats, args.out)
 

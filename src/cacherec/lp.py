@@ -228,7 +228,7 @@ def assemble_greedy_policy(row_solutions: list[np.ndarray], scenario: Scenario) 
         raise ValueError(f"row solutions need {k - 1} entries each, got {body.shape[1]}")
     r = np.zeros((k, k))
     r[_off_diagonal(k)] = body.ravel()
-    return Policy.uniform(r)
+    return Policy("uniform", r)
 
 
 def recover_policy(solution, scenario: Scenario, positional: bool = False,
@@ -257,7 +257,7 @@ def recover_policy(solution, scenario: Scenario, positional: bool = False,
     f = np.zeros((blocks, k, k))
     f[:, ii, jj] = x[k:].reshape(blocks, -1)
     mats = f / z[None, :, None]
-    policy = Policy.positional(mats) if positional else Policy.uniform(mats[0])
+    policy = Policy("positional", mats) if positional else Policy("uniform", mats[0])
 
     if problem is None:
         problem = _session_lp(scenario, positional)

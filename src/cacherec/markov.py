@@ -7,7 +7,8 @@ Q = alpha * R/N for uniform clicks, or Q = alpha * sum_n v_n * R^n when
 the user prefers some slate positions. Everything of interest falls out of
 the fundamental matrix G = (I - Q)^{-1}: expected per-cycle cost p0' G c,
 expected cycle length 1/(1 - alpha), and the long-term expected cost per
-request (LTEC) = (1 - alpha) * p0' G c.
+request (LTEC) = (1 - alpha) * p0' G c. `evaluate` never forms G: one LU
+of I - Q gives G c, G' p0 and G 1.
 """
 from __future__ import annotations
 
@@ -55,21 +56,6 @@ def click_kernel(policy: Policy, scenario: Scenario) -> tuple[np.ndarray, np.nda
     if policy.is_positional:
         return slot_sum(policy, scenario.v)
     return policy.indptr, policy.indices, policy.data / scenario.n
-
-
-def _dense_kernel(policy: Policy, scenario: Scenario) -> np.ndarray:
-    """The click kernel scattered into a zeroed Fortran-ordered (K, K) array."""
-    indptr, cols, vals = click_kernel(policy, scenario)
-    k = scenario.k
-    kernel = np.zeros((k, k), order="F")
-    kernel[np.repeat(np.arange(k), indptr[1:] - indptr[:-1]), cols] = vals
-    return kernel
-
-
-def transient_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
-    """Dense transient kernel Q = alpha * click_kernel of the session chain
-    (absorption prob. 1 - alpha)."""
-    return scenario.alpha * _dense_kernel(policy, scenario)
 
 
 def factor_in_place(kernel: np.ndarray, alpha: float):
@@ -122,29 +108,6 @@ def report(lu, scenario: Scenario, values: np.ndarray) -> EvalReport:
     )
 
 
-def _factor(policy: Policy, scenario: Scenario):
-    bad = validate_policy(policy, scenario, tol=EVAL_TOL)
-    if bad:
-        raise ValueError("invalid policy: " + "; ".join(bad[:5]))
-    return factor_in_place(_dense_kernel(policy, scenario), scenario.alpha)
-
-
-def fundamental_matrix(policy: Policy, scenario: Scenario) -> np.ndarray:
-    """G = (I - Q)^{-1}; entry (i, j) is the expected number of visits to j
-    before the cycle ends, starting from i. Computed by a dense LU solve."""
-    g = solve(_factor(policy, scenario), np.eye(scenario.k))
-    if __debug__:
-        a = np.eye(scenario.k) - transient_matrix(policy, scenario)
-        resid = np.abs(a @ g - np.eye(scenario.k)).max()
-        assert resid <= 1e-9 * scenario.k, f"fundamental matrix residual {resid:.3e}"
-    return g
-
-
-def expected_cycle_cost(policy: Policy, scenario: Scenario) -> float:
-    """Expected total access cost accumulated over one renewal cycle, p0' G c."""
-    return float(scenario.p0 @ solve(_factor(policy, scenario), scenario.c))
-
-
 def expected_cycle_length(alpha: float) -> float:
     """Expected number of requests in one renewal cycle, 1/(1 - alpha)."""
     if not 0.0 <= alpha < 1.0:
@@ -156,6 +119,15 @@ def evaluate(policy: Policy, scenario: Scenario) -> EvalReport:
     """Full analytic report: LTEC, hit rate, visit rates, cycle diagnostics.
 
     One LU factorization serves all three solves (cost, visit rates, row sums).
+    Raises ValueError for a policy that fails validation at EVAL_TOL.
     """
-    lu = _factor(policy, scenario)
+    bad = validate_policy(policy, scenario, tol=EVAL_TOL)
+    if bad:
+        raise ValueError("invalid policy: " + "; ".join(bad[:5]))
+    # The click kernel goes into a zeroed Fortran-ordered buffer, which
+    # `factor_in_place` turns into I - Q and LAPACK factors in place.
+    indptr, cols, vals = click_kernel(policy, scenario)
+    kernel = np.zeros((scenario.k, scenario.k), order="F")
+    kernel[np.repeat(np.arange(scenario.k), indptr[1:] - indptr[:-1]), cols] = vals
+    lu = factor_in_place(kernel, scenario.alpha)
     return report(lu, scenario, solve(lu, scenario.c))

@@ -146,10 +146,9 @@ class Policy:
     within each row, and no entry is stored twice or stored as zero. A policy
     that mixes two slates per content has at most 2N entries per content.
 
-    `Policy(kind, dense)`, `Policy.uniform(r)` and `Policy.positional(mats)`
-    convert a dense (K, K) matrix or (N, K, K) stack; `Policy.from_csr` takes
-    canonical arrays as they are. `.mats`, `.matrix` and `.slot_matrices`
-    build the dense view on demand, for the LP oracle and the tests.
+    `Policy(kind, dense)` converts a dense (K, K) matrix or (N, K, K) stack;
+    `Policy.from_csr` takes canonical arrays as they are. `.mats` builds the
+    dense view on demand, for the LP oracle, the demos and the tests.
     """
 
     kind: str
@@ -196,14 +195,6 @@ class Policy:
         policy._set(kind, k, indptr, indices, data)
         return policy
 
-    @classmethod
-    def uniform(cls, r: np.ndarray) -> "Policy":
-        return cls("uniform", r)
-
-    @classmethod
-    def positional(cls, slot_mats: np.ndarray) -> "Policy":
-        return cls("positional", slot_mats)
-
     @property
     def is_positional(self) -> bool:
         return self.kind == "positional"
@@ -225,18 +216,6 @@ class Policy:
         out = np.zeros((self.indptr.size - 1, self.k))
         out[self.rows, self.indices] = self.data
         return out.reshape(-1, self.k, self.k) if self.is_positional else out
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self.is_positional:
-            raise ValueError("positional policy has no single matrix; use .mats")
-        return self.mats
-
-    @property
-    def slot_matrices(self) -> np.ndarray:
-        if not self.is_positional:
-            raise ValueError("uniform policy has no slot matrices; use .matrix")
-        return self.mats
 
 
 def slot_sum(policy: Policy, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,14 +6,15 @@ each content's slate separately, so minimizing the session cost p0' G c is a
 discounted MDP over the contents, with discount alpha and one polytope of
 slate mixtures per content. `row_kernel` solves the per-row problem
 "cheapest slate mix meeting the floor" for a value vector V, for all rows at
-once. P1 is one kernel call with V = c. P2 and P3 are policy iteration
-(Howard 1960; Puterman 1994, ch. 6) from P1. Each round writes the click
-kernel of the current slates (`model.slate_kernel`), turns it into I - Q
-and factors it once (`markov.factor_in_place`), and solves only V = G c; it
-replaces each row the kernel improves by more than a rounding margin, and
-starts its kernel call from the slates of the round before. When no row
-changes, the policy is built once and its report comes from the last
-round's factors (`markov.report`).
+once. One routine, `_row_solve`, serves P1, P2 and P3: policy iteration
+(Howard 1960; Puterman 1994, ch. 6) from the kernel's slates at V = c, the
+first Bellman step from V = c. Each round writes the click kernel of the
+current slates (`model.slate_kernel`), turns it into I - Q and factors it
+once (`markov.factor_in_place`), and solves only V = G c. P1 stops after
+this first evaluation. P2 and P3 replace each row the kernel improves by
+more than a rounding margin, starting its call from the current slates.
+When no row changes, the policy is built once and its report comes from
+the last round's factors (`markov.report`).
 
 An explicit LP method ("dense", "highs" or "external") instead builds the
 K^2-variable LP of `cacherec.lp` and solves it with `cacherec.simplex`; that
@@ -219,8 +220,34 @@ def _row_problem(scenario: Scenario, positional: bool):
     return weights, scenario.q * top_quality(top, u, v), v, top
 
 
-def _result(name: str, policy: Policy, scenario: Scenario, floor: np.ndarray,
-            report: EvalReport, objective: float, calls: int, t0: float) -> PolicyResult:
+def _row_solve(scenario: Scenario, name: str) -> PolicyResult:
+    """P1, P2 or P3 by the row kernel; P1 is the first round, whose objective
+    is the myopic cost."""
+    t0 = time.perf_counter()
+    weights, floor, v, top = _row_problem(scenario, positional=name == "P3")
+    sol = row_kernel(scenario.c, scenario.u, weights, floor, top)
+    calls = 1
+    for _ in range(MAX_ROUNDS):
+        lu = markov.factor_in_place(slate_kernel(*sol, v), scenario.alpha)
+        values = markov.solve(lu, scenario.c)
+        if name == "P1":
+            objective = float(scenario.p0 @ _mix_value(sol, scenario.c, weights))
+            break
+        new = row_kernel(values, scenario.u, weights, floor, top, start=sol)
+        calls += 1
+        old = _mix_value(sol, values, weights)
+        margin = IMPROVE_RTOL * np.abs(values).max()
+        better = _mix_value(new, values, weights) < old - margin
+        if not better.any():
+            objective = float(scenario.p0 @ values)
+            break
+        sol = RowSolution(np.where(better[:, None], new.lo, sol.lo),
+                          np.where(better[:, None], new.hi, sol.hi),
+                          np.where(better, new.theta, sol.theta))
+    else:
+        raise SolverFailure(f"{name}: policy iteration did not settle in "
+                            f"{MAX_ROUNDS} rounds")
+    policy, report = slate_policy(*sol, v), markov.report(lu, scenario, values)
     bad = validate_policy(policy, scenario)
     if bad:
         raise SolverFailure(f"{name}: invalid policy: " + "; ".join(bad[:5]))
@@ -229,42 +256,6 @@ def _result(name: str, policy: Policy, scenario: Scenario, floor: np.ndarray,
         name=name, policy=policy, report=report, objective=objective,
         status="optimal", iterations=calls, residual=float(max(shortfall.max(), 0.0)),
         seconds=time.perf_counter() - t0)
-
-
-def _greedy_kernel(scenario: Scenario) -> PolicyResult:
-    t0 = time.perf_counter()
-    weights, floor, _, top = _row_problem(scenario, positional=False)
-    sol = row_kernel(scenario.c, scenario.u, weights, floor, top)
-    lu = markov.factor_in_place(slate_kernel(*sol), scenario.alpha)
-    report = markov.report(lu, scenario, markov.solve(lu, scenario.c))
-    myopic_cost = float(scenario.p0 @ _mix_value(sol, scenario.c, weights))
-    return _result("P1", slate_policy(*sol), scenario, floor, report, myopic_cost, 1, t0)
-
-
-def _policy_iteration(scenario: Scenario, positional: bool, name: str) -> PolicyResult:
-    t0 = time.perf_counter()
-    weights, floor, v, top = _row_problem(scenario, positional)
-    sol = row_kernel(scenario.c, scenario.u, weights, floor, top)
-    calls = 1
-    for _ in range(MAX_ROUNDS):
-        lu = markov.factor_in_place(slate_kernel(*sol, v), scenario.alpha)
-        values = markov.solve(lu, scenario.c)
-        new = row_kernel(values, scenario.u, weights, floor, top, start=sol)
-        calls += 1
-        old = _mix_value(sol, values, weights)
-        margin = IMPROVE_RTOL * np.abs(values).max()
-        better = _mix_value(new, values, weights) < old - margin
-        if not better.any():
-            break
-        sol = RowSolution(np.where(better[:, None], new.lo, sol.lo),
-                          np.where(better[:, None], new.hi, sol.hi),
-                          np.where(better, new.theta, sol.theta))
-    else:
-        raise SolverFailure(f"{name}: policy iteration did not settle in "
-                            f"{MAX_ROUNDS} rounds")
-    return _result(name, slate_policy(*sol, v), scenario, floor,
-                   markov.report(lu, scenario, values), float(scenario.p0 @ values),
-                   calls, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +323,21 @@ def solve_baseline(scenario: Scenario) -> PolicyResult:
 def solve_greedy(scenario: Scenario, method: str = "auto", **solve_kw) -> PolicyResult:
     """P1: myopic policy minimizing only the next request's expected cost."""
     if method == "auto":
-        return _greedy_kernel(scenario)
+        return _row_solve(scenario, "P1")
     return _greedy_lp(scenario, method=method, **solve_kw)
 
 
 def solve_session(scenario: Scenario, method: str = "auto", **solve_kw) -> PolicyResult:
     """P2: optimal long-session policy under uniform clicks."""
     if method == "auto":
-        return _policy_iteration(scenario, positional=False, name="P2")
+        return _row_solve(scenario, "P2")
     return _session_lp(scenario, positional=False, name="P2", method=method, **solve_kw)
 
 
 def solve_positional(scenario: Scenario, method: str = "auto", **solve_kw) -> PolicyResult:
     """P3: optimal long-session policy aware of the position click distribution."""
     if method == "auto":
-        return _policy_iteration(scenario, positional=True, name="P3")
+        return _row_solve(scenario, "P3")
     return _session_lp(scenario, positional=True, name="P3", method=method, **solve_kw)
 
 

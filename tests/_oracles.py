@@ -19,11 +19,12 @@ policy. The production versions visit only the stored entries of the CSR
 policy and must return the same violations, the same kernel, bitwise the
 same cumulative sums and the same file bytes.
 
-`evaluate_each_round` is policy iteration in its plain form: every round
-builds the dense policy, assembles I - Q from `transient_matrix` and factors
-it for all three of the report's solves. The production loop writes
-only the click kernel from the slates and builds the policy and report once,
-and must return bitwise the same policy, report and kernel calls.
+`evaluate_each_round` is the row-kernel solver in its plain form: every
+round builds the dense policy, assembles I - Q from its `dense_click_kernel`
+and factors it for all three of the report's solves; P1 stops after the
+first round. The production routine writes only the click kernel from the
+slates and builds the policy and report once, and must return bitwise the
+same policy, report, objective and kernel calls.
 
 `sweep_each_cell` is the parameter sweep in its plain form: every
 (axis value, policy) cell applies the axis and rebuilds the graph and the
@@ -131,7 +132,7 @@ def dense_validate_policy(policy, scenario, tol: float = FEAS_TOL) -> list[str]:
             out.append(f"{entry(idx)} above 1: {mat[tuple(idx)]:.3g}")
 
     if not policy.is_positional:
-        r = policy.matrix
+        r = policy.mats
         sums = r.sum(axis=1)
         check_box(r, sums)
         for i in np.flatnonzero(np.abs(sums - n) > tol):
@@ -140,7 +141,7 @@ def dense_validate_policy(policy, scenario, tol: float = FEAS_TOL) -> list[str]:
     else:
         if policy.n_slots != n:
             raise ValueError(f"policy has {policy.n_slots} slot matrices, scenario has N={n}")
-        mats = policy.slot_matrices
+        mats = policy.mats
         sums = mats.sum(axis=2)
         check_box(mats, sums)
         for sn, i in np.argwhere(np.abs(sums - 1.0) > tol):
@@ -156,8 +157,8 @@ def dense_validate_policy(policy, scenario, tol: float = FEAS_TOL) -> list[str]:
 def dense_click_kernel(policy, scenario) -> np.ndarray:
     """Reference for `markov.click_kernel`, as a dense (K, K) array."""
     if policy.is_positional:
-        return np.einsum("n,nij->ij", scenario.v, policy.slot_matrices)
-    return policy.matrix / scenario.n
+        return np.einsum("n,nij->ij", scenario.v, policy.mats)
+    return policy.mats / scenario.n
 
 
 def dense_kernel_support(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,14 +182,14 @@ def dense_policy_csv(policy, meta: dict | None = None) -> str:
         lines.append(f"# {key}: {val}")
     if policy.is_positional:
         lines.append("n,i,j,r")
-        mats = policy.slot_matrices
+        mats = policy.mats
         for slot in range(mats.shape[0]):
             for i, j in np.argwhere(mats[slot] != 0.0):
                 lines.append(f"{slot + 1},{i},{j},{mats[slot, i, j]:.17g}")
     else:
         lines.append("i,j,r")
-        for i, j in np.argwhere(policy.matrix != 0.0):
-            lines.append(f"{i},{j},{policy.matrix[i, j]:.17g}")
+        for i, j in np.argwhere(policy.mats != 0.0):
+            lines.append(f"{i},{j},{policy.mats[i, j]:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -243,17 +244,19 @@ def dense_sample_path(policy, scenario, steps: int, rng: np.random.Generator):
     return path, lengths, truncated
 
 
-def evaluate_each_round(scenario, positional: bool):
-    """Reference for `policies._policy_iteration`. Returns (policy, report,
-    kernel calls, cycle cost p0'V)."""
-    weights, floor, v, top = policies._row_problem(scenario, positional)
+def evaluate_each_round(scenario, name: str):
+    """Reference for `policies._row_solve` on P1, P2 or P3. Returns (policy,
+    report, kernel calls, objective): P1's objective is its myopic cost, and
+    P2's and P3's the cycle cost p0'V."""
+    weights, floor, v, top = policies._row_problem(scenario, positional=name == "P3")
     kernel = functools.partial(policies.row_kernel, u=scenario.u, weights=weights,
                                floor=floor, top=top)
     sol = kernel(scenario.c)
     calls = 1
     for _ in range(policies.MAX_ROUNDS):
         policy = slate_policy(*sol, v)
-        lu = lu_factor(np.eye(scenario.k) - markov.transient_matrix(policy, scenario))
+        q = scenario.alpha * dense_click_kernel(policy, scenario)
+        lu = lu_factor(np.eye(scenario.k) - q)
         values = lu_solve(lu, scenario.c)
         g1 = lu_solve(lu, np.ones(scenario.k))
         ltec = float((1.0 - scenario.alpha) * (scenario.p0 @ values))
@@ -261,6 +264,9 @@ def evaluate_each_round(scenario, positional: bool):
             ltec=ltec, cost_to_go=values, chr=1.0 - ltec if scenario.binary_costs else None,
             z=lu_solve(lu, scenario.p0, trans=1), g_row_sums=g1,
             cycle_length=float(scenario.p0 @ g1))
+        if name == "P1":
+            myopic_cost = scenario.p0 @ policies._mix_value(sol, scenario.c, weights)
+            return policy, report, calls, float(myopic_cost)
         new = kernel(values, start=sol)
         calls += 1
         old = policies._mix_value(sol, values, weights)

@@ -51,7 +51,7 @@ def random_uniform_policy(rng: np.random.Generator, scenario: Scenario,
             others = np.delete(np.arange(k), i)
             picks = rng.choice(others, size=n, replace=False)
             r[i, picks] += w[m]
-    return Policy.uniform(r)
+    return Policy("uniform", r)
 
 
 def random_dense_policy(rng: np.random.Generator, scenario: Scenario) -> Policy:
@@ -60,7 +60,7 @@ def random_dense_policy(rng: np.random.Generator, scenario: Scenario) -> Policy:
     k, n = scenario.k, scenario.n
     flat = np.full((k, k), n / (k - 1))
     np.fill_diagonal(flat, 0.0)
-    return Policy.uniform(0.5 * flat + 0.5 * random_uniform_policy(rng, scenario).matrix)
+    return Policy("uniform", 0.5 * flat + 0.5 * random_uniform_policy(rng, scenario).mats)
 
 
 def random_positional_policy(rng: np.random.Generator, scenario: Scenario,
@@ -75,7 +75,7 @@ def random_positional_policy(rng: np.random.Generator, scenario: Scenario,
             picks = rng.choice(others, size=n, replace=False)
             for slot in range(n):
                 mats[slot, i, picks[slot]] += w[m]
-    return Policy.positional(mats)
+    return Policy("positional", mats)
 
 
 def random_slate_policy(rng: np.random.Generator, scenario: Scenario,

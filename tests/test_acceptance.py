@@ -101,7 +101,7 @@ def test_criterion_3_lp_vs_brute_force():
         # round-trip identity holds on every solved instance (criterion 4 support)
         assert evaluate(rec.policy, s).ltec == pytest.approx(lp_ltec, rel=1e-8)
 
-        r = rec.policy.matrix
+        r = rec.policy.mats
         if np.all((np.abs(r) <= 1e-6) | (np.abs(r - 1.0) <= 1e-6)):
             integral_cases += 1
             assert abs(lp_ltec - best) <= 1e-6, \
@@ -176,7 +176,7 @@ def test_criterion_6_positional_coincidences():
         pp = build_positional_lp(s)
         ru = recover_policy(solve(pu, method="dense"), s, problem=pu)
         rp = recover_policy(solve(pp, method="dense"), s, positional=True, problem=pp)
-        gap = np.abs(ru.policy.matrix - rp.policy.slot_matrices[0]).max()
+        gap = np.abs(ru.policy.mats - rp.policy.mats[0]).max()
         worst_entry = max(worst_entry, gap)
         assert gap <= 1e-6, f"case {case}: entrywise gap {gap:.2e}"
     criterion(6, "uniform-v objectives match (10 cases); N=1 policies agree (5 cases)",

@@ -66,7 +66,7 @@ class TestPolicyFiles:
         write_policy_csv(f, p, meta={"note": "test"})
         back = read_policy_csv(f)
         assert not back.is_positional
-        assert np.allclose(back.matrix, p.matrix, atol=0)
+        assert np.allclose(back.mats, p.mats, atol=0)
 
     def test_positional_round_trip(self, tmp_path, rng):
         s = random_scenario(rng, k=5, n=2, v="skewed")
@@ -75,7 +75,7 @@ class TestPolicyFiles:
         write_policy_csv(f, p)
         back = read_policy_csv(f)
         assert back.is_positional
-        assert np.allclose(back.slot_matrices, p.slot_matrices, atol=0)
+        assert np.allclose(back.mats, p.mats, atol=0)
 
     def test_missing_metadata_rejected(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -253,7 +253,7 @@ class TestSweep:
 
     def test_hv_axis_reports_entropy(self):
         spec = SweepSpec(config=self.small_cfg(), axis="Hv",
-                         values=[0.9], policies=["P3"])
+                         values=[0.9], policies=["P3"], reference="P3")
         rows = run_sweep(spec)
         assert rows[0]["status"] == "ok"
         assert 0.0 < rows[0]["value"] < 1.0  # realized click entropy
@@ -350,6 +350,17 @@ class TestSweep:
             SweepSpec(config=self.small_cfg(), axis="q", values=[0.5], policies=["P9"])
         with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
             SweepSpec(config=self.small_cfg(), axis="q", values=[0.5], workers=0)
+        with pytest.raises(ValueError, match=r"reference 'P3' is not among the swept "
+                                             r"policies \['baseline', 'P2'\]"):
+            SweepSpec(config=self.small_cfg(), axis="q", values=[0.5],
+                      policies=["baseline", "P2"], reference="P3")
+        for method in ("dense", "highs", "external"):
+            with pytest.raises(ValueError, match=f"solver method '{method}' would be ignored"):
+                SweepSpec(config=self.small_cfg(), axis="q", values=[0.5],
+                          policies=["baseline"], reference="baseline",
+                          solve_kw={"method": method})
+        SweepSpec(config=self.small_cfg(), axis="q", values=[0.5], policies=["baseline"],
+                  reference="baseline", solve_kw={"method": "auto"})
 
 
 class TestCommands:
@@ -443,6 +454,19 @@ class TestCommands:
         assert lines[2].startswith("axis,value,policy")
         assert len(lines) == 3 + 4
 
+    @pytest.mark.parametrize("flags,err", [
+        (["--policies", "baseline,P2", "--reference", "P3"],
+         "gain reference 'P3' is not among the swept policies ['baseline', 'P2']"),
+        (["--policies", "baseline", "--reference", "baseline", "--solver", "highs"],
+         "solver method 'highs' would be ignored"),
+    ], ids=["reference-not-swept", "solver-without-solve"])
+    def test_sweep_spec_refusal_exits_io(self, cfg_file, tmp_path, capsys, flags, err):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg_file), "--axis", "q", "--values", "0.7",
+                     "--out", str(out)] + flags) == EXIT_IO
+        assert err in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solve_from_scenario_npz(self, cfg_file, tmp_path, capsys):
         npz = tmp_path / "scen.npz"
         assert main(["gen", "--config", str(cfg_file), "--out", str(npz)]) == EXIT_OK
@@ -462,6 +486,22 @@ class TestCommands:
         assert out.exists()
         assert "graph: nodes=4" in capsys.readouterr().out
         assert data.load_scenario_npz(out).n == 1
+
+    @pytest.mark.parametrize("body,key", [
+        ("graph: {kind: poisson, k: 30}\n", "graph"),
+        ("n: 1\nseed: 3\n", "seed"),
+    ], ids=["graph", "seed"])
+    def test_ingest_refuses_graph_keys(self, tmp_path, capsys, body, key):
+        """The edge list is the graph: a config's graph or seed would be ignored."""
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1 0.9\n1 2 0.8\n2 3 0.7\n3 0 0.6\n")
+        cfg = tmp_path / "keys.yaml"
+        cfg.write_text(body)
+        out = tmp_path / "scen.npz"
+        assert main(["ingest", "--edges", str(edges), "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_IO
+        assert f"error: config key '{key}' would be ignored" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_is_io_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.yaml"

@@ -95,7 +95,7 @@ class TestRecoverPolicy:
     def test_simple_division(self):
         s = Scenario(u=[[0, 1], [1, 0]], c=[0, 1], p0=[0.5, 0.5], alpha=0.5, n=1, q=0.0)
         prob, sol, rec = solve_session(s)
-        assert np.allclose(rec.policy.matrix, [[0, 1], [1, 0]])
+        assert np.allclose(rec.policy.mats, [[0, 1], [1, 0]])
         assert rec.residuals <= 1e-9
 
     def test_round_trip_identity(self):
@@ -139,8 +139,8 @@ class TestOptimality:
         best, best_policy = brute_force_optimum(s)
         assert lp_ltec <= best + 1e-6
         # rows 1 and 2 should route to the cached item 0
-        assert best_policy.matrix[1, 0] == 1.0
-        assert best_policy.matrix[2, 0] == 1.0
+        assert best_policy.mats[1, 0] == 1.0
+        assert best_policy.mats[2, 0] == 1.0
 
     def test_monotone_in_quality_floor(self):
         s = small_scenario(6, k=7, n=2, alpha=0.8)
@@ -252,7 +252,7 @@ class TestPositional:
         sp = solve(pos, method="dense")
         ru = recover_policy(su, s, positional=False, problem=uni)
         rp = recover_policy(sp, s, positional=True, problem=pos)
-        assert np.allclose(ru.policy.matrix, rp.policy.slot_matrices[0], atol=1e-6)
+        assert np.allclose(ru.policy.mats, rp.policy.mats[0], atol=1e-6)
 
     def test_uniform_clicks_match_uniform_optimum(self):
         for seed in (12, 13, 14):

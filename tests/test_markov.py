@@ -1,4 +1,8 @@
-"""Analytic session evaluation: fundamental matrix, cycle cost, cost rate."""
+"""Analytic session evaluation: fundamental matrix, cycle cost, cost rate.
+
+G = (I - Q)^{-1} is reached only through the report of `evaluate`: the
+cost to go G c, the visit rates G' p0 and the row sums G 1.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -8,8 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgetrf
 
-from cacherec import (Policy, Scenario, evaluate, expected_cycle_cost,
-                      expected_cycle_length, fundamental_matrix, markov, transient_matrix)
+from cacherec import Policy, Scenario, evaluate, expected_cycle_length, markov
 from cacherec.model import slate_kernel, slate_policy
 from _oracles import dense_click_kernel
 from conftest import (random_positional_policy, random_scenario, random_slate_policy,
@@ -18,32 +21,52 @@ from conftest import (random_positional_policy, random_scenario, random_slate_po
 
 def two_state(alpha=0.5, c=(0, 1), p0=(0.5, 0.5)):
     s = Scenario(u=[[0, 1], [1, 0]], c=list(c), p0=list(p0), alpha=alpha, n=1)
-    p = Policy.uniform([[0, 1], [1, 0]])
+    p = Policy("uniform", [[0, 1], [1, 0]])
     return s, p
+
+
+def transient_kernel(policy, scenario) -> np.ndarray:
+    """Q = alpha * click kernel, densified from `markov.click_kernel`."""
+    indptr, cols, vals = markov.click_kernel(policy, scenario)
+    q = np.zeros((scenario.k, scenario.k))
+    q[np.repeat(np.arange(scenario.k), np.diff(indptr)), cols] = vals
+    return scenario.alpha * q
+
+
+def cycle_cost(policy, scenario) -> float:
+    """Expected total access cost over one renewal cycle, p0' G c."""
+    return float(scenario.p0 @ evaluate(policy, scenario).cost_to_go)
 
 
 class TestFundamentalMatrix:
     def test_identity_when_alpha_zero(self, rng):
+        # G = I: each product of G returns its vector unchanged.
         s = random_scenario(rng, alpha=0.0)
-        p = random_uniform_policy(rng, s)
-        assert np.allclose(fundamental_matrix(p, s), np.eye(s.k))
+        rep = evaluate(random_uniform_policy(rng, s), s)
+        assert np.array_equal(rep.cost_to_go, s.c)
+        assert np.array_equal(rep.z, s.p0)
+        assert np.array_equal(rep.g_row_sums, np.ones(s.k))
 
     def test_hand_inverted_2x2(self):
+        # G = [[4/3, 2/3], [2/3, 4/3]] for alpha = 0.5, seen through G c,
+        # G' p0 and G 1.
         s, p = two_state()
-        g = fundamental_matrix(p, s)
-        assert np.allclose(g, [[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
+        g = np.array([[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
+        rep = evaluate(p, s)
+        assert np.allclose(rep.cost_to_go, g @ s.c)
+        assert np.allclose(rep.z, g.T @ s.p0)
+        assert np.allclose(rep.g_row_sums, g.sum(axis=1))
 
     def test_row_sums_are_cycle_length(self, rng):
         for _ in range(5):
             s = random_scenario(rng)
             p = random_uniform_policy(rng, s)
-            g = fundamental_matrix(p, s)
-            assert np.allclose(g.sum(axis=1), 1.0 / (1.0 - s.alpha))
+            assert np.allclose(evaluate(p, s).g_row_sums, 1.0 / (1.0 - s.alpha))
 
     def test_invalid_policy_rejected(self, rng):
         s = random_scenario(rng, k=5, n=2)
         with pytest.raises(ValueError, match="invalid policy"):
-            fundamental_matrix(Policy.uniform(np.zeros((5, 5))), s)
+            evaluate(Policy("uniform", np.zeros((5, 5))), s)
 
 
 class TestCycleQuantities:
@@ -51,16 +74,16 @@ class TestCycleQuantities:
         s = random_scenario(rng)
         s = s.replace(c=np.zeros(s.k))
         p = random_uniform_policy(rng, s)
-        assert expected_cycle_cost(p, s) == pytest.approx(0.0)
+        assert cycle_cost(p, s) == pytest.approx(0.0)
 
     def test_alpha_zero_is_single_request(self, rng):
         s = random_scenario(rng, alpha=0.0, binary_costs=False)
         p = random_uniform_policy(rng, s)
-        assert expected_cycle_cost(p, s) == pytest.approx(float(s.p0 @ s.c))
+        assert cycle_cost(p, s) == pytest.approx(float(s.p0 @ s.c))
 
     def test_hand_case_cost(self):
         s, p = two_state()
-        assert expected_cycle_cost(p, s) == pytest.approx(1.0)
+        assert cycle_cost(p, s) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("alpha,want", [(0.8, 5.0), (0.0, 1.0), (0.5, 2.0)])
     def test_cycle_length_formula(self, alpha, want):
@@ -108,14 +131,14 @@ class TestEvaluate:
         s = random_scenario(rng)
         p = random_uniform_policy(rng, s)
         z = evaluate(p, s).z
-        want = (s.alpha / s.n) * (p.matrix.T @ z) + s.p0
+        want = (s.alpha / s.n) * (p.mats.T @ z) + s.p0
         assert np.allclose(z, want)
 
     def test_positional_fixed_point(self, rng):
         s = random_scenario(rng, v="skewed")
         p = random_positional_policy(rng, s)
         rep = evaluate(p, s)
-        q = transient_matrix(p, s)
+        q = transient_kernel(p, s)
         assert np.allclose(rep.z, q.T @ rep.z + s.p0)
         assert (1.0 - s.alpha) * rep.z.sum() == pytest.approx(1.0)
 
@@ -125,13 +148,13 @@ class TestEvaluate:
         perm = rng.permutation(s.k)
         s2 = Scenario(u=s.u[np.ix_(perm, perm)], c=s.c[perm], p0=s.p0[perm],
                       alpha=s.alpha, n=s.n, v=s.v, q=s.q)
-        p2 = Policy.uniform(p.matrix[np.ix_(perm, perm)])
+        p2 = Policy("uniform", p.mats[np.ix_(perm, perm)])
         assert evaluate(p2, s2).ltec == pytest.approx(evaluate(p, s).ltec)
 
     def test_positional_matches_direct_inverse(self, rng):
         s = random_scenario(rng, v="skewed")
         p = random_positional_policy(rng, s)
-        q = transient_matrix(p, s)
+        q = transient_kernel(p, s)
         want = (1 - s.alpha) * float(s.p0 @ np.linalg.inv(np.eye(s.k) - q) @ s.c)
         assert evaluate(p, s).ltec == pytest.approx(want)
 
@@ -139,13 +162,13 @@ class TestEvaluate:
 class TestTransientMatrix:
     def test_uniform_scaling(self):
         s, p = two_state(alpha=0.8)
-        assert np.allclose(transient_matrix(p, s), 0.8 * np.array([[0, 1], [1, 0]]))
+        assert np.allclose(transient_kernel(p, s), 0.8 * np.array([[0, 1], [1, 0]]))
 
     def test_positional_mixture(self, rng):
         s = random_scenario(rng, v="skewed")
         p = random_positional_policy(rng, s)
-        want = s.alpha * sum(s.v[i] * p.slot_matrices[i] for i in range(s.n))
-        assert np.allclose(transient_matrix(p, s), want)
+        want = s.alpha * sum(s.v[i] * p.mats[i] for i in range(s.n))
+        assert np.allclose(transient_kernel(p, s), want)
 
 
 def random_slates(rng, k: int, n: int, overlap: str):
@@ -193,7 +216,7 @@ def test_slate_kernel_is_the_dense_policys_session_system(seed, k, overlap, thet
     want = dense_click_kernel(policy, s)
     assert np.ascontiguousarray(kernel).tobytes() == want.tobytes()  # signed zeros too
     lu, piv = markov.factor_in_place(kernel, s.alpha)
-    want_lu, want_piv = lu_factor(np.eye(k) - transient_matrix(policy, s))
+    want_lu, want_piv = lu_factor(np.eye(k) - s.alpha * want)
     assert np.ascontiguousarray(lu).tobytes() == np.ascontiguousarray(want_lu).tobytes()
     assert np.array_equal(piv, want_piv)
 

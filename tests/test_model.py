@@ -87,7 +87,7 @@ class TestScenario:
 class TestValidatePolicy:
     def test_forced_2x2_policy(self):
         s = Scenario(u=[[0, 1], [1, 0]], c=[0, 1], p0=[0.5, 0.5], alpha=0.5, n=1)
-        assert validate_policy(Policy.uniform([[0, 1], [1, 0]]), s) == []
+        assert validate_policy(Policy("uniform", [[0, 1], [1, 0]]), s) == []
 
     def test_fractional_row_with_budget_two(self):
         # a row like [0, 1, 0.5, 0.5, 0]: one item always shown, two split evenly
@@ -96,19 +96,19 @@ class TestValidatePolicy:
         for i in range(1, 5):
             r[i, (i + 1) % 5] = 1.0
             r[i, (i + 2) % 5] = 1.0
-        assert validate_policy(Policy.uniform(r), scenario5()) == []
+        assert validate_policy(Policy("uniform", r), scenario5()) == []
 
     def test_diagonal_violation_named(self):
         r = np.array([[0.1, 1.0], [1.0, 0.0]])
         s = Scenario(u=[[0, 1], [1, 0]], c=[0, 1], p0=[0.5, 0.5], alpha=0.5, n=1)
-        msgs = validate_policy(Policy.uniform(r), s)
+        msgs = validate_policy(Policy("uniform", r), s)
         assert any("diagonal" in m and "0" in m for m in msgs)
         assert any("row 0" in m for m in msgs)  # budget broken too
 
     def test_dimension_mismatch_raises(self):
         s = scenario5()
         with pytest.raises(ValueError, match="K=5"):
-            validate_policy(Policy.uniform(np.zeros((3, 3))), s)
+            validate_policy(Policy("uniform", np.zeros((3, 3))), s)
 
     def test_positional_cross_slot_cap(self):
         mats = np.zeros((2, 3, 3))
@@ -118,7 +118,7 @@ class TestValidatePolicy:
         mats[0, 2, 0] = mats[1, 2, 1] = 1.0
         s = Scenario(u=np.ones((3, 3)) - np.eye(3), c=[0, 1, 1],
                      p0=np.full(3, 1 / 3), alpha=0.5, n=2)
-        msgs = validate_policy(Policy.positional(mats), s)
+        msgs = validate_policy(Policy("positional", mats), s)
         assert any("slots with total frequency" in m for m in msgs)
 
     def test_messages_name_plain_indices(self):
@@ -127,10 +127,10 @@ class TestValidatePolicy:
         s = Scenario(u=np.ones((3, 3)) - np.eye(3), c=[0, 1, 1],
                      p0=np.full(3, 1 / 3), alpha=0.5, n=2)
         r = np.array([[0.5, 1.0, 0.0], [1.0, 0.0, -0.5], [1.0, 1.5, np.nan]])
-        uniform = validate_policy(Policy.uniform(r), s)
+        uniform = validate_policy(Policy("uniform", r), s)
         mats = np.stack([r / 2, r / 2])
         mats[1, 0, 1] = 2.0
-        positional = validate_policy(Policy.positional(mats), s)
+        positional = validate_policy(Policy("positional", mats), s)
         for msgs in (uniform, positional):
             assert not [m for m in msgs if "np." in m]
         kinds = {"entry (2, 2) not finite: nan", "entry (0, 0) on the diagonal is nonzero: 0.5",
@@ -206,18 +206,18 @@ class TestMaxQualityPositional:
 
 class TestBaselinePolicy:
     def test_top_two_row(self):
-        r = baseline_policy(U5, 2).matrix
+        r = baseline_policy(U5, 2).mats
         assert list(r[0]) == [0, 1, 1, 0, 0]
 
     def test_tie_break_lowest_index(self):
         u = np.ones((4, 4)) - np.eye(4)
-        r = baseline_policy(u, 1).matrix
+        r = baseline_policy(u, 1).mats
         assert r[0, 1] == 1.0 and r[2, 0] == 1.0
 
     def test_top_two_selection(self):
         u = np.zeros((4, 4))
         u[0] = [0, 0.2, 0.9, 0.5]
-        assert list(baseline_policy(u, 2).matrix[0]) == [0, 0, 1, 1]
+        assert list(baseline_policy(u, 2).mats[0]) == [0, 0, 1, 1]
 
     def test_always_valid_and_exact(self, rng):
         for _ in range(10):
@@ -252,11 +252,11 @@ class TestBaselinePolicy:
                 want[slot, i, items[rank]] = 1.0
         if v is None:
             got = baseline_policy(u, n)
-            assert np.array_equal(got.matrix, want.sum(axis=0))
+            assert np.array_equal(got.mats, want.sum(axis=0))
             assert np.array_equal(max_quality(u, n), (want.sum(axis=0) * s.u).sum(axis=1))
         else:
             got = baseline_policy(u, n, s.v)
-            assert np.array_equal(got.slot_matrices, want)
+            assert np.array_equal(got.mats, want)
             want_q = np.einsum("n,nij,ij->i", s.v, want, s.u)
             assert np.allclose(max_quality(u, n, s.v), want_q, rtol=0.0, atol=1e-15)
         assert np.array_equal(quality_of(got, s), max_quality(s.u, n, None if v is None else s.v))
@@ -268,12 +268,12 @@ class TestQualityOf:
         r[0] = [0, 0.8, 0.8, 0, 0.4]
         for i in range(1, 5):
             r[i, (i + 1) % 5] = r[i, (i + 2) % 5] = 1.0
-        got = quality_of(Policy.uniform(r), scenario5())
+        got = quality_of(Policy("uniform", r), scenario5())
         assert got[0] == pytest.approx(1.6)  # 0.8 of the max 2.0
 
     def test_zero_row_scores_zero(self):
         r = np.zeros((5, 5))
-        got = quality_of(Policy.uniform(r), scenario5())
+        got = quality_of(Policy("uniform", r), scenario5())
         assert np.all(got == 0.0)
 
     def test_profile_invariant(self, rng):
@@ -304,14 +304,14 @@ def test_max_quality_against_dense_row_sums(seed, k, n, positional):
     got = max_quality(u, n, v)
     policy = baseline_policy(u, n, v)
     if positional:
-        assert np.array_equal(got, v @ (policy.slot_matrices * u).sum(axis=2))
+        assert np.array_equal(got, v @ (policy.mats * u).sum(axis=2))
         return
     cols = np.sort(top_slates(u, n), axis=1)
     in_column_order = np.zeros(k)
     for t in range(n):
         in_column_order += u[np.arange(k), cols[:, t]]
     assert np.array_equal(got, in_column_order)
-    dense = (policy.matrix * u).sum(axis=1)
+    dense = (policy.mats * u).sum(axis=1)
     if n <= 2:
         assert np.array_equal(got, dense)
     else:
@@ -350,7 +350,7 @@ class TestEntropy:
 
 class TestSparsePolicy:
     def test_dense_constructor_drops_zeros_and_sorts(self):
-        p = Policy.uniform([[0.0, 0.5, 0.5], [1.0, 0.0, -0.0], [0.25, 0.75, 0.0]])
+        p = Policy("uniform", [[0.0, 0.5, 0.5], [1.0, 0.0, -0.0], [0.25, 0.75, 0.0]])
         assert p.indptr.tolist() == [0, 2, 3, 5]
         assert p.indices.tolist() == [1, 2, 0, 0, 1]
         assert p.data.tolist() == [0.5, 0.5, 1.0, 0.25, 0.75]
@@ -358,10 +358,10 @@ class TestSparsePolicy:
     def test_positional_rows_are_slot_major(self):
         mats = np.zeros((2, 3, 3))
         mats[1, 0, 2] = mats[0, 2, 1] = 1.0
-        p = Policy.positional(mats)
+        p = Policy("positional", mats)
         assert p.n_slots == 2 and p.k == 3
         assert p.rows.tolist() == [2, 3]  # slot 0 row 2, then slot 1 row 0
-        assert np.array_equal(p.slot_matrices, mats)
+        assert np.array_equal(p.mats, mats)
 
     def test_arrays_are_read_only(self):
         p = baseline_policy(U5, 2)

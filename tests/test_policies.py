@@ -151,18 +151,19 @@ def test_warm_start_reaches_the_cold_optimum(seed, k, q, positional, tied_values
         assert np.all(slate_mix_quality(warm, s.u, weights) >= floor - slack), label
 
 
-@pytest.mark.parametrize("positional", [False, True], ids=["P2", "P3"])
-def test_policy_iteration_matches_per_round_evaluation(positional):
+@pytest.mark.parametrize("name", ["P1", "P2", "P3"])
+def test_policy_iteration_matches_per_round_evaluation(name):
     """Building only the click kernel in each round, and the policy and report
-    once at the end, changes no bit of the answer."""
-    solver = policies.solve_positional if positional else policies.solve_session
+    once at the end, changes no bit of the answer; P1 is the first round."""
     for seed in range(40):
         rng = np.random.default_rng(9100 + seed)
         s = random_scenario(rng, k=int(rng.integers(4, 31)), q=float(rng.choice([0.0, 0.9, 1.0])),
                             v="skewed" if seed % 2 else None, binary_costs=seed % 3 != 0)
-        policy, report, calls, objective = evaluate_each_round(s, positional)
-        got = solver(s)
-        assert np.array_equal(got.policy.mats, policy.mats), seed
+        policy, report, calls, objective = evaluate_each_round(s, name)
+        got = policies.solve_named(name, s)
+        assert got.policy.kind == policy.kind, seed
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got.policy, field), getattr(policy, field)), seed
         assert (got.iterations, got.objective) == (calls, objective), seed
         for field in ("ltec", "chr", "cycle_length"):
             assert getattr(got.report, field) == getattr(report, field), (seed, field)

@@ -32,7 +32,7 @@ class FixedDraws(np.random.Generator):
 
 def two_state(alpha=0.5):
     s = Scenario(u=[[0, 1], [1, 0]], c=[0, 1], p0=[0.5, 0.5], alpha=alpha, n=1)
-    return s, Policy.uniform([[0, 1], [1, 0]])
+    return s, Policy("uniform", [[0, 1], [1, 0]])
 
 
 class TestSimulate:
@@ -73,7 +73,7 @@ class TestSimulate:
     def test_invalid_policy_rejected(self, rng):
         s = random_scenario(rng, k=5, n=2)
         with pytest.raises(ValueError, match="invalid policy"):
-            simulate(Policy.uniform(np.zeros((5, 5))), s, steps=10, seed=0)
+            simulate(Policy("uniform", np.zeros((5, 5))), s, steps=10, seed=0)
 
     def test_nan_entry_rejected(self):
         # NaN fails every comparison, so only an explicit check keeps a NaN
@@ -81,7 +81,7 @@ class TestSimulate:
         s = Scenario(u=np.ones((4, 4)), c=[0, 1, 0, 1], p0=np.full(4, 0.25), alpha=0.5, n=1)
         r = np.roll(np.eye(4), 1, axis=1)  # the 4-cycle 0 -> 1 -> 2 -> 3 -> 0
         r[0, 1] = np.nan
-        p = Policy.uniform(r)
+        p = Policy("uniform", r)
         with pytest.raises(ValueError, match=r"invalid policy: entry \(0, 1\) not finite"):
             simulate(p, s, steps=100, seed=0)
         with pytest.raises(ValueError, match=r"invalid policy: entry \(0, 1\) not finite"):
@@ -141,7 +141,7 @@ def oracle_cases():
     uni, p2_sc = graph_scenario(60, 2), graph_scenario(40, 2)
     pos, p3_sc = (graph_scenario(k, 3, v=[0.6, 0.3, 0.1]) for k in (60, 30))
     p2 = solve_session(p2_sc).policy
-    assert np.any((p2.matrix > 0) & (p2.matrix < 1))  # a fractional optimum
+    assert np.any((p2.mats > 0) & (p2.mats < 1))  # a fractional optimum
     dense_sc = random_scenario(rng, k=30, n=3, alpha=0.85)
     iid = random_scenario(rng, k=12, n=2, alpha=0.0)
     return [
@@ -214,8 +214,8 @@ class TestBruteForce:
         s = Scenario(u=np.ones((3, 3)) - np.eye(3), c=[0, 1, 1],
                      p0=np.full(3, 1 / 3), alpha=0.9, n=1, q=0.0)
         best, policy = brute_force_optimum(s)
-        assert policy.matrix[1, 0] == 1.0
-        assert policy.matrix[2, 0] == 1.0
+        assert policy.mats[1, 0] == 1.0
+        assert policy.mats[2, 0] == 1.0
         assert best == pytest.approx(evaluate(policy, s).ltec)
 
     def test_full_quality_forces_baseline(self, rng):
@@ -227,7 +227,7 @@ class TestBruteForce:
         s = s.replace(u=u)
         from cacherec.model import baseline_policy
         best, policy = brute_force_optimum(s)
-        assert np.array_equal(policy.matrix, baseline_policy(s.u, s.n).matrix)
+        assert np.array_equal(policy.mats, baseline_policy(s.u, s.n).mats)
 
     def test_constant_costs_make_everything_equal(self, rng):
         s = random_scenario(rng, k=4, n=1, q=0.0)
