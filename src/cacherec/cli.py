@@ -161,15 +161,9 @@ def read_policy_csv(path) -> Policy:
     if shape is None:
         missing = "the column header line" if schema_seen else f"metadata header {POLICY_SCHEMA!r}"
         raise ValueError(f"{path} line {lineno + 1}: end of file, expected {missing}")
-    k, rows = shape[-1], math.prod(shape[:-1])
-    at = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
+    key = np.fromiter(entries.keys(), dtype=np.intp, count=len(entries))
     val = np.fromiter(entries.values(), dtype=float, count=len(entries))
-    stored = val != 0.0
-    at, val = at[stored], val[stored]
-    order = np.argsort(at)  # the keys are distinct: row-major order
-    at, val = at[order], val[order]
-    indptr = at.searchsorted(np.arange(0, (rows + 1) * k, k))
-    return Policy.from_csr(meta["variant"], k, indptr, at % k, val)
+    return Policy.from_entries(meta["variant"], shape[-1], math.prod(shape[:-1]), key, val)
 
 
 # ---------------------------------------------------------------------------

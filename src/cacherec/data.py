@@ -131,19 +131,11 @@ def gen_poisson_graph(k: int, mean_degree: float, seed: int) -> tuple[np.ndarray
     return u, _stats_of(u)
 
 
-def zipf_popularity(k: int, s: float, ranks=None) -> np.ndarray:
-    """Zipf popularity with exponent s over ranks 1..K (identity rank order
-    by default; pass a permutation of 0..K-1 to reorder)."""
+def zipf_popularity(k: int, s: float) -> np.ndarray:
+    """Zipf popularity with exponent s over ranks 1..K, content i at rank i + 1."""
     if s < 0:
         raise ValueError("exponent must be nonnegative")
-    if ranks is None:
-        rank = np.arange(1, k + 1, dtype=float)
-    else:
-        ranks = np.asarray(ranks)
-        if sorted(ranks.tolist()) != list(range(k)):
-            raise ValueError("ranks must be a permutation of 0..K-1")
-        rank = ranks.astype(float) + 1.0
-    weights = rank ** (-s)
+    weights = np.arange(1, k + 1, dtype=float) ** (-s)
     return weights / weights.sum()
 
 

@@ -226,14 +226,14 @@ def assemble_greedy_policy(row_solutions: list[np.ndarray], scenario: Scenario) 
     body = np.vstack(row_solutions)  # raises on rows of unequal length
     if body.shape != (k, k - 1):
         raise ValueError(f"row solutions need {k - 1} entries each, got {body.shape[1]}")
-    r = np.zeros((k, k))
-    r[_off_diagonal(k)] = body.ravel()
-    return Policy("uniform", r)
+    ii, jj = _off_diagonal(k)
+    return Policy.from_entries("uniform", k, k, ii * k + jj, body.ravel())
 
 
-def recover_policy(solution, scenario: Scenario, positional: bool = False,
-                   problem: LpProblem | None = None) -> RecoveredPolicy:
-    """Map an optimal (z, f) LP solution back to a recommendation policy.
+def recover_policy(solution, scenario: Scenario, problem: LpProblem,
+                   positional: bool = False) -> RecoveredPolicy:
+    """Map an optimal (z, f) LP solution of `problem` back to a recommendation
+    policy: entry (b*K + i, j) of f-block b is f^b_ij / z_i.
 
     Requires solution.status == "optimal" and every z_j > Z_FLOOR (guaranteed
     by strictly positive p0; a near-zero z means the precondition or the
@@ -254,13 +254,9 @@ def recover_policy(solution, scenario: Scenario, positional: bool = False,
         raise ValueError(
             f"z_{j} = {z[j]:.3e} is not strictly positive; p0 > 0 must have been "
             "violated or the solver failed")
-    f = np.zeros((blocks, k, k))
-    f[:, ii, jj] = x[k:].reshape(blocks, -1)
-    mats = f / z[None, :, None]
-    policy = Policy("positional", mats) if positional else Policy("uniform", mats[0])
-
-    if problem is None:
-        problem = _session_lp(scenario, positional)
+    key = (k * np.arange(blocks)[:, None] + ii) * k + jj  # row b*K + i, column j
+    policy = Policy.from_entries("positional" if positional else "uniform", k, blocks * k,
+                                 key, x[k:].reshape(blocks, -1) / z[ii])
     return RecoveredPolicy(
         policy=policy,
         z=z,
@@ -280,12 +276,13 @@ def format_lp(problem: LpProblem) -> str:
                      f"lb {float(problem.lb[i])!r} ub {float(problem.ub[i])!r}")
 
     def emit(kind: str, mat: sparse.csr_matrix, rhs: np.ndarray, names: list[str]):
-        csr = mat.tocsr()
+        coo = mat.tocoo()  # row by row, each row's entries in stored order
+        ends = coo.row.searchsorted(np.arange(rhs.shape[0] + 1))
         for r in range(rhs.shape[0]):
-            lo, hi = csr.indptr[r], csr.indptr[r + 1]
+            lo, hi = ends[r], ends[r + 1]
             terms = " ".join(
                 f"{problem.var_names[c]} {float(val)!r}"
-                for c, val in zip(csr.indices[lo:hi], csr.data[lo:hi]))
+                for c, val in zip(coo.col[lo:hi], coo.data[lo:hi]))
             lines.append(f"{kind} {names[r]} rhs {float(rhs[r])!r} : {terms}")
 
     emit("eq", problem.a_eq, problem.b_eq, problem.eq_names)

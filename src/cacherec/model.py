@@ -17,6 +17,7 @@ or (N, K, K) stack is built only on request, for the LP oracle and tests.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +131,17 @@ class Scenario:
         return Scenario(**kwargs)
 
 
+def _canonical(key: np.ndarray, val: np.ndarray, rows: int, k: int):
+    """Canonical CSR arrays (indptr, indices, data) of `rows` rows of width k
+    from values at distinct flat keys row * k + column, in any order: zero
+    values are dropped and the keys sorted."""
+    keep = val != 0.0
+    key, val = key[keep], val[keep]
+    order = key.argsort()
+    key = key[order]
+    return key.searchsorted(np.arange(0, (rows + 1) * k, k)), key % k, val[order]
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Policy:
     """Recommendation policy, held as one CSR matrix of plain numpy arrays.
@@ -146,9 +158,11 @@ class Policy:
     within each row, and no entry is stored twice or stored as zero. A policy
     that mixes two slates per content has at most 2N entries per content.
 
+    Every constructor goes through one canonicalizer, which takes distinct
+    flat keys row * K + column in any order, drops zero values and sorts.
     `Policy(kind, dense)` converts a dense (K, K) matrix or (N, K, K) stack;
-    `Policy.from_csr` takes canonical arrays as they are. `.mats` builds the
-    dense view on demand, for the LP oracle, the demos and the tests.
+    `Policy.from_entries` takes keys and values as they come. `.mats` builds
+    the dense view on demand, for the LP oracle, the demos and the tests.
     """
 
     kind: str
@@ -167,32 +181,29 @@ class Policy:
                 raise ValueError(f"positional policy needs an (N, K, K) stack, got {mats.shape}")
         else:
             raise ValueError(f"unknown policy kind {kind!r}")
-        k = mats.shape[-1]
-        flat = mats.reshape(-1, k)
-        rows, cols = np.nonzero(flat)
-        indptr = np.searchsorted(rows, np.arange(flat.shape[0] + 1))
-        self._set(kind, k, indptr, cols, flat[rows, cols])
+        flat = mats.ravel()
+        key = np.flatnonzero(flat)
+        self._set(kind, mats.shape[-1], math.prod(mats.shape[:-1]), key, flat[key])
 
-    def _set(self, kind: str, k: int, indptr, indices, data) -> None:
+    def _set(self, kind: str, k: int, rows: int, key, val) -> None:
         if kind not in ("uniform", "positional"):
             raise ValueError(f"unknown policy kind {kind!r}")
-        rows = len(indptr) - 1
         if rows < 0 or rows % max(k, 1) or (kind == "uniform" and rows != k):
             raise ValueError(f"{kind} policy on K={k} cannot have {rows} rows")
-        if len(indices) != len(data) or len(data) != indptr[-1]:
-            raise ValueError(f"row pointer ends at {indptr[-1]}, with {len(indices)} "
-                             f"columns and {len(data)} values")
+        indptr, indices, data = _canonical(key, val, rows, k)
+        if indptr[0] != 0 or indptr[-1] != data.size:
+            raise ValueError(f"entry keys must lie in 0..{rows * k - 1}")
         for arr in (indptr, indices, data):
             arr.flags.writeable = False  # `rows` is cached from indptr
         # A frozen dataclass: fields are set once, through __dict__.
         self.__dict__.update(kind=kind, k=int(k), indptr=indptr, indices=indices, data=data)
 
     @classmethod
-    def from_csr(cls, kind: str, k: int, indptr: np.ndarray, indices: np.ndarray,
-                 data: np.ndarray) -> "Policy":
-        """Policy from canonical CSR arrays, which it keeps without a copy."""
+    def from_entries(cls, kind: str, k: int, rows: int, key, val) -> "Policy":
+        """Policy of `rows` rows from entry values `val` at distinct flat keys
+        `key` = row * K + column, in any order; zero values are not stored."""
         policy = cls.__new__(cls)
-        policy._set(kind, k, indptr, indices, data)
+        policy._set(kind, k, rows, np.asarray(key, dtype=np.intp), np.asarray(val, dtype=float))
         return policy
 
     @property
@@ -225,25 +236,14 @@ def slot_sum(policy: Policy, weights) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     Each entry's terms are added in slot order, starting from zero, which is
     the order of a sum over the dense (N, K, K) stack, so the two agree
-    bitwise.
+    bitwise: the policy stores its entries slot-major, and bincount adds the
+    weights of a group to 0.0 in array order (so a lone -0.0 sums to 0.0).
     """
     k = policy.k
     slot, i = np.divmod(policy.rows, k)
     terms = np.asarray(weights, dtype=float)[slot] * policy.data
-    key = i * k + policy.indices
-    order = np.argsort(key, kind="stable")  # the terms of (i, j) stay in slot order
-    key, terms = key[order], terms[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    start = np.flatnonzero(first)
-    total = terms[start] + 0.0  # 0 + x: a lone -0.0 sums to 0.0
-    group = np.cumsum(first) - 1
-    rank = np.arange(key.size) - start[group]
-    for t in range(1, int(rank.max(initial=0)) + 1):
-        at = rank == t
-        total[group[at]] += terms[at]
-    key = key[start]
-    return key.searchsorted(np.arange(0, (k + 1) * k, k)), key % k, total
+    key, group = np.unique(i * k + policy.indices, return_inverse=True)
+    return key.searchsorted(np.arange(0, (k + 1) * k, k)), key % k, np.bincount(group, terms)
 
 
 @dataclass(frozen=True)
@@ -374,19 +374,6 @@ def _slate_entries(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
     return np.where(shared_lo, 1.0, theta), np.where(shared_hi, 0.0, 1.0 - theta)
 
 
-def _csr_rows(cols: np.ndarray, vals: np.ndarray, k: int):
-    """Canonical CSR arrays (indptr, indices, data) of rows given as
-    (rows, width) arrays of columns and values, in which no column repeats
-    among a row's nonzero values. Zeros are dropped and each row's columns
-    sorted."""
-    offsets = np.arange(0, (cols.shape[0] + 1) * k, k)
-    keep = vals != 0.0
-    key = (cols + offsets[:-1, None])[keep]  # row * K + column
-    order = key.argsort()
-    key = key[order]
-    return key.searchsorted(offsets), key % k, vals[keep][order]
-
-
 def slate_policy(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
                  v: np.ndarray | None = None) -> Policy:
     """Policy that shows slate lo[i] with probability theta_i after content i,
@@ -402,18 +389,13 @@ def slate_policy(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
     k, n = lo.shape
     if v is not None and np.shape(v) != (n,):
         raise ValueError(f"v must have length n={n}, got shape {np.shape(v)}")
+    row = np.arange(k)[:, None]
+    if v is not None:
+        row = slot_order(v) * k + row  # slot of slate column t, after content i
     on_lo, on_hi = _slate_entries(lo, hi, theta, v is not None)
-    cols, vals = np.concatenate([lo, hi], axis=1), np.concatenate([on_lo, on_hi], axis=1)
-    if v is None:
-        return Policy.from_csr("uniform", k, *_csr_rows(cols, vals, k))
-    # Slot n shows slate column t = column[n]: entry t of lo and N + t of hi.
-    column = np.argsort(slot_order(v))
-    take = column[:, None] + np.arange(0, cols.shape[1], n)
-
-    def by_slot(a):
-        return a[:, take].transpose(1, 0, 2).reshape(n * k, -1)
-
-    return Policy.from_csr("positional", k, *_csr_rows(by_slot(cols), by_slot(vals), k))
+    key = np.concatenate([row * k + lo, row * k + hi], axis=1)
+    kind, rows = ("uniform", k) if v is None else ("positional", n * k)
+    return Policy.from_entries(kind, k, rows, key, np.concatenate([on_lo, on_hi], axis=1))
 
 
 def slate_kernel(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import markov
+from . import data, markov
 from .model import Policy, Scenario, max_quality, slate_policy, validate_policy
 
 #: Number of batches used for the batch-means standard error.
@@ -36,6 +36,8 @@ N_BATCHES = 100
 #: Default ceiling on the number of deterministic policies the exhaustive
 #: search will evaluate.
 BRUTE_FORCE_CAP = 10 ** 6
+#: Candidate policies the exhaustive search scores per batched solve.
+BRUTE_FORCE_CHUNK = 50_000
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,15 @@ def _step_table(support) -> tuple[np.ndarray, np.ndarray, int]:
     the last, then +inf; cols holds the row's support columns, then its last
     support column again. Counting a row's thresholds below u therefore
     picks the first support column whose cumulative sum reaches u, or the
-    last one when rounding leaves the row total below u.
+    last one when rounding leaves the row total below u. Raises ValueError,
+    before allocating them, when the two tables (16 K width bytes) exceed
+    the machine's memory.
     """
     indptr, cols, cum = support
     counts = np.diff(indptr)
     k = counts.size
     width = 1 << int(counts.max() - 1).bit_length()
+    data.check_fits((2, k, width), "the sampler's step table")
     last = indptr[1:] - 1
     at = np.arange(cols.size) + np.repeat(np.arange(k) * width - indptr[:-1], counts)
     thr = np.full(k * width, np.inf)
@@ -208,9 +213,15 @@ def _sample_path(policy: Policy, scenario: Scenario, steps: int,
 
 
 def simulate(policy: Policy, scenario: Scenario, steps: int, seed: int) -> SimReport:
-    """Simulate `steps` requests and report empirical cost rate and cycle stats."""
+    """Simulate `steps` requests and report empirical cost rate and cycle stats.
+
+    Raises ValueError, before drawing anything, when eight 8-byte values a
+    step exceed the machine's memory: the sampling arrays peak at 57 bytes a
+    step (alpha = 0, where every cycle has one request) and fewer for larger
+    alpha."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    data.check_fits((8, steps), f"steps = {steps} is too large: its sampling arrays")
     bad = validate_policy(policy, scenario, tol=markov.EVAL_TOL)
     if bad:
         raise ValueError("invalid policy: " + "; ".join(bad[:5]))
@@ -294,8 +305,7 @@ def _feasible_rows(scenario: Scenario, tol: float = 1e-9) -> list[list[tuple[int
     return rows
 
 
-def brute_force_optimum(scenario: Scenario, cap: int = BRUTE_FORCE_CAP,
-                        chunk: int = 50_000) -> tuple[float, Policy]:
+def brute_force_optimum(scenario: Scenario, cap: int = BRUTE_FORCE_CAP) -> tuple[float, Policy]:
     """Best deterministic slate assignment by exhaustive enumeration.
 
     Enumerates every policy whose rows are N-subsets meeting the quality
@@ -319,7 +329,7 @@ def brute_force_optimum(scenario: Scenario, cap: int = BRUTE_FORCE_CAP,
     best_combo: tuple[tuple[int, ...], ...] | None = None
     it = itertools.product(*rows)
     while True:
-        block = list(itertools.islice(it, chunk))
+        block = list(itertools.islice(it, BRUTE_FORCE_CHUNK))
         if not block:
             break
         bsz = len(block)

@@ -27,6 +27,9 @@ _PIVOT_TOL = 1e-10
 _STALL_LIMIT = 50
 _FEAS_TOL = 1e-8  # phase-1 residual, relative to 1 + max|b|, above which the LP is infeasible
 _OPT_TOL = 1e-9   # reduced-cost magnitude below which no column improves the objective
+#: Each phase of the dense simplex stops with status "iteration-limit" after
+#: _PIVOTS_PER_DIM * (10 + m + n) pivots, for m rows and n variables.
+_PIVOTS_PER_DIM = 200
 
 
 @dataclass
@@ -46,11 +49,11 @@ class LpSolution:
     message: str = ""
 
 
-def solve(problem: LpProblem, *, method: str = "highs", max_iters: int | None = None,
+def solve(problem: LpProblem, *, method: str = "highs",
           external_cmd: str | None = None) -> LpSolution:
     """Solve an LpProblem; infeasible/unbounded are reported via status, never raised."""
     if method == "dense":
-        return _solve_dense(problem, max_iters)
+        return _solve_dense(problem)
     if method == "highs":
         return _solve_highs(problem)
     if method == "external":
@@ -156,7 +159,7 @@ def _iterate(tab: _Tableau, max_iters: int) -> str:
             tab.stall = 0
 
 
-def _solve_dense(problem: LpProblem, max_iters: int | None) -> LpSolution:
+def _solve_dense(problem: LpProblem) -> LpSolution:
     n = problem.n_vars
     me, mu = problem.b_eq.shape[0], problem.b_ub.shape[0]
     m = me + mu
@@ -190,8 +193,7 @@ def _solve_dense(problem: LpProblem, max_iters: int | None) -> LpSolution:
         at_upper=np.zeros(ncols, dtype=bool),
         allowed=np.ones(ncols, dtype=bool),
     )
-    if max_iters is None:
-        max_iters = 2000 + 200 * (m + n)
+    max_iters = _PIVOTS_PER_DIM * (10 + m + n)
 
     # Phase 1: minimize the sum of artificials. With the artificial basis,
     # the reduced cost of column j is -sum_i a_ij.

@@ -397,6 +397,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "cost_rate=" in out and "mean_cycle=" in out
 
+    def test_sim_unallocatable_steps_exits_io(self, cfg_file, tmp_path, capsys):
+        # 10**13 steps need hundreds of TB of sampling arrays; the count is
+        # refused before anything is drawn, so this allocates nothing large.
+        policy_file = tmp_path / "policy.csv"
+        assert main(["solve", "--problem", "uni", "--config", str(cfg_file),
+                     "--out", str(policy_file)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["sim", "--config", str(cfg_file), "--policy", str(policy_file),
+                     "--steps", "10000000000000"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: steps = 10000000000000 is too large")
+        assert "cannot be allocated" in err and "Traceback" not in err
+
     def test_solve_greedy_and_pref(self, cfg_file, tmp_path):
         for problem in ("greedy", "pref"):
             out = tmp_path / f"{problem}.csv"

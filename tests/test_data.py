@@ -197,12 +197,6 @@ class TestZipfPopularity:
             assert abs(p.sum() - 1.0) <= 1e-12
             assert np.all(p > 0)
 
-    def test_rank_permutation(self):
-        ranks = np.array([2, 0, 1])  # item 1 is the most popular
-        p = zipf_popularity(3, 1.0, ranks=ranks)
-        assert np.argmax(p) == 1
-        assert p.sum() == pytest.approx(1.0)
-
     def test_monotone_in_index_by_default(self):
         p = zipf_popularity(50, 0.9)
         assert np.all(np.diff(p) < 0)

@@ -112,7 +112,7 @@ class TestRecoverPolicy:
         bad = LpSolution(status="infeasible", x=np.zeros(16), objective=0.0,
                          iterations=0, max_residual=0.0)
         with pytest.raises(ValueError, match="status"):
-            recover_policy(bad, s)
+            recover_policy(bad, s, build_session_lp(s))
 
     def test_near_zero_z_flagged(self):
         s = small_scenario(5, k=3, n=1)
@@ -120,7 +120,7 @@ class TestRecoverPolicy:
         fake = LpSolution(status="optimal", x=x, objective=0.0,
                           iterations=0, max_residual=0.0)
         with pytest.raises(ValueError, match="strictly positive"):
-            recover_policy(fake, s)
+            recover_policy(fake, s, build_session_lp(s))
 
     def test_quality_constraint_tight_at_full_quality(self):
         for seed in range(3):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from cacherec import (Policy, Scenario, baseline_policy, entropy, max_quality,
                       quality_of, quality_profile, validate_policy)
-from cacherec.model import FEAS_TOL, top_slates
+from cacherec.model import FEAS_TOL, slot_sum, top_slates
 from _oracles import dense_validate_policy
 from conftest import (CORRUPTIONS, assert_canonical, corrupt_policy, random_positional_policy,
                       random_scenario, random_slate_policy, random_uniform_policy)
@@ -371,8 +372,52 @@ class TestSparsePolicy:
     @pytest.mark.parametrize("kind,rows", [("uniform", 4), ("positional", 7), ("other", 3)])
     def test_inconsistent_csr_rejected(self, kind, rows):
         with pytest.raises(ValueError):
-            Policy.from_csr(kind, 3, np.zeros(rows + 1, dtype=np.intp),
-                            np.zeros(0, dtype=np.intp), np.zeros(0))
+            Policy.from_entries(kind, 3, rows, np.zeros(0, dtype=np.intp), np.zeros(0))
+
+    @pytest.mark.parametrize("key", [-1, 9])
+    def test_entry_key_outside_the_rows_rejected(self, key):
+        with pytest.raises(ValueError, match=r"keys must lie in 0\.\.8"):
+            Policy.from_entries("uniform", 3, 3, [0, key], [0.5, 0.5])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_entries_and_slot_sum_match_dense_stack(seed, k, n):
+    """On random (N, K, K) stacks with sparse and dense rows and negative
+    entries: the nonzero entries given in shuffled order, with zeros at some
+    other keys, build the same arrays as the dense constructor, which match
+    scipy's CSR of the stack; and slot_sum under click weights with a zero
+    slot is bitwise a slot-order loop over the dense stack."""
+    rng = np.random.default_rng(seed)
+    density = rng.choice([0.05, 0.3, 1.0], size=(n, k, 1))
+    mats = rng.uniform(-0.5, 1.0, (n, k, k)) * (rng.random((n, k, k)) < density)
+    for kind, dense in (("uniform", mats[0]), ("positional", mats)):
+        want = Policy(kind, dense)
+        flat = dense.ravel()
+        stored, zero = np.flatnonzero(flat), np.flatnonzero(flat == 0.0)
+        zero = rng.choice(zero, size=zero.size // 2, replace=False)
+        key = rng.permutation(np.concatenate([stored, zero]))
+        got = Policy.from_entries(kind, k, flat.size // k, key,
+                                  np.where(np.isin(key, zero), -0.0, flat[key]))
+        oracle = sparse.csr_matrix(dense.reshape(-1, k))
+        assert np.array_equal(want.indptr, oracle.indptr)
+        assert np.array_equal(want.indices, oracle.indices)
+        assert want.data.tobytes() == oracle.data.tobytes()
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    weights = rng.dirichlet(np.ones(n))
+    weights[rng.integers(n)] = 0.0
+    loop = np.zeros((k, k))
+    for t in range(n):
+        loop += weights[t] * mats[t]
+    indptr, cols, total = slot_sum(Policy("positional", mats), weights)
+    rows = np.repeat(np.arange(k), np.diff(indptr))
+    assert np.all(np.diff(rows * k + cols) > 0)
+    summed = np.zeros((k, k))
+    summed[rows, cols] = total
+    assert summed.tobytes() == loop.tobytes()
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 9), st.booleans(),

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cacherec import (Policy, Scenario, baseline_policy, evaluate, markov, scenario_from_config,
-                      solve_positional, solve_session)
+from cacherec import (Policy, Scenario, baseline_policy, data, evaluate, markov,
+                      scenario_from_config, sim, solve_positional, solve_session)
 from cacherec.sim import (SimReport, _guide_search, _kernel_support, _sample_path, _step,
                           _step_table, brute_force_optimum, merge_reports, render_slate,
                           simulate)
@@ -195,6 +195,17 @@ class TestSparseSampler:
         with pytest.raises(ValueError, match="row 1 has no positive entry"):
             _kernel_support(csr_arrays(kernel))
 
+    def test_step_table_refused_before_allocation(self, monkeypatch):
+        # Rows of 2, 1 and 3 support entries pad to width 4: two tables of
+        # 3 x 4 entries, 192 bytes.
+        kernel = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.25, 0.25, 0.5]])
+        support = _kernel_support(csr_arrays(kernel))
+        monkeypatch.setattr(data, "machine_memory", lambda: 191)
+        with pytest.raises(ValueError, match="step table 2 x 3 x 4 cannot be allocated"):
+            _step_table(support)
+        monkeypatch.setattr(data, "machine_memory", lambda: 192)
+        assert _step_table(support)[2] == 4
+
     def test_memory_independent_of_catalog_width(self):
         # A per-step (active cycles, K) float temporary would take about
         # 50 000 x 400 x 8 B = 160 MB at t = 1 for these sizes.
@@ -241,10 +252,11 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="cap"):
             brute_force_optimum(s, cap=10)
 
-    def test_batched_scores_match_evaluator(self, rng):
+    def test_batched_scores_match_evaluator(self, rng, monkeypatch):
         # the vectorized scorer must agree with the per-policy evaluator
+        monkeypatch.setattr(sim, "BRUTE_FORCE_CHUNK", 7)  # odd chunk exercises batching
         s = random_scenario(rng, k=5, n=2, q=0.0)
-        best, policy = brute_force_optimum(s, chunk=7)  # odd chunk exercises batching
+        best, policy = brute_force_optimum(s)
         assert best == pytest.approx(evaluate(policy, s).ltec, rel=1e-12)
 
     def test_positional_scenarios_rejected(self, rng):
