@@ -175,9 +175,10 @@ class SweepSpec:
 
     Hv values are position-zipf exponents; each cell's realized click
     entropy is reported as the axis value. Multiple seeds average the
-    reported metrics over scenario replications. The gain reference must be
-    one of the policies, and a solver method other than "auto" needs a
-    policy that runs a solver (P1, P2 or P3).
+    reported metrics over scenario replications. N and C values are counts,
+    so a fraction is refused. The gain reference must be one of the
+    policies, and a solver method other than "auto" needs a policy that runs
+    a solver (P1, P2 or P3).
     """
 
     config: dict
@@ -194,6 +195,9 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise ValueError("sweep needs at least one axis value")
+        if self.axis in ("N", "C"):  # the config keys n and cache_size are counts
+            for value in self.values:
+                data._count(value, "n" if self.axis == "N" else "cache_size")
         unknown = set(self.policies) - set(policies.POLICY_NAMES)
         if unknown:
             raise ValueError(f"unknown policies: {sorted(unknown)}")
@@ -351,7 +355,7 @@ def write_sweep_csv(path, spec: SweepSpec, rows: list[dict]) -> None:
     for row in rows:
         lines.append(",".join([
             row["axis"], _fmt(row["value"]), row["policy"],
-            row["status"].replace(",", ";"),
+            row["status"].replace(",", ";").replace("\r", " ").replace("\n", " "),
             _fmt(row["chr"]), _fmt(row["ltec"]), _fmt(row["gain_pct"]),
             _fmt(row["mph"]), _fmt(row["wall_time_s"]),
         ]))
@@ -416,6 +420,11 @@ def _print_report(tag: str, report: markov.EvalReport) -> None:
           f"cycle_length={report.cycle_length:.4f}")
 
 
+def _print_quality(policy: Policy, scenario: Scenario) -> None:
+    ratio = quality_profile(policy, scenario).ratio()
+    print(f"quality: min={ratio.min():.6f} mean={ratio.mean():.6f} (fraction of max)")
+
+
 def _save_scenario(scenario: Scenario, stats: data.GraphStats | None, out: str | None) -> int:
     """Describe a scenario built by gen or ingest, and write it to `out` if given."""
     if stats:
@@ -451,8 +460,7 @@ def cmd_solve(args) -> int:
     name = _PROBLEM_POLICY[args.problem]
     result = policies.solve_named(name, scenario, **_solve_kw(args))
     _print_report(name, result.report)
-    qmin, qmean = result.quality_summary(scenario)
-    print(f"quality: min={qmin:.6f} mean={qmean:.6f} (fraction of max)")
+    _print_quality(result.policy, scenario)
     print(f"solver: status={result.status} iterations={result.iterations} "
           f"residual={result.residual:.3e} seconds={result.seconds:.3f}")
     out = args.out or "policy.csv"
@@ -468,8 +476,7 @@ def cmd_eval(args) -> int:
     policy = read_policy_csv(args.policy)
     report = markov.evaluate(policy, scenario)
     _print_report(args.policy, report)
-    ratio = quality_profile(policy, scenario).ratio()
-    print(f"quality: min={ratio.min():.6f} mean={ratio.mean():.6f} (fraction of max)")
+    _print_quality(policy, scenario)
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import reprlib
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,9 +172,17 @@ def check_fits(shape: tuple[int, ...], what: str) -> None:
 
 
 def load_config(path) -> dict:
-    """Read a YAML (or JSON) scenario config into a dict."""
-    with open(path) as fh:
-        cfg = yaml.safe_load(fh)
+    """Read a YAML (or JSON) scenario config into a dict. A document that is
+    not valid YAML raises ValueError naming the path and, where known, the
+    line."""
+    try:
+        with open(path) as fh:
+            cfg = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = "" if mark is None else f" line {mark.line + 1}"
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ValueError(f"{path}{where}: malformed config: {problem}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a key/value document")
     return cfg
@@ -305,7 +314,15 @@ def save_scenario_npz(path, scenario: Scenario) -> None:
 
 
 def load_scenario_npz(path) -> Scenario:
-    with np.load(path) as z:
+    """Read a scenario written by `save_scenario_npz`. A file that is not an
+    .npz archive raises ValueError naming the path."""
+    with open(path, "rb") as fh:  # np.load leaves a path open when the zip is bad
+        try:
+            z = np.load(fh)
+        except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: not a scenario .npz file: {exc}") from None
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path}: not a scenario .npz file: it holds a single array")
         return Scenario(
             u=z["u"], c=z["c"], p0=z["p0"], v=z["v"],
             alpha=float(z["alpha"]), n=int(z["n"]), q=float(z["q"]))

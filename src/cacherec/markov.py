@@ -58,22 +58,24 @@ def click_kernel(policy: Policy, scenario: Scenario) -> tuple[np.ndarray, np.nda
     return policy.indptr, policy.indices, policy.data / scenario.n
 
 
-def factor_in_place(kernel: np.ndarray, alpha: float):
-    """LU factors (lu, piv) of I - Q for Q = alpha * kernel, from LAPACK's
-    dgetrf; `solve` takes them.
+def factor(policy: Policy, scenario: Scenario):
+    """LU factors (lu, piv) of the policy's session system I - Q, for
+    Q = alpha * `click_kernel`, from LAPACK's dgetrf; `solve` takes them.
 
-    I - Q is assembled in the buffer of the (K, K) float click kernel, which
-    is overwritten; entry for entry it equals np.eye(K) - alpha * kernel. A
-    Fortran-ordered kernel, as `model.slate_kernel` returns, is also
-    factored in place. Raises ValueError when I - Q holds a NaN or an
+    I - Q is written into a zeroed Fortran-ordered (K, K) buffer, which
+    dgetrf factors in place. Entry for entry it equals
+    np.eye(K) - alpha * kernel: off the diagonal 0 - alpha * q, so zeros
+    keep a positive sign. Raises ValueError when I - Q holds a NaN or an
     infinity, or when it is singular.
     """
-    a = kernel
-    a *= alpha
-    np.subtract(0.0, a, out=a)  # 0 - Q, not -Q: zeros keep a positive sign
-    a.flat[::a.shape[0] + 1] += 1.0
-    if not np.isfinite(a).all():
+    indptr, cols, vals = click_kernel(policy, scenario)
+    off = np.subtract(0.0, scenario.alpha * vals)
+    if not np.isfinite(off).all():  # adding 1 to a finite entry keeps it finite
         raise ValueError("session system I - Q contains NaN or infinite values")
+    k = scenario.k
+    a = np.zeros((k, k), order="F")
+    a[np.repeat(np.arange(k), np.diff(indptr)), cols] = off
+    a.flat[::k + 1] += 1.0
     lu, piv, info = dgetrf(a, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
@@ -84,7 +86,7 @@ def factor_in_place(kernel: np.ndarray, alpha: float):
 
 def solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """x with (I - Q) x = b, or (I - Q)' x = b for trans=1, from the factors
-    of `factor_in_place`; b is a (K,) vector or a (K, m) matrix and is not
+    of `factor`; b is a (K,) vector or a (K, m) matrix and is not
     overwritten."""
     x, info = dgetrs(*lu, b, trans=trans)
     if info < 0:
@@ -124,10 +126,5 @@ def evaluate(policy: Policy, scenario: Scenario) -> EvalReport:
     bad = validate_policy(policy, scenario, tol=EVAL_TOL)
     if bad:
         raise ValueError("invalid policy: " + "; ".join(bad[:5]))
-    # The click kernel goes into a zeroed Fortran-ordered buffer, which
-    # `factor_in_place` turns into I - Q and LAPACK factors in place.
-    indptr, cols, vals = click_kernel(policy, scenario)
-    kernel = np.zeros((scenario.k, scenario.k), order="F")
-    kernel[np.repeat(np.arange(scenario.k), indptr[1:] - indptr[:-1]), cols] = vals
-    lu = factor_in_place(kernel, scenario.alpha)
+    lu = factor(policy, scenario)
     return report(lu, scenario, solve(lu, scenario.c))

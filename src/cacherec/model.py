@@ -356,24 +356,6 @@ def slot_order(v: np.ndarray) -> np.ndarray:
     return np.argsort(-v, kind="stable")
 
 
-def _slate_entries(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
-                   positional: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(K, N) policy entries of lo's and of hi's items in the mix
-    theta * lo + (1 - theta) * hi.
-
-    An item that both slates show (in the same slot, for a positional
-    policy) gets exactly 1.0 on the lo side and 0.0 on the hi side, so
-    writing the lo entries and then adding the hi entries builds the policy.
-    """
-    if positional:
-        shared_lo = shared_hi = lo == hi
-    else:
-        same = lo[:, :, None] == hi[:, None, :]
-        shared_lo, shared_hi = same.any(axis=2), same.any(axis=1)
-    theta = theta[:, None]
-    return np.where(shared_lo, 1.0, theta), np.where(shared_hi, 0.0, 1.0 - theta)
-
-
 def slate_policy(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
                  v: np.ndarray | None = None) -> Policy:
     """Policy that shows slate lo[i] with probability theta_i after content i,
@@ -383,47 +365,26 @@ def slate_policy(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
     and the policy is uniform; with `v`, column t of each slate goes to slot
     slot_order(v)[t] and the policy is positional. Row i of a uniform policy
     holds lo[i] and hi[i]; row n*K + i of a positional one holds the lo and
-    hi items of slot n. An item both show keeps its lo entry, 1.0, and drops
-    its hi entry, 0.0, so no entry repeats.
+    hi items of slot n. An item both show (in the same slot, for a
+    positional policy) keeps its lo entry, 1.0, and drops its hi entry, 0.0,
+    so no entry repeats.
     """
     k, n = lo.shape
     if v is not None and np.shape(v) != (n,):
         raise ValueError(f"v must have length n={n}, got shape {np.shape(v)}")
     row = np.arange(k)[:, None]
-    if v is not None:
-        row = slot_order(v) * k + row  # slot of slate column t, after content i
-    on_lo, on_hi = _slate_entries(lo, hi, theta, v is not None)
-    key = np.concatenate([row * k + lo, row * k + hi], axis=1)
-    kind, rows = ("uniform", k) if v is None else ("positional", n * k)
-    return Policy.from_entries(kind, k, rows, key, np.concatenate([on_lo, on_hi], axis=1))
-
-
-def slate_kernel(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
-                 v: np.ndarray | None = None) -> np.ndarray:
-    """Click kernel of `slate_policy(lo, hi, theta, v)`, built without the
-    policy: entry for entry what `markov.click_kernel` returns for that
-    policy and clicks `v` (uniform clicks, R/N, when v is None).
-
-    The (K, K) result is in Fortran order, so `markov.factor_in_place` can
-    factor it without a copy.
-    """
-    k, n = lo.shape
-    on_lo, on_hi = _slate_entries(lo, hi, theta, v is not None)
     if v is None:
-        on_lo /= n
-        on_hi /= n
+        same = lo[:, :, None] == hi[:, None, :]
+        shared_lo, shared_hi = same.any(axis=2), same.any(axis=1)
+        kind, rows = "uniform", k
     else:
-        # An item gets at most two nonzero terms (from lo and from hi), and
-        # a sum of two terms does not depend on their order, so this equals
-        # the sum over slots that `markov.click_kernel` takes.
-        weights = np.asarray(v, dtype=float)[slot_order(v)]
-        on_lo *= weights
-        on_hi *= weights
-    kernel = np.zeros((k, k), order="F")
-    rows = np.arange(k)[:, None]
-    kernel[rows, lo] = on_lo
-    kernel[rows, hi] += on_hi
-    return kernel
+        shared_lo = shared_hi = lo == hi
+        row = slot_order(v) * k + row  # slot of slate column t, after content i
+        kind, rows = "positional", n * k
+    theta = theta[:, None]
+    on_lo, on_hi = np.where(shared_lo, 1.0, theta), np.where(shared_hi, 0.0, 1.0 - theta)
+    key = np.concatenate([row * k + lo, row * k + hi], axis=1)
+    return Policy.from_entries(kind, k, rows, key, np.concatenate([on_lo, on_hi], axis=1))
 
 
 def baseline_policy(u: np.ndarray, n: int, v: np.ndarray | None = None) -> Policy:

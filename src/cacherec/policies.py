@@ -8,13 +8,13 @@ slate mixtures per content. `row_kernel` solves the per-row problem
 "cheapest slate mix meeting the floor" for a value vector V, for all rows at
 once. One routine, `_row_solve`, serves P1, P2 and P3: policy iteration
 (Howard 1960; Puterman 1994, ch. 6) from the kernel's slates at V = c, the
-first Bellman step from V = c. Each round writes the click kernel of the
-current slates (`model.slate_kernel`), turns it into I - Q and factors it
-once (`markov.factor_in_place`), and solves only V = G c. P1 stops after
-this first evaluation. P2 and P3 replace each row the kernel improves by
-more than a rounding margin, starting its call from the current slates.
-When no row changes, the policy is built once and its report comes from
-the last round's factors (`markov.report`).
+first Bellman step from V = c. Each round builds the policy of the current
+slates (`model.slate_policy`), factors its I - Q once (`markov.factor`, as
+`markov.evaluate` does), and solves only V = G c. P1 stops after this first
+evaluation. P2 and P3 replace each row the kernel improves by more than a
+rounding margin, starting its call from the current slates. When no row
+changes, the last round's policy is the result, and its report comes from
+that round's factors (`markov.report`).
 
 An explicit LP method ("dense", "highs" or "external") instead builds the
 K^2-variable LP of `cacherec.lp` and solves it with `cacherec.simplex`; that
@@ -34,8 +34,7 @@ import numpy as np
 from . import lp, markov, simplex
 from .markov import EvalReport
 from .model import (Policy, Scenario, _smallest_first, baseline_policy, quality_of,
-                    quality_profile, slate_kernel, slate_policy, slot_order, top_quality,
-                    top_slates, validate_policy)
+                    slate_policy, slot_order, top_quality, top_slates, validate_policy)
 
 POLICY_NAMES = ("baseline", "P1", "P2", "P3")
 
@@ -84,11 +83,6 @@ class PolicyResult:
     iterations: int
     residual: float
     seconds: float
-
-    def quality_summary(self, scenario: Scenario) -> tuple[float, float]:
-        """(min, mean) achieved-over-maximum quality ratio across contents."""
-        ratio = quality_profile(self.policy, scenario).ratio()
-        return float(ratio.min()), float(ratio.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +222,8 @@ def _row_solve(scenario: Scenario, name: str) -> PolicyResult:
     sol = row_kernel(scenario.c, scenario.u, weights, floor, top)
     calls = 1
     for _ in range(MAX_ROUNDS):
-        lu = markov.factor_in_place(slate_kernel(*sol, v), scenario.alpha)
+        policy = slate_policy(*sol, v)
+        lu = markov.factor(policy, scenario)
         values = markov.solve(lu, scenario.c)
         if name == "P1":
             objective = float(scenario.p0 @ _mix_value(sol, scenario.c, weights))
@@ -247,15 +242,14 @@ def _row_solve(scenario: Scenario, name: str) -> PolicyResult:
     else:
         raise SolverFailure(f"{name}: policy iteration did not settle in "
                             f"{MAX_ROUNDS} rounds")
-    policy, report = slate_policy(*sol, v), markov.report(lu, scenario, values)
     bad = validate_policy(policy, scenario)
     if bad:
         raise SolverFailure(f"{name}: invalid policy: " + "; ".join(bad[:5]))
     shortfall = floor - quality_of(policy, scenario)
     return PolicyResult(
-        name=name, policy=policy, report=report, objective=objective,
-        status="optimal", iterations=calls, residual=float(max(shortfall.max(), 0.0)),
-        seconds=time.perf_counter() - t0)
+        name=name, policy=policy, report=markov.report(lu, scenario, values),
+        objective=objective, status="optimal", iterations=calls,
+        residual=float(max(shortfall.max(), 0.0)), seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,34 @@ class TestCommands:
         assert err in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis,values", [("N", "2.5,3"), ("C", "1.5")],
+                             ids=["N", "C"])
+    def test_sweep_fractional_count_exits_io(self, cfg_file, tmp_path, capsys, axis, values):
+        """N and C are counts: a fraction is refused, not truncated."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg_file), "--axis", axis, "--values", values,
+                     "--policies", "P1", "--out", str(out)]) == EXIT_IO
+        key = "n" if axis == "N" else "cache_size"
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}' must be a whole")
+        assert not out.exists()
+        assert main(["sweep", "--config", str(cfg_file), "--axis", axis, "--values", "3,3.0",
+                     "--policies", "P1", "--out", str(out)]) == EXIT_OK
+        assert [line.split(",")[1] for line in out.read_text().splitlines()[3:]] == ["3", "3"]
+
+    def test_sweep_csv_row_stays_one_line(self, cfg_file, tmp_path, capsys):
+        """A status with line breaks, here an external solver's stderr, is
+        written on its row's one line."""
+        out = tmp_path / "sweep.csv"
+        cmd = "printf 'first, line\\nsecond\\r\\n' >&2; : {lp} {out}; exit 3"
+        assert main(["sweep", "--config", str(cfg_file), "--axis", "q", "--values", "0.7",
+                     "--policies", "P1", "--solver", "external", "--external-cmd", cmd,
+                     "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4
+        fields = lines[3].split(",")
+        assert len(fields) == 9
+        assert "external solver exited 3: first; line second" in fields[3]
+
     def test_solve_from_scenario_npz(self, cfg_file, tmp_path, capsys):
         npz = tmp_path / "scen.npz"
         assert main(["gen", "--config", str(cfg_file), "--out", str(npz)]) == EXIT_OK
@@ -519,6 +547,29 @@ class TestCommands:
     def test_bad_config_is_io_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.yaml"
         assert main(["gen", "--config", str(missing)]) == EXIT_IO
+
+    @pytest.mark.parametrize("body,problem", [
+        ("graph: {kind: poisson\n  k: 30\n", "line 2: malformed config: expected ','"),
+        ("graph: !!python/object:os.system {}\n",
+         "line 1: malformed config: could not determine a constructor"),
+    ], ids=["syntax", "unknown-tag"])
+    def test_malformed_yaml_exits_io_naming_file(self, tmp_path, capsys, body, problem):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(body)
+        assert main(["gen", "--config", str(cfg)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg} {problem}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [b"", b"PK\x03\x04 not a zip", b"\x93NUMPY"],
+                             ids=["empty", "bad-zip", "npy-header"])
+    def test_unreadable_scenario_exits_io_naming_file(self, tmp_path, capsys, content):
+        npz = tmp_path / "scen.npz"
+        npz.write_bytes(content)
+        assert main(["eval", "--scenario", str(npz), "--policy", "p.csv"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {npz}: not a scenario .npz file")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("body,key", [
         ("graph: 5\n", "'graph'"),

@@ -13,7 +13,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgetrf
 
 from cacherec import Policy, Scenario, evaluate, expected_cycle_length, markov
-from cacherec.model import slate_kernel, slate_policy
+from cacherec.model import slate_policy
 from _oracles import dense_click_kernel
 from conftest import (random_positional_policy, random_scenario, random_slate_policy,
                       random_uniform_policy)
@@ -197,9 +197,9 @@ def random_slates(rng, k: int, n: int, overlap: str):
        st.sampled_from(["zero", "one", "random"]),
        st.sampled_from([None, "uniform", "skewed", "tied"]))
 @settings(max_examples=200, deadline=None)
-def test_slate_kernel_is_the_dense_policys_session_system(seed, k, overlap, theta, clicks):
-    """The kernel written from slates, and the I - Q that `factor_in_place`
-    makes of it, equal those of the dense `slate_policy`, entry for entry."""
+def test_factor_is_dgetrf_of_the_dense_policys_session_system(seed, k, overlap, theta, clicks):
+    """`factor` of a slate policy gives bitwise the LU factors and pivots
+    that dgetrf gives for I - alpha * the dense policy's click kernel."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, min(4, k)))
     s = random_scenario(rng, k=k, n=n, alpha=float(rng.choice([0.0, 0.8, rng.random()])))
@@ -212,21 +212,19 @@ def test_slate_kernel_is_the_dense_policys_session_system(seed, k, overlap, thet
     slots = None if clicks is None else s.v
 
     policy = slate_policy(lo, hi, th, slots)
-    kernel = slate_kernel(lo, hi, th, slots)
-    want = dense_click_kernel(policy, s)
-    assert np.ascontiguousarray(kernel).tobytes() == want.tobytes()  # signed zeros too
-    lu, piv = markov.factor_in_place(kernel, s.alpha)
-    want_lu, want_piv = lu_factor(np.eye(k) - s.alpha * want)
+    lu, piv = markov.factor(policy, s)
+    want_lu, want_piv, info = dgetrf(np.eye(k) - s.alpha * dense_click_kernel(policy, s))
+    assert info == 0
     assert np.ascontiguousarray(lu).tobytes() == np.ascontiguousarray(want_lu).tobytes()
-    assert np.array_equal(piv, want_piv)
+    assert piv.tobytes() == want_piv.tobytes()
 
 
 def test_evaluate_report_from_shared_builder():
-    """`evaluate` is `factor_in_place`, the solve for G c and `report` over
-    the policy's kernel."""
+    """`evaluate` is `factor`, the solve for G c and `report` over the
+    policy's factors."""
     s = random_scenario(np.random.default_rng(4), k=9, v="skewed")
     p = random_positional_policy(np.random.default_rng(5), s)
-    lu = markov.factor_in_place(dense_click_kernel(p, s), s.alpha)
+    lu = markov.factor(p, s)
     want = markov.report(lu, s, lu_solve(lu, s.c))
     got = evaluate(p, s)
     for field in ("ltec", "chr", "cycle_length"):
@@ -253,28 +251,32 @@ def test_evaluate_factors_a_fortran_buffer_in_place(monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_factor_rejects_a_non_finite_kernel(bad):
-    kernel = np.full((3, 3), 0.5, order="F")
-    kernel[1, 2] = bad
-    with pytest.raises(ValueError, match="NaN or infinite"):
-        markov.factor_in_place(kernel, 0.8)
+    s = Scenario(u=np.ones((3, 3)), c=[0, 1, 1], p0=[0.4, 0.3, 0.3], alpha=0.8, n=1)
+    mats = np.full((3, 3), 0.5)
+    mats[1, 2] = bad
+    for policy in (Policy("uniform", mats), Policy("positional", mats[None])):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            markov.factor(policy, s)
 
 
 def test_factor_rejects_a_singular_system():
     # I - Q = [[1, -1], [-1, 1]]: the second pivot is exactly zero.
+    s, _ = two_state(alpha=0.5)
     with pytest.raises(ValueError, match="singular"):
-        markov.factor_in_place(np.array([[0.0, 2.0], [2.0, 0.0]], order="F"), 0.5)
+        markov.factor(Policy("uniform", [[0.0, 2.0], [2.0, 0.0]]), s)
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.sampled_from([0, 1]),
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.sampled_from([0, 1]),
        st.sampled_from([None, 1, 3]))
 @settings(max_examples=100, deadline=None)
 def test_solve_is_scipy_lu_solve(seed, k, trans, columns):
-    """`markov.solve` over the factors of `factor_in_place` gives bitwise
-    what `scipy.linalg.lu_solve` gives, and leaves the right-hand side alone."""
+    """`markov.solve` over the factors of `factor` gives bitwise what
+    `scipy.linalg.lu_solve` gives, and leaves the right-hand side alone."""
     rng = np.random.default_rng(seed)
     kernel = rng.random((k, k))
     kernel /= kernel.sum(axis=1, keepdims=True)
-    lu = markov.factor_in_place(np.asfortranarray(kernel), float(rng.uniform(0.0, 0.99)))
+    s = random_scenario(rng, k=k, n=1, alpha=float(rng.uniform(0.0, 0.99)))
+    lu = markov.factor(Policy("uniform", kernel), s)
     b = rng.standard_normal(k if columns is None else (k, columns))
     before = b.copy()
     got = markov.solve(lu, b, trans=trans)
