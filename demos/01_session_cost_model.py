@@ -10,9 +10,8 @@ Run: python demos/01_session_cost_model.py
 """
 import numpy as np
 
-from cacherec import (Policy, Scenario, baseline_policy, evaluate,
-                      expected_cycle_length, max_quality, quality_of, simulate,
-                      validate_policy)
+from cacherec import (Policy, Scenario, baseline_policy, evaluate, max_quality,
+                      quality_of, simulate, validate_policy)
 
 # instead of a similarity graph, write one small matrix by hand: content 4
 # is cached but unrelated to content 0, whose best matches are 1 and 2.
@@ -57,7 +56,7 @@ q_kernel = scenario.alpha * nudged.mats / scenario.n
 print(f"transient kernel row sums (all alpha): {q_kernel.sum(axis=1)}")
 g = np.linalg.inv(np.eye(scenario.k) - q_kernel)
 print(f"fundamental matrix row sums = expected cycle length "
-      f"{g.sum(axis=1)[0]:.3f} = 1/(1-alpha) = {expected_cycle_length(scenario.alpha):.3f}")
+      f"{g.sum(axis=1)[0]:.3f} = 1/(1-alpha) = {1 / (1 - scenario.alpha):.3f}")
 
 print("\n=== cost per request: formula vs simulation ===")
 for name, policy in (("baseline", base), ("nudged", nudged)):

@@ -348,6 +348,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _one_line(status: str) -> str:
+    """A row's status with its line breaks written as spaces, so that it
+    stays on the row's one line in the CSV and on stdout."""
+    return status.replace("\r", " ").replace("\n", " ")
+
+
 def write_sweep_csv(path, spec: SweepSpec, rows: list[dict]) -> None:
     lines = [SWEEP_SCHEMA,
              f"# gain reference: {spec.reference}",
@@ -355,7 +361,7 @@ def write_sweep_csv(path, spec: SweepSpec, rows: list[dict]) -> None:
     for row in rows:
         lines.append(",".join([
             row["axis"], _fmt(row["value"]), row["policy"],
-            row["status"].replace(",", ";").replace("\r", " ").replace("\n", " "),
+            _one_line(row["status"]).replace(",", ";"),
             _fmt(row["chr"]), _fmt(row["ltec"]), _fmt(row["gain_pct"]),
             _fmt(row["mph"]), _fmt(row["wall_time_s"]),
         ]))
@@ -522,7 +528,7 @@ def cmd_sweep(args) -> int:
     failed = [r for r in rows if r["status"] != "ok"]
     print(f"wrote {out}: {len(rows)} rows, {len(failed)} failed")
     for row in failed:
-        print(f"  {row['axis']}={row['value']} {row['policy']}: {row['status']}")
+        print(f"  {row['axis']}={row['value']} {row['policy']}: {_one_line(row['status'])}")
     return EXIT_OK
 
 

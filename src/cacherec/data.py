@@ -315,7 +315,9 @@ def save_scenario_npz(path, scenario: Scenario) -> None:
 
 def load_scenario_npz(path) -> Scenario:
     """Read a scenario written by `save_scenario_npz`. A file that is not an
-    .npz archive raises ValueError naming the path."""
+    .npz archive raises ValueError naming the path; one that lacks a member,
+    or holds one that needs pickle or a scalar that is not one, names the
+    member too."""
     with open(path, "rb") as fh:  # np.load leaves a path open when the zip is bad
         try:
             z = np.load(fh)
@@ -323,6 +325,13 @@ def load_scenario_npz(path) -> Scenario:
             raise ValueError(f"{path}: not a scenario .npz file: {exc}") from None
         if not isinstance(z, np.lib.npyio.NpzFile):
             raise ValueError(f"{path}: not a scenario .npz file: it holds a single array")
-        return Scenario(
-            u=z["u"], c=z["c"], p0=z["p0"], v=z["v"],
-            alpha=float(z["alpha"]), n=int(z["n"]), q=float(z["q"]))
+        scalars = {"alpha": float, "n": int, "q": float}
+        members = {}
+        for key in ("u", "c", "p0", "v", "alpha", "n", "q"):
+            try:
+                members[key] = scalars[key](z[key]) if key in scalars else z[key]
+            except KeyError:
+                raise ValueError(f"{path}: not a scenario .npz file: no member {key!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: member {key!r}: {exc}") from None
+        return Scenario(**members)

@@ -218,18 +218,6 @@ def build_greedy_row_lps(scenario: Scenario) -> list[LpProblem]:
     ) for i, cols in enumerate(_off_diagonal(k)[1].reshape(k, k - 1))]
 
 
-def assemble_greedy_policy(row_solutions: list[np.ndarray], scenario: Scenario) -> Policy:
-    """Stack per-row myopic solutions (length K-1 each) into a uniform policy."""
-    k = scenario.k
-    if len(row_solutions) != k:
-        raise ValueError(f"need {k} row solutions, got {len(row_solutions)}")
-    body = np.vstack(row_solutions)  # raises on rows of unequal length
-    if body.shape != (k, k - 1):
-        raise ValueError(f"row solutions need {k - 1} entries each, got {body.shape[1]}")
-    ii, jj = _off_diagonal(k)
-    return Policy.from_entries("uniform", k, k, ii * k + jj, body.ravel())
-
-
 def recover_policy(solution, scenario: Scenario, problem: LpProblem,
                    positional: bool = False) -> RecoveredPolicy:
     """Map an optimal (z, f) LP solution of `problem` back to a recommendation

@@ -110,13 +110,6 @@ def report(lu, scenario: Scenario, values: np.ndarray) -> EvalReport:
     )
 
 
-def expected_cycle_length(alpha: float) -> float:
-    """Expected number of requests in one renewal cycle, 1/(1 - alpha)."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    return 1.0 / (1.0 - alpha)
-
-
 def evaluate(policy: Policy, scenario: Scenario) -> EvalReport:
     """Full analytic report: LTEC, hit rate, visit rates, cycle diagnostics.
 

@@ -42,7 +42,8 @@ POLICY_NAMES = ("baseline", "P1", "P2", "P3")
 #: least one row and the rows' vertex sets are finite, so PI terminates; in
 #: practice it takes a handful of rounds.
 MAX_ROUNDS = 100
-#: Breakpoint-search steps per row-kernel call before giving up.
+#: Breakpoint-search steps a row-kernel call may take; a row still open after
+#: the last of them is a SolverFailure.
 MAX_KERNEL_STEPS = 200
 #: A row is replaced only when its new value is lower by this margin relative
 #: to max |V|, so rounding noise cannot make policy iteration cycle. A margin
@@ -187,7 +188,7 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
         hi[active[up]], q_hi[active[up]] = x[up], q_x[up]
         lo[active[down]], q_lo[active[down]] = x[down], q_x[down]
         active = active[open_]
-    else:
+    if active.size:
         raise SolverFailure(f"row kernel: {active.size} rows still open after "
                             f"{MAX_KERNEL_STEPS} steps")
 
@@ -273,7 +274,9 @@ def _greedy_lp(scenario: Scenario, **solve_kw) -> PolicyResult:
         xs.append(sol.x)
         iters += sol.iterations
         resid = max(resid, sol.max_residual)
-    policy = lp.assemble_greedy_policy(xs, scenario)
+    k = scenario.k
+    ii, jj = lp._off_diagonal(k)  # row i's LP lists r_ij over j != i in order
+    policy = Policy.from_entries("uniform", k, k, ii * k + jj, np.concatenate(xs))
     report = markov.evaluate(policy, scenario)
     myopic_cost = float(sum(p0i * (prob.c @ x)
                             for p0i, prob, x in zip(scenario.p0, problems, xs)))

@@ -1,4 +1,4 @@
-"""Stochastic session simulation, exhaustive search, and slate rendering.
+"""Stochastic session simulation and exhaustive search.
 
 The simulator plays the request process exactly as modeled: each renewal
 cycle starts with a draw from the catalog popularity, then keeps following
@@ -260,35 +260,6 @@ def simulate(policy: Policy, scenario: Scenario, steps: int, seed: int) -> SimRe
     )
 
 
-def merge_reports(reports: list[SimReport]) -> SimReport:
-    """Pool independent replications (weighted means, pooled standard errors)."""
-    if not reports:
-        raise ValueError("nothing to merge")
-    steps = np.array([r.steps for r in reports], dtype=float)
-    w = steps / steps.sum()
-    rate = float(np.sum(w * [r.empirical_cost_rate for r in reports]))
-    stderr = float(np.sqrt(np.sum((w * [r.stderr for r in reports]) ** 2)))
-    # A report without a completed cycle still carries its partial cycle's
-    # length, so it keeps a weight of one cycle.
-    cycles = np.array([max(r.n_cycles, 1) for r in reports], dtype=float)
-    cw = cycles / cycles.sum()
-    mean_len = float(np.sum(cw * [r.mean_cycle_length for r in reports]))
-    terms = cw * [r.cycle_length_stderr for r in reports]
-    len_se = (float(np.sqrt(np.nansum(terms ** 2))) if np.isfinite(terms).any()
-              else float("nan"))
-    any_chr = all(r.empirical_chr is not None for r in reports)
-    return SimReport(
-        steps=int(steps.sum()),
-        empirical_cost_rate=rate,
-        empirical_chr=1.0 - rate if any_chr else None,
-        mean_cycle_length=mean_len,
-        stderr=stderr,
-        seed=reports[0].seed,
-        cycle_length_stderr=len_se,
-        n_cycles=sum(r.n_cycles for r in reports),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive search over deterministic policies (oracle for the LP).
 
@@ -350,61 +321,3 @@ def brute_force_optimum(scenario: Scenario, cap: int = BRUTE_FORCE_CAP) -> tuple
     policy = slate_policy(slates, slates, np.ones(k))
     report = markov.evaluate(policy, scenario)  # authoritative evaluation
     return report.ltec, policy
-
-
-# ---------------------------------------------------------------------------
-# Slate rendering.
-
-def render_slate(row_policy: np.ndarray, n: int, seed) -> np.ndarray:
-    """Draw one concrete slate of N distinct items from a policy row.
-
-    Uniform rows (length K, summing to N) use systematic sampling, so every
-    item's inclusion probability equals its row entry exactly. Positional
-    rows (shape (N, K), each row-stochastic) are drawn slot by slot with
-    already-used items removed and the remainder renormalized; that
-    de-duplication is cosmetic and does not preserve per-slot marginals.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    row = np.asarray(row_policy, dtype=float)
-
-    if row.ndim == 1:
-        if abs(row.sum() - n) > 1e-7:
-            raise ValueError(f"row sums to {row.sum()!r}, expected the slot count {n}")
-        if np.any(row < -1e-7) or np.any(row > 1.0 + 1e-7):
-            raise ValueError("row entries must lie in [0, 1]")
-        cum = np.concatenate([[0.0], np.cumsum(np.clip(row, 0.0, 1.0))])
-        targets = rng.random() + np.arange(n)
-        picks = np.searchsorted(cum, targets, side="right") - 1
-        # entries <= 1 make successive picks strictly increasing, hence distinct;
-        # the tolerance admits entries up to 1 + 1e-7, hence the clip
-        if picks[-1] == row.size:
-            # The last target passed a row total just below N: take the row's
-            # last positive item not yet on the slate, as the sampler does.
-            free = np.setdiff1d(np.flatnonzero(row > 0.0), picks[:-1])
-            picks[-1] = free[-1]
-        return picks
-
-    if row.ndim == 2:
-        if row.shape[0] != n:
-            raise ValueError(f"expected {n} positional rows, got {row.shape[0]}")
-        sums = row.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-7):
-            raise ValueError("each positional row must sum to 1")
-        k = row.shape[1]
-        chosen: list[int] = []
-        used = np.zeros(k, dtype=bool)
-        for slot in range(n):
-            weights = np.where(used, 0.0, np.maximum(row[slot], 0.0))
-            total = weights.sum()
-            if total <= 1e-12:
-                weights = np.where(used, 0.0, 1.0)   # degenerate residual: any unused item
-                total = weights.sum()
-            cum = np.cumsum(weights / total)
-            # a draw past a float total below 1 takes the last positive unused item
-            pick = min(int(np.searchsorted(cum, rng.random(), side="right")),
-                       int(np.flatnonzero(weights)[-1]))
-            chosen.append(pick)
-            used[pick] = True
-        return np.array(chosen)
-
-    raise ValueError(f"row_policy must be 1-D or 2-D, got shape {row.shape}")

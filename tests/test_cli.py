@@ -508,6 +508,17 @@ class TestCommands:
         assert len(fields) == 9
         assert "external solver exited 3: first; line second" in fields[3]
 
+    def test_sweep_stdout_has_one_line_per_failed_row(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        cmd = "sh -c 'echo a >&2; echo b >&2; exit 3'"
+        assert main(["sweep", "--config", str(cfg_file), "--axis", "q", "--values", "0.7,0.8",
+                     "--policies", "P1", "--solver", "external", "--external-cmd", cmd,
+                     "--out", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"wrote {out}: 2 rows, 2 failed"
+        assert len(lines) == 3
+        assert all("external solver exited 3: a b" in line for line in lines[1:])
+
     def test_solve_from_scenario_npz(self, cfg_file, tmp_path, capsys):
         npz = tmp_path / "scen.npz"
         assert main(["gen", "--config", str(cfg_file), "--out", str(npz)]) == EXIT_OK
@@ -570,6 +581,27 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {npz}: not a scenario .npz file")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("member,problem", [
+        ("c", None), ("q", np.array([None], dtype=object)), ("alpha", np.array([0.5, 0.6]))],
+        ids=["missing", "object-array", "non-scalar"])
+    def test_bad_scenario_member_exits_io_naming_file_and_member(
+            self, cfg_file, tmp_path, capsys, member, problem):
+        npz = tmp_path / "scen.npz"
+        assert main(["gen", "--config", str(cfg_file), "--out", str(npz)]) == EXIT_OK
+        with np.load(npz) as z:
+            members = dict(z)
+        if problem is None:
+            del members[member]
+        else:
+            members[member] = problem
+        np.savez(npz, **members)
+        capsys.readouterr()
+        assert main(["eval", "--scenario", str(npz), "--policy", "p.csv"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {npz}: ")
+        assert f"'{member}'" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("body,key", [
         ("graph: 5\n", "'graph'"),

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from cacherec import Scenario, evaluate, max_quality, quality_of, validate_policy
-from cacherec.lp import (LpProblem, assemble_greedy_policy, build_greedy_row_lps,
-                         build_positional_lp, build_session_lp, format_lp, recover_policy)
+from cacherec import (Scenario, evaluate, max_quality, quality_of, solve_greedy,
+                      validate_policy)
+from cacherec.lp import (LpProblem, build_greedy_row_lps, build_positional_lp,
+                         build_session_lp, format_lp, recover_policy)
 from cacherec.sim import brute_force_optimum
 from cacherec.simplex import LpSolution, solve
 from conftest import random_scenario
@@ -180,22 +181,8 @@ class TestGreedy:
     def test_zero_costs_any_vertex(self):
         s = small_scenario(9, k=5, n=2)
         s = s.replace(c=np.zeros(5))
-        xs = []
-        for prob in build_greedy_row_lps(s):
-            sol = solve(prob, method="dense")
-            assert sol.status == "optimal"
-            xs.append(sol.x)
-        policy = assemble_greedy_policy(xs, s)
+        policy = solve_greedy(s, method="dense").policy
         assert validate_policy(policy, s, tol=1e-9) == []
-
-    def test_assemble_rejects_wrong_row_lengths(self):
-        s = small_scenario(9, k=4, n=2)
-        with pytest.raises(ValueError, match="3 entries each"):
-            assemble_greedy_policy([np.ones(2)] * 4, s)
-        with pytest.raises(ValueError):
-            assemble_greedy_policy([np.ones(3)] * 3 + [np.ones(2)], s)
-        with pytest.raises(ValueError, match="need 4 row solutions"):
-            assemble_greedy_policy([np.ones(3)] * 3, s)
 
     def test_single_cached_item_needs_full_quality(self):
         # at q=1 and N=1, the top item must be recommended even if not cached

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgetrf
 
-from cacherec import Policy, Scenario, evaluate, expected_cycle_length, markov
+from cacherec import Policy, Scenario, evaluate, markov
 from cacherec.model import slate_policy
 from _oracles import dense_click_kernel
 from conftest import (random_positional_policy, random_scenario, random_slate_policy,
@@ -84,14 +84,6 @@ class TestCycleQuantities:
     def test_hand_case_cost(self):
         s, p = two_state()
         assert cycle_cost(p, s) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("alpha,want", [(0.8, 5.0), (0.0, 1.0), (0.5, 2.0)])
-    def test_cycle_length_formula(self, alpha, want):
-        assert expected_cycle_length(alpha) == pytest.approx(want)
-
-    def test_cycle_length_domain(self):
-        with pytest.raises(ValueError):
-            expected_cycle_length(1.0)
 
 
 class TestEvaluate:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cacherec import Scenario, quality_profile, validate_policy
+from cacherec import Scenario, quality_profile, scenario_from_config, validate_policy
 from cacherec import policies
 from cacherec.lp import build_greedy_row_lps, build_positional_lp, build_session_lp
 from cacherec.simplex import solve
@@ -78,9 +78,50 @@ def test_lp_methods_still_route_to_the_lp():
 def test_iteration_cap_raises_solver_failure(monkeypatch):
     s = random_scenario(np.random.default_rng(5), k=30, n=2, alpha=0.9, q=0.8,
                         binary_costs=False)
-    assert policies.solve_session(s).iterations >= 3  # P1 start is not optimal here
-    monkeypatch.setattr(policies, "MAX_ROUNDS", 1)
-    with pytest.raises(policies.SolverFailure, match="policy iteration"):
+    want = policies.solve_session(s)
+    rounds = want.iterations - 1  # one kernel call per round after the P1 start
+    assert rounds >= 2  # P1 start is not optimal here
+    monkeypatch.setattr(policies, "MAX_ROUNDS", rounds)
+    got = policies.solve_session(s)
+    assert np.array_equal(got.policy.data, want.policy.data)
+    assert got.report.ltec == want.report.ltec
+    for cap in (rounds - 1, 1):
+        monkeypatch.setattr(policies, "MAX_ROUNDS", cap)
+        with pytest.raises(policies.SolverFailure, match="policy iteration"):
+            policies.solve_session(s)
+
+
+def test_kernel_step_cap_counts_only_steps_that_leave_rows_open(monkeypatch):
+    s, _ = scenario_from_config({
+        "graph": {"kind": "poisson", "k": 100, "mean_degree": 8}, "alpha": 0.8, "n": 2,
+        "q": 0.9, "zipf_s": 0.7, "cache_size": 2, "seed": 0})
+    # Each kernel call runs `_select` once for its mu = 0 pick, then once a step.
+    calls = []
+    kernel, select = policies.row_kernel, policies._select
+
+    def counting_kernel(*args, **kwargs):
+        calls.append(-1)
+        return kernel(*args, **kwargs)
+
+    def counting_select(*args):
+        calls[-1] += 1
+        return select(*args)
+
+    monkeypatch.setattr(policies, "row_kernel", counting_kernel)
+    monkeypatch.setattr(policies, "_select", counting_select)
+    want = policies.solve_session(s)
+    monkeypatch.undo()
+    need = max(calls)
+    assert need >= 2
+
+    # The last allowed step closes every row: that call solves.
+    monkeypatch.setattr(policies, "MAX_KERNEL_STEPS", need)
+    got = policies.solve_session(s)
+    assert np.array_equal(got.policy.data, want.policy.data)
+    assert got.report.ltec == want.report.ltec
+    monkeypatch.setattr(policies, "MAX_KERNEL_STEPS", need - 1)
+    with pytest.raises(policies.SolverFailure,
+                       match=rf"row kernel: [1-9][0-9]* rows still open after {need - 1} steps"):
         policies.solve_session(s)
 
 

@@ -1,4 +1,4 @@
-"""Monte Carlo simulator, exhaustive search, and slate rendering."""
+"""Monte Carlo simulator and exhaustive search."""
 from __future__ import annotations
 
 import tracemalloc
@@ -10,24 +10,12 @@ from hypothesis import strategies as st
 
 from cacherec import (Policy, Scenario, baseline_policy, data, evaluate, markov,
                       scenario_from_config, sim, solve_positional, solve_session)
-from cacherec.sim import (SimReport, _guide_search, _kernel_support, _sample_path, _step,
-                          _step_table, brute_force_optimum, merge_reports, render_slate,
-                          simulate)
+from cacherec.sim import (_guide_search, _kernel_support, _sample_path, _step, _step_table,
+                          brute_force_optimum, simulate)
 from _oracles import csr_arrays, dense_click_kernel, dense_kernel_support, dense_sample_path
 from conftest import (CORRUPTIONS, corrupt_policy, random_dense_policy,
                       random_positional_policy, random_scenario, random_slate_policy,
                       random_uniform_policy)
-
-
-class FixedDraws(np.random.Generator):
-    """A Generator whose `random()` returns the given draws in turn."""
-
-    def __init__(self, *draws):
-        super().__init__(np.random.PCG64(0))
-        self.draws = list(draws)
-
-    def random(self, *args, **kwargs):
-        return self.draws.pop(0)
 
 
 def two_state(alpha=0.5):
@@ -102,29 +90,6 @@ class TestSimulate:
         boundaries = set(np.cumsum(lengths[:-1]).tolist())  # renewals may repeat
         repeats = np.flatnonzero(path[1:] == path[:-1]) + 1
         assert all(int(i) in boundaries for i in repeats)
-
-    def test_merge_reports_pools(self):
-        s, p = two_state()
-        reps = [simulate(p, s, steps=50_000, seed=seed) for seed in (1, 2, 3, 4)]
-        merged = merge_reports(reps)
-        assert merged.steps == 200_000
-        assert abs(merged.empirical_cost_rate - 0.5) <= 3 * merged.stderr
-        assert merged.stderr < max(r.stderr for r in reps)
-
-    def test_merge_reports_counts_completed_cycles(self):
-        def report(n_cycles, len_se):
-            return SimReport(steps=10, empirical_cost_rate=0.5, empirical_chr=0.5,
-                             mean_cycle_length=10.0, stderr=0.1, seed=0,
-                             cycle_length_stderr=len_se, n_cycles=n_cycles)
-
-        # No completed cycle anywhere: nothing to count, no error estimate.
-        merged = merge_reports([report(0, float("nan")), report(0, float("nan"))])
-        assert merged.n_cycles == 0
-        assert np.isnan(merged.cycle_length_stderr)
-        assert merged.mean_cycle_length == 10.0
-        merged = merge_reports([report(0, float("nan")), report(3, 0.4)])
-        assert merged.n_cycles == 3
-        assert merged.cycle_length_stderr == pytest.approx(0.75 * 0.4)
 
 
 def graph_scenario(k: int, n: int, v="uniform", q: float = 0.9,
@@ -263,70 +228,6 @@ class TestBruteForce:
         s = random_scenario(rng, k=5, n=2, v="skewed")
         with pytest.raises(ValueError, match="uniform-click"):
             brute_force_optimum(s)
-
-
-class TestRenderSlate:
-    def test_always_included_item(self):
-        row = np.array([0.0, 1.0, 0.5, 0.5, 0.0])
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            slate = render_slate(row, 2, rng)
-            assert slate.shape == (2,)
-            assert 1 in slate
-            assert len(set(slate.tolist())) == 2
-
-    def test_indicator_row_deterministic(self):
-        row = np.array([0.0, 1.0, 0.0, 1.0])
-        for seed in range(5):
-            assert list(render_slate(row, 2, seed)) == [1, 3]
-
-    def test_inclusion_probabilities_exact(self):
-        row = np.array([0.0, 1.0, 0.5, 0.3, 0.2])
-        rng = np.random.default_rng(1)
-        draws = 100_000
-        counts = np.zeros(5)
-        for _ in range(draws):
-            counts[render_slate(row, 2, rng)] += 1
-        freq = counts / draws
-        stderr = np.sqrt(row * (1 - row) / draws)
-        assert np.all(np.abs(freq - row) <= 3 * stderr + 1e-12)
-
-    def test_budget_violation_rejected(self):
-        with pytest.raises(ValueError, match="sums to"):
-            render_slate(np.array([0.0, 0.5, 0.2]), 2, 0)
-
-    def test_positional_no_duplicates(self):
-        rows = np.array([[0.0, 1.0, 0.0, 0.0],
-                         [0.0, 1.0, 0.0, 0.0]])  # both slots want item 1
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            slate = render_slate(rows, 2, rng)
-            assert len(set(slate.tolist())) == 2
-            assert slate[0] == 1  # slot 1 always gets its item
-
-    def test_overshooting_draw_stays_on_the_row(self):
-        # The row sums to N - 5e-8, inside the tolerance; the last target
-        # 1.99999999 lies past the row total, where searchsorted finds no item.
-        row = np.array([0.0, 1.0, 1.0 - 5e-8, 0.0])
-        assert render_slate(row, 2, FixedDraws(0.99999999)).tolist() == [1, 2]
-
-    def test_entry_above_one_within_tolerance_gives_distinct_items(self):
-        # Item 1's interval would hold both targets 0 and 1 unclipped.
-        row = np.array([0.0, 1.0 + 9e-8, 1.0 - 9e-8])
-        assert render_slate(row, 2, FixedDraws(0.0)).tolist() == [1, 2]
-
-    def test_positional_overshoot_takes_last_positive_unused_item(self):
-        # Seven entries of 1/7 cumulate to 1 - 2**-52 after renormalizing, so
-        # the largest draw below 1 passes the total; item 7 has weight 0.
-        rows = np.array([[1 / 7] * 7 + [0.0]] * 2)
-        assert np.cumsum(rows[0] / rows[0].sum())[-1] < 1.0
-        last = np.nextafter(1.0, 0.0)
-        assert render_slate(rows, 2, FixedDraws(last, last)).tolist() == [6, 5]
-
-    def test_positional_row_sum_checked(self):
-        rows = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match="sum to 1"):
-            render_slate(rows, 2, 0)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 9), st.booleans(),
