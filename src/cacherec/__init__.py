@@ -3,9 +3,9 @@
 Build a `Scenario` (similarity matrix, access costs, popularity, click
 model), then solve for a policy: P1 (`solve_greedy`), P2 (`solve_session`)
 and P3 (`solve_positional`) all run one row-kernel routine, of which P1 is
-the first round. Evaluate a `Policy` analytically (`evaluate`: the cost to
-go G c, the visit rates G'p0 and the row sums G 1 of the session chain's
-fundamental matrix G), and cross-check by simulation (`simulate`).
+the first round. Evaluate a `Policy` analytically (`evaluate`: the LTEC and
+the cost to go V = (I - Q)^{-1} c of the session chain, solved on the
+recommended contents), and cross-check by simulation (`simulate`).
 """
 from .data import (GraphStats, gen_poisson_graph, load_edgelist, place_cache,
                    scenario_from_config, zipf_popularity)

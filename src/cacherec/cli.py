@@ -420,10 +420,12 @@ def _solve_kw(args) -> dict:
     return kw
 
 
-def _print_report(tag: str, report: markov.EvalReport) -> None:
+def _print_report(tag: str, report: markov.EvalReport, scenario: Scenario) -> None:
+    """LTEC, hit rate, the mean cycle length 1/(1 - alpha) of every valid
+    policy, and the residual of the analytic solve."""
     hit = "NA" if report.chr is None else f"{report.chr:.6f}"
     print(f"{tag}: LTEC={report.ltec:.6f} CHR={hit} "
-          f"cycle_length={report.cycle_length:.4f}")
+          f"cycle_length={1.0 / (1.0 - scenario.alpha):.4f} residual={report.residual:.1e}")
 
 
 def _print_quality(policy: Policy, scenario: Scenario) -> None:
@@ -465,7 +467,7 @@ def cmd_solve(args) -> int:
     scenario = _load_scenario(args)
     name = _PROBLEM_POLICY[args.problem]
     result = policies.solve_named(name, scenario, **_solve_kw(args))
-    _print_report(name, result.report)
+    _print_report(name, result.report, scenario)
     _print_quality(result.policy, scenario)
     print(f"solver: status={result.status} iterations={result.iterations} "
           f"residual={result.residual:.3e} seconds={result.seconds:.3f}")
@@ -481,7 +483,7 @@ def cmd_eval(args) -> int:
     scenario = _load_scenario(args)
     policy = read_policy_csv(args.policy)
     report = markov.evaluate(policy, scenario)
-    _print_report(args.policy, report)
+    _print_report(args.policy, report, scenario)
     _print_quality(policy, scenario)
     return EXIT_OK
 

@@ -20,8 +20,6 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .model import Scenario
 
@@ -49,6 +47,9 @@ def _stats_of(u: np.ndarray) -> GraphStats:
 
 
 def _largest_component(u: np.ndarray) -> np.ndarray:
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, labels = connected_components(csr_matrix(u > 0), directed=False)
     if n_comp <= 1:
         return u
@@ -198,13 +199,21 @@ def _number(val, key: str) -> float:
     raise ValueError(f"config key {key!r} must be a number, got {reprlib.repr(val)}")
 
 
-def _count(val, key: str) -> int:
-    """A config count as a nonnegative int; a fraction raises naming the key."""
+def _whole(val) -> int:
+    """A count as a nonnegative int; a fraction, a negative or a non-number raises."""
     if isinstance(val, (float, np.floating)) and val.is_integer():
         val = int(val)
     if isinstance(val, (int, np.integer)) and not isinstance(val, bool) and val >= 0:
         return int(val)
-    raise ValueError(f"config key {key!r} must be a whole number >= 0, got {reprlib.repr(val)}")
+    raise ValueError(f"must be a whole number >= 0, got {reprlib.repr(val)}")
+
+
+def _count(val, key: str) -> int:
+    """A config count as a nonnegative int (`_whole`); raises naming the key."""
+    try:
+        return _whole(val)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r} {exc}") from None
 
 
 def _floats(val, key: str) -> np.ndarray:
@@ -316,8 +325,8 @@ def save_scenario_npz(path, scenario: Scenario) -> None:
 def load_scenario_npz(path) -> Scenario:
     """Read a scenario written by `save_scenario_npz`. A file that is not an
     .npz archive raises ValueError naming the path; one that lacks a member,
-    or holds one that needs pickle or a scalar that is not one, names the
-    member too."""
+    or holds one that needs pickle, a scalar that is not one or an `n` that
+    is not a whole number (the rule of config counts), names the member too."""
     with open(path, "rb") as fh:  # np.load leaves a path open when the zip is bad
         try:
             z = np.load(fh)
@@ -325,7 +334,7 @@ def load_scenario_npz(path) -> Scenario:
             raise ValueError(f"{path}: not a scenario .npz file: {exc}") from None
         if not isinstance(z, np.lib.npyio.NpzFile):
             raise ValueError(f"{path}: not a scenario .npz file: it holds a single array")
-        scalars = {"alpha": float, "n": int, "q": float}
+        scalars = {"alpha": float, "n": lambda arr: _whole(arr.item()), "q": float}
         members = {}
         for key in ("u", "c", "p0", "v", "alpha", "n", "q"):
             try:

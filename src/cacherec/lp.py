@@ -27,11 +27,14 @@ recovery index through this one layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .model import Policy, Scenario, max_quality
+
+if TYPE_CHECKING:  # the functions that build an LP import scipy.sparse themselves
+    from scipy import sparse
 
 #: Recovered z entries below this signal a violated p0 > 0 precondition.
 Z_FLOOR = 1e-12
@@ -56,6 +59,8 @@ class LpProblem:
     name: str = "lp"
 
     def __post_init__(self):
+        from scipy import sparse
+
         self.c = np.asarray(self.c, dtype=float)
         self.b_eq = np.asarray(self.b_eq, dtype=float)
         self.b_ub = np.asarray(self.b_ub, dtype=float)
@@ -119,6 +124,8 @@ def _off_diagonal(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _csr(shape: tuple[int, int], *terms) -> sparse.csr_matrix:
     """Sum COO terms (rows, cols, values), each broadcast to one shape, into CSR."""
+    from scipy import sparse
+
     rows, cols, vals = (np.concatenate([a.ravel() for a in part])
                         for part in zip(*(np.broadcast_arrays(*t) for t in terms)))
     return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
@@ -205,9 +212,9 @@ def build_greedy_row_lps(scenario: Scenario) -> list[LpProblem]:
     qmax = max_quality(scenario.u, n)
     return [LpProblem(
         c=scenario.c[cols],
-        a_eq=sparse.csr_matrix(np.ones((1, k - 1))),
+        a_eq=np.ones((1, k - 1)),
         b_eq=np.array([float(n)]),
-        a_ub=sparse.csr_matrix(-scenario.u[i, cols][None, :]),
+        a_ub=-scenario.u[i, cols][None, :],
         b_ub=np.array([-scenario.q * qmax[i]]),
         lb=np.zeros(k - 1),
         ub=np.ones(k - 1),
@@ -339,6 +346,8 @@ def parse_lp(text: str) -> LpProblem:
     nv = len(var_names)
 
     def to_sparse(entries):
+        from scipy import sparse
+
         cells = [(r, col, val) for r, (_, _, terms) in enumerate(entries) for col, val in terms]
         r_idx, c_idx, vals = zip(*cells) if cells else ((), (), ())
         mat = sparse.coo_matrix((vals, (r_idx, c_idx)), shape=(len(entries), nv)).tocsr()

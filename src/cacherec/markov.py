@@ -4,18 +4,23 @@ A session alternates between runs of recommendation-followed requests and
 renewals where the user picks from the whole catalog. Each run is an
 absorbing chain over the K contents whose transient kernel is
 Q = alpha * R/N for uniform clicks, or Q = alpha * sum_n v_n * R^n when
-the user prefers some slate positions. Everything of interest falls out of
-the fundamental matrix G = (I - Q)^{-1}: expected per-cycle cost p0' G c,
-expected cycle length 1/(1 - alpha), and the long-term expected cost per
-request (LTEC) = (1 - alpha) * p0' G c. `evaluate` never forms G: one LU
-of I - Q gives G c, G' p0 and G 1.
+the user prefers some slate positions. The cost to go V = (I - Q)^{-1} c
+gives the expected per-cycle cost p0' V and the long-term expected cost per
+request (LTEC) = (1 - alpha) * p0' V. A cycle lasts 1/(1 - alpha) requests
+on average under every valid policy, so nothing needs solving for it.
+
+Column j of Q is zero unless some slate shows j. `solve` therefore solves
+only on the set R of recommended contents, the columns the click kernel
+reaches: (I - Q_RR) V_R = c_R is one dense LAPACK solve, and every other
+content takes V_i = c_i + sum_j Q_ij V_j over its row. The fundamental
+matrix (I - Q)^{-1} is never formed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .model import Policy, Scenario, slot_sum, validate_policy
 
@@ -30,21 +35,16 @@ class EvalReport:
 
     ltec: expected cost per request over a long session.
     cost_to_go: (K,) expected cost accumulated over the rest of a cycle
-       entered at each content, G c; p0' cost_to_go is the cycle cost.
+       entered at each content, V = (I - Q)^{-1} c; p0' V is the cycle cost.
     chr: cache hit rate, 1 - ltec; only defined for binary costs (1 = miss).
-    z: (K,) scaled visit rates, z = G' p0; (1 - alpha) * z_j is the long-run
-       probability that a request is for content j.
-    g_row_sums: (K,) row sums of G (expected cycle length started from each
-       content); equals 1/(1 - alpha) everywhere for a valid policy.
-    cycle_length: expected renewal-cycle length p0' G 1 = 1/(1 - alpha).
+    residual: max_i |V_i - c_i - sum_j Q_ij V_j|, how far the computed V is
+       from solving its session system.
     """
 
     ltec: float
     cost_to_go: np.ndarray
     chr: float | None
-    z: np.ndarray
-    g_row_sums: np.ndarray
-    cycle_length: float
+    residual: float
 
 
 def click_kernel(policy: Policy, scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -58,66 +58,58 @@ def click_kernel(policy: Policy, scenario: Scenario) -> tuple[np.ndarray, np.nda
     return policy.indptr, policy.indices, policy.data / scenario.n
 
 
-def factor(policy: Policy, scenario: Scenario):
-    """LU factors (lu, piv) of the policy's session system I - Q, for
-    Q = alpha * `click_kernel`, from LAPACK's dgetrf; `solve` takes them.
+def solve(policy: Policy, scenario: Scenario) -> EvalReport:
+    """The report of the policy's session system V = c + Q V, for
+    Q = alpha * `click_kernel`; the policy is not validated.
 
-    I - Q is written into a zeroed Fortran-ordered (K, K) buffer, which
-    dgetrf factors in place. Entry for entry it equals
-    np.eye(K) - alpha * kernel: off the diagonal 0 - alpha * q, so zeros
-    keep a positive sign. Raises ValueError when I - Q holds a NaN or an
-    infinity, or when it is singular.
+    R is the set of columns holding a nonzero entry of Q. I - Q on R x R is
+    written into a zeroed (|R|, |R|) buffer, entry for entry the principal
+    submatrix of np.eye(K) - Q, and np.linalg.solve (LAPACK dgesv) gives
+    V_R. One bincount over the nonzero entries, each row's terms added to
+    0.0 in column order, gives Q V: it is V_i - c_i for every content
+    outside R, whose column of Q is zero, and the residual elsewhere.
+    Raises ValueError when Q holds a NaN or an infinity, or when I - Q is
+    singular.
     """
     indptr, cols, vals = click_kernel(policy, scenario)
-    off = np.subtract(0.0, scenario.alpha * vals)
-    if not np.isfinite(off).all():  # adding 1 to a finite entry keeps it finite
+    if not np.isfinite(vals).all():  # alpha < 1 keeps alpha * a finite entry finite
         raise ValueError("session system I - Q contains NaN or infinite values")
+    q = scenario.alpha * vals
     k = scenario.k
-    a = np.zeros((k, k), order="F")
-    a[np.repeat(np.arange(k), np.diff(indptr)), cols] = off
-    a.flat[::k + 1] += 1.0
-    lu, piv, info = dgetrf(a, overwrite_a=True)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
-    if np.abs(np.diag(lu)).min() < 1e-300:
+    live = q != 0.0
+    rows = np.repeat(np.arange(k), indptr[1:] - indptr[:-1])[live]
+    cols, q = cols[live], q[live]
+    reached = np.zeros(k, dtype=bool)
+    reached[cols] = True
+    r = np.flatnonzero(reached)
+    at = np.zeros(k, dtype=np.intp)  # position in R of each member of R
+    at[r] = np.arange(r.size)
+    inner = reached[rows]
+    a = np.zeros((r.size, r.size))
+    a[at[rows[inner]], at[cols[inner]]] = -q[inner]
+    a.flat[::r.size + 1] += 1.0
+    values = scenario.c.copy()
+    try:
+        values[r] = np.linalg.solve(a, values[r])
+    except np.linalg.LinAlgError:
+        raise ValueError("singular session system; the policy violates its invariants") from None
+    qv = np.bincount(rows, q * values[cols], minlength=k)
+    rest = ~reached
+    values[rest] += qv[rest]
+    residual = float(np.abs(values - scenario.c - qv).max())
+    if not math.isfinite(residual):  # a NaN or an infinity in V
         raise ValueError("singular session system; the policy violates its invariants")
-    return lu, piv
-
-
-def solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """x with (I - Q) x = b, or (I - Q)' x = b for trans=1, from the factors
-    of `factor`; b is a (K,) vector or a (K, m) matrix and is not
-    overwritten."""
-    x, info = dgetrs(*lu, b, trans=trans)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrs")
-    return x
-
-
-def report(lu, scenario: Scenario, values: np.ndarray) -> EvalReport:
-    """The `EvalReport` of the policy whose factors are `lu`, where values
-    is its cost to go G c. Two more solves give the visit rates and row sums."""
-    z = solve(lu, scenario.p0, trans=1)         # G' p0
-    g1 = solve(lu, np.ones(scenario.k))         # G 1
     ltec = float((1.0 - scenario.alpha) * (scenario.p0 @ values))
-    return EvalReport(
-        ltec=ltec,
-        cost_to_go=values,
-        chr=1.0 - ltec if scenario.binary_costs else None,
-        z=z,
-        g_row_sums=g1,
-        cycle_length=float(scenario.p0 @ g1),
-    )
+    return EvalReport(ltec=ltec, cost_to_go=values,
+                      chr=1.0 - ltec if scenario.binary_costs else None, residual=residual)
 
 
 def evaluate(policy: Policy, scenario: Scenario) -> EvalReport:
-    """Full analytic report: LTEC, hit rate, visit rates, cycle diagnostics.
+    """LTEC, hit rate, cost to go and residual of a policy, from `solve`.
 
-    One LU factorization serves all three solves (cost, visit rates, row sums).
     Raises ValueError for a policy that fails validation at EVAL_TOL.
     """
     bad = validate_policy(policy, scenario, tol=EVAL_TOL)
     if bad:
         raise ValueError("invalid policy: " + "; ".join(bad[:5]))
-    lu = factor(policy, scenario)
-    return report(lu, scenario, solve(lu, scenario.c))
+    return solve(policy, scenario)

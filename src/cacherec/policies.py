@@ -9,12 +9,12 @@ slate mixtures per content. `row_kernel` solves the per-row problem
 once. One routine, `_row_solve`, serves P1, P2 and P3: policy iteration
 (Howard 1960; Puterman 1994, ch. 6) from the kernel's slates at V = c, the
 first Bellman step from V = c. Each round builds the policy of the current
-slates (`model.slate_policy`), factors its I - Q once (`markov.factor`, as
-`markov.evaluate` does), and solves only V = G c. P1 stops after this first
+slates (`model.slate_policy`) and solves its session system V = c + Q V by
+`markov.solve`, the routine `markov.evaluate` calls, which factors I - Q
+only on the contents some slate shows. P1 stops after this first
 evaluation. P2 and P3 replace each row the kernel improves by more than a
 rounding margin, starting its call from the current slates. When no row
-changes, the last round's policy is the result, and its report comes from
-that round's factors (`markov.report`).
+changes, the last round's policy is the result, with that round's report.
 
 An explicit LP method ("dense", "highs" or "external") instead builds the
 K^2-variable LP of `cacherec.lp` and solves it with `cacherec.simplex`; that
@@ -224,8 +224,8 @@ def _row_solve(scenario: Scenario, name: str) -> PolicyResult:
     calls = 1
     for _ in range(MAX_ROUNDS):
         policy = slate_policy(*sol, v)
-        lu = markov.factor(policy, scenario)
-        values = markov.solve(lu, scenario.c)
+        report = markov.solve(policy, scenario)
+        values = report.cost_to_go
         if name == "P1":
             objective = float(scenario.p0 @ _mix_value(sol, scenario.c, weights))
             break
@@ -248,7 +248,7 @@ def _row_solve(scenario: Scenario, name: str) -> PolicyResult:
         raise SolverFailure(f"{name}: invalid policy: " + "; ".join(bad[:5]))
     shortfall = floor - quality_of(policy, scenario)
     return PolicyResult(
-        name=name, policy=policy, report=markov.report(lu, scenario, values),
+        name=name, policy=policy, report=report,
         objective=objective, status="optimal", iterations=calls,
         residual=float(max(shortfall.max(), 0.0)), seconds=time.perf_counter() - t0)
 

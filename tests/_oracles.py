@@ -19,12 +19,21 @@ policy. The production versions visit only the stored entries of the CSR
 policy and must return the same violations, the same kernel, bitwise the
 same cumulative sums and the same file bytes.
 
+`reduced_dense_solve` is `markov.solve` on a dense Q: the recommended
+contents R are the columns of Q with a nonzero entry, V_R comes from
+np.linalg.solve of the principal submatrix of I - Q on R, and each other
+V_i = c_i + sum_j Q_ij V_j is added up in a Python loop in column order.
+The production routine builds I - Q on R from the click kernel's CSR
+entries and sums with one bincount, and must return bitwise the same V and
+residual. `dense_fundamental_matrix` inverts the whole I - Q, for the facts
+about the visit rates G'p0 and the row sums G 1 that no program reads.
+
 `evaluate_each_round` is the row-kernel solver in its plain form: every
-round builds the dense policy, assembles I - Q from its `dense_click_kernel`
-and factors it for all three of the report's solves; P1 stops after the
-first round. The production routine writes only the click kernel from the
-slates and builds the policy and report once, and must return bitwise the
-same policy, report, objective and kernel calls.
+round builds the dense policy and solves its session system from its
+`dense_click_kernel` by `reduced_dense_solve`; P1 stops after the first
+round. The production routine goes through the policy's CSR click kernel,
+and must return bitwise the same policy, report, objective and kernel
+calls.
 
 `sweep_each_cell` is the parameter sweep in its plain form: every
 (axis value, policy) cell applies the axis and rebuilds the graph and the
@@ -45,7 +54,6 @@ import itertools
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
 
 from cacherec import data, markov, policies
 from cacherec.cli import apply_axis, gain, mph
@@ -161,6 +169,29 @@ def dense_click_kernel(policy, scenario) -> np.ndarray:
     return policy.mats / scenario.n
 
 
+def dense_fundamental_matrix(policy, scenario) -> np.ndarray:
+    """G = (I - Q)^{-1} of a policy's session chain, by a dense inverse."""
+    q = scenario.alpha * dense_click_kernel(policy, scenario)
+    return np.linalg.inv(np.eye(scenario.k) - q)
+
+
+def reduced_dense_solve(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Reference for `markov.solve` on a dense (K, K) Q: (V, residual)."""
+    k = c.size
+    reached = np.flatnonzero((q != 0.0).any(axis=0))
+    values = c.copy()
+    values[reached] = np.linalg.solve((np.eye(k) - q)[np.ix_(reached, reached)], c[reached])
+    qv = np.zeros(k)
+    for i in range(k):
+        total = 0.0
+        for j in np.flatnonzero(q[i]):
+            total += q[i, j] * values[j]
+        qv[i] = total
+    outside = np.setdiff1d(np.arange(k), reached)
+    values[outside] = c[outside] + qv[outside]
+    return values, float(np.abs(values - c - qv).max())
+
+
 def dense_kernel_support(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference for `sim._kernel_support`, from a dense (K, K) kernel."""
     rows, cols = np.nonzero(kernel > 0.0)
@@ -256,14 +287,11 @@ def evaluate_each_round(scenario, name: str):
     for _ in range(policies.MAX_ROUNDS):
         policy = slate_policy(*sol, v)
         q = scenario.alpha * dense_click_kernel(policy, scenario)
-        lu = lu_factor(np.eye(scenario.k) - q)
-        values = lu_solve(lu, scenario.c)
-        g1 = lu_solve(lu, np.ones(scenario.k))
+        values, residual = reduced_dense_solve(q, scenario.c)
         ltec = float((1.0 - scenario.alpha) * (scenario.p0 @ values))
         report = markov.EvalReport(
             ltec=ltec, cost_to_go=values, chr=1.0 - ltec if scenario.binary_costs else None,
-            z=lu_solve(lu, scenario.p0, trans=1), g_row_sums=g1,
-            cycle_length=float(scenario.p0 @ g1))
+            residual=residual)
         if name == "P1":
             myopic_cost = scenario.p0 @ policies._mix_value(sol, scenario.c, weights)
             return policy, report, calls, float(myopic_cost)

@@ -583,8 +583,9 @@ class TestCommands:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("member,problem", [
-        ("c", None), ("q", np.array([None], dtype=object)), ("alpha", np.array([0.5, 0.6]))],
-        ids=["missing", "object-array", "non-scalar"])
+        ("c", None), ("q", np.array([None], dtype=object)), ("alpha", np.array([0.5, 0.6])),
+        ("n", np.array(2.7)), ("n", np.array(-1))],
+        ids=["missing", "object-array", "non-scalar", "fractional-n", "negative-n"])
     def test_bad_scenario_member_exits_io_naming_file_and_member(
             self, cfg_file, tmp_path, capsys, member, problem):
         npz = tmp_path / "scen.npz"
@@ -602,6 +603,18 @@ class TestCommands:
         assert err.startswith(f"error: {npz}: ")
         assert f"'{member}'" in err
         assert err.count("\n") == 1
+
+    def test_scenario_count_saved_as_a_whole_float_loads(self, cfg_file, tmp_path):
+        """`n` follows the rule of config counts: 2.0 is the count 2."""
+        npz = tmp_path / "scen.npz"
+        assert main(["gen", "--config", str(cfg_file), "--out", str(npz)]) == EXIT_OK
+        with np.load(npz) as z:
+            members = dict(z)
+        want = int(members["n"])
+        members["n"] = np.array(float(want))
+        np.savez(npz, **members)
+        got = data.load_scenario_npz(npz).n
+        assert (got, type(got)) == (want, int)
 
     @pytest.mark.parametrize("body,key", [
         ("graph: 5\n", "'graph'"),

@@ -194,8 +194,9 @@ def test_warm_start_reaches_the_cold_optimum(seed, k, q, positional, tied_values
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P3"])
 def test_policy_iteration_matches_per_round_evaluation(name):
-    """Building only the click kernel in each round, and the policy and report
-    once at the end, changes no bit of the answer; P1 is the first round."""
+    """Solving each round's session system from the CSR click kernel
+    changes no bit of the answer against the dense kernel's plain
+    reduced solve; P1 is the first round."""
     for seed in range(40):
         rng = np.random.default_rng(9100 + seed)
         s = random_scenario(rng, k=int(rng.integers(4, 31)), q=float(rng.choice([0.0, 0.9, 1.0])),
@@ -206,10 +207,9 @@ def test_policy_iteration_matches_per_round_evaluation(name):
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got.policy, field), getattr(policy, field)), seed
         assert (got.iterations, got.objective) == (calls, objective), seed
-        for field in ("ltec", "chr", "cycle_length"):
+        for field in ("ltec", "chr", "residual"):
             assert getattr(got.report, field) == getattr(report, field), (seed, field)
-        for field in ("cost_to_go", "z", "g_row_sums"):
-            assert np.array_equal(getattr(got.report, field), getattr(report, field)), (seed, field)
+        assert got.report.cost_to_go.tobytes() == report.cost_to_go.tobytes(), seed
 
 
 def test_rows_worth_zero_do_not_flip_on_rounding_noise():
