@@ -171,21 +171,23 @@ def read_policy_csv(path) -> Policy:
 
 @dataclass
 class SweepSpec:
-    """One parameter sweep: vary `axis` over `values` for each policy.
+    """One parameter sweep: vary `axis` over `values` for each policy, on
+    the graph of the config's `seed`.
 
     Hv values are position-zipf exponents; each cell's realized click
-    entropy is reported as the axis value. Multiple seeds average the
-    reported metrics over scenario replications. N and C values are counts,
-    so a fraction is refused. The gain reference must be one of the
-    policies, and a solver method other than "auto" needs a policy that runs
-    a solver (P1, P2 or P3).
+    entropy is reported as the axis value. N and C values are counts, and
+    so is the config's `seed`, so a fraction is refused. The gain reference
+    must be one of the policies. Under binary costs the default reference,
+    P1, is one of several myopic optima, picked by the lowest-index tie rule
+    (see `policies.solve_greedy`), so gains against it depend on that rule.
+    A solver method other than "auto" needs a policy that runs a solver (P1,
+    P2 or P3).
     """
 
     config: dict
     axis: str
     values: list
     policies: list[str] = field(default_factory=lambda: ["P1", "P2"])
-    seeds: list[int] = field(default_factory=list)
     reference: str = "P1"
     solve_kw: dict = field(default_factory=dict)
     workers: int = 1
@@ -212,8 +214,7 @@ class SweepSpec:
                              f"policies {self.policies} run no solver")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if not self.seeds:
-            self.seeds = [data._count(self.config.get("seed", 0), "seed")]
+        data._count(self.config.get("seed", 0), "seed")
 
 
 def apply_axis(cfg: dict, axis: str, value) -> dict:
@@ -249,81 +250,55 @@ def _status(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
 
 
-def _sweep_graphs(cfg: dict, seeds: list[int]) -> list:
-    """Per seed, the similarity matrix of the config's graph, or the status
-    text of the error that building it raised. No sweep axis changes it."""
-    graphs = []
-    for seed in seeds:
-        try:
-            graphs.append(data.graph_from_config({**cfg, "seed": seed})[0])
-        except Exception as exc:  # every row fails with it, in order of seeds
-            graphs.append(_status(exc))
-    return graphs
-
-
 def _sweep_point(payload) -> list[dict]:
     """The rows of one axis value, one per policy in order.
 
-    The axis is applied once, and each seed's scenario is built once on that
-    seed's graph and serves every policy. A row takes the status of its first
-    failure, in order of seeds: the axis, the graph, the scenario or its own
-    solve; a failed row is not solved on later seeds. Its wall_time_s is its
-    solve time summed over the seeds.
+    The axis is applied once, and one scenario is built on the sweep's graph
+    and serves every policy. A row takes the status of the first failure
+    among the axis, the graph, the scenario and its own solve. Its
+    wall_time_s is its solve time.
     """
-    cfg, axis, value, names, graphs, solve_kw = payload
+    cfg, axis, value, names, graph, solve_kw = payload
     rows = [{"axis": axis, "policy": name, "status": "ok", "chr": None, "ltec": None,
              "mph": None, "value": value, "wall_time_s": 0.0} for name in names]
-    found = [[] for _ in names]  # per row: (ltec, chr, mph, axis value) per seed
 
-    def fail(status: str) -> None:
+    def fail(status: str) -> list[dict]:
         for row in rows:
-            if row["status"] == "ok":
-                row["status"] = status
+            row["status"] = status
+        return rows
 
     try:
         point_cfg = apply_axis(cfg, axis, value)
-    except Exception as exc:
-        fail(_status(exc))
-        return rows
-    for graph in graphs:
         if isinstance(graph, str):
-            fail(graph)
-            continue
+            return fail(graph)
+        scenario = data.scenario_on_graph(point_cfg, graph)
+    except Exception as exc:
+        return fail(_status(exc))
+    cache_only = mph(scenario.p0, scenario.c) if scenario.binary_costs else None
+    reported = entropy(scenario.v) if axis == "Hv" else value
+    for row in rows:
+        t0 = time.perf_counter()
         try:
-            scenario = data.scenario_on_graph(point_cfg, graph)
-        except Exception as exc:
-            fail(_status(exc))
-            continue
-        for row, results in zip(rows, found):
-            if row["status"] != "ok":
-                continue
-            t0 = time.perf_counter()
-            try:
-                report = policies.solve_named(row["policy"], scenario, **solve_kw).report
-                results.append((report.ltec, report.chr,
-                                mph(scenario.p0, scenario.c) if scenario.binary_costs else None,
-                                entropy(scenario.v) if axis == "Hv" else value))
-            except Exception as exc:  # record and keep sweeping
-                row["status"] = _status(exc)
-            row["wall_time_s"] += time.perf_counter() - t0
-    for row, results in zip(rows, found):
-        if row["status"] == "ok":
-            ltecs, chrs, mphs, axis_vals = zip(*results)
-            row["ltec"] = float(np.mean(ltecs))
-            row["chr"] = float(np.mean(chrs)) if None not in chrs else None
-            row["mph"] = float(np.mean(mphs)) if None not in mphs else None
-            row["value"] = axis_vals[0]
+            report = policies.solve_named(row["policy"], scenario, **solve_kw).report
+            row.update(ltec=report.ltec, chr=report.chr, mph=cache_only, value=reported)
+        except Exception as exc:  # record and keep sweeping
+            row["status"] = _status(exc)
+        row["wall_time_s"] = time.perf_counter() - t0
     return rows
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Execute every (axis value, policy) cell; row order is deterministic.
 
-    Each seed's graph is built once for the whole sweep, and each axis value
-    is one `_sweep_point` task, run in order or on the worker pool.
+    The graph of the config's `seed` is built once for the whole sweep (no
+    axis changes it); if that fails, its error is every row's status. Each
+    axis value is one `_sweep_point` task, run in order or on the worker pool.
     """
-    graphs = _sweep_graphs(spec.config, spec.seeds)
-    points = [(spec.config, spec.axis, value, spec.policies, graphs, spec.solve_kw)
+    try:
+        graph = data.graph_from_config(spec.config)[0]
+    except Exception as exc:
+        graph = _status(exc)
+    points = [(spec.config, spec.axis, value, spec.policies, graph, spec.solve_kw)
               for value in spec.values]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
@@ -377,7 +352,7 @@ _OVERRIDES = ("alpha", "q", "n", "zipf_s", "cache_size", "seed")
 def _config(args, sampler_seed: bool = False) -> dict:
     """The --config document with the override flags given applied. A flag
     that the document would ignore raises ValueError naming it, except
-    --seed when it seeds the sampler."""
+    --seed when it is the sampler's seed."""
     cfg = data.load_config(args.config)
     graph, ignored = cfg.get("graph"), {}
     if "p0" in cfg:
@@ -398,7 +373,7 @@ def _config(args, sampler_seed: bool = False) -> dict:
 def _load_scenario(args, sampler_seed: bool = False) -> Scenario:
     """The --config scenario with the overrides applied, or the saved
     --scenario. A saved scenario takes no override: one given raises
-    ValueError naming its flag, except --seed when it seeds the sampler."""
+    ValueError naming its flag, except --seed when it is the sampler's seed."""
     if args.config:
         return data.scenario_from_config(_config(args, sampler_seed),
                                          base_dir=Path(args.config).parent)[0]

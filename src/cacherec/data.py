@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .model import Scenario
+from .model import Scenario, _whole
 
 
 @dataclass(frozen=True)
@@ -197,15 +197,6 @@ def _number(val, key: str) -> float:
         except OverflowError:
             pass
     raise ValueError(f"config key {key!r} must be a number, got {reprlib.repr(val)}")
-
-
-def _whole(val) -> int:
-    """A count as a nonnegative int; a fraction, a negative or a non-number raises."""
-    if isinstance(val, (float, np.floating)) and val.is_integer():
-        val = int(val)
-    if isinstance(val, (int, np.integer)) and not isinstance(val, bool) and val >= 0:
-        return int(val)
-    raise ValueError(f"must be a whole number >= 0, got {reprlib.repr(val)}")
 
 
 def _count(val, key: str) -> int:

@@ -68,12 +68,15 @@ def solve(policy: Policy, scenario: Scenario) -> EvalReport:
     V_R. One bincount over the nonzero entries, each row's terms added to
     0.0 in column order, gives Q V: it is V_i - c_i for every content
     outside R, whose column of Q is zero, and the residual elsewhere.
-    Raises ValueError when Q holds a NaN or an infinity, or when I - Q is
-    singular.
+    Raises ValueError when the policy or Q holds a NaN or an infinity, or
+    when I - Q is singular.
     """
+    nonfinite = "session system I - Q contains NaN or infinite values"
+    if not np.isfinite(policy.data).all():  # before a slot weight of 0 multiplies it
+        raise ValueError(nonfinite)
     indptr, cols, vals = click_kernel(policy, scenario)
-    if not np.isfinite(vals).all():  # alpha < 1 keeps alpha * a finite entry finite
-        raise ValueError("session system I - Q contains NaN or infinite values")
+    if not np.isfinite(vals).all():  # a slot sum can overflow; alpha < 1 cannot
+        raise ValueError(nonfinite)
     q = scenario.alpha * vals
     k = scenario.k
     live = q != 0.0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,15 @@ def _as_vector(x, k: int | None, name: str) -> np.ndarray:
     return arr
 
 
+def _whole(val) -> int:
+    """A count as a nonnegative int; a fraction, a negative or a non-number raises."""
+    if isinstance(val, (float, np.floating)) and val.is_integer():
+        val = int(val)
+    if isinstance(val, (int, np.integer)) and not isinstance(val, bool) and val >= 0:
+        return int(val)
+    raise ValueError(f"must be a whole number >= 0, got {reprlib.repr(val)}")
+
+
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or infinite values")
@@ -52,7 +62,7 @@ class Scenario:
            for hit-rate scenarios.
         p0: (K,) catalog popularity; strictly positive, sums to 1.
         alpha: probability a request follows the recommender, in [0, 1).
-        n: number of recommendation slots, 1 <= n <= K-1.
+        n: number of recommendation slots, a whole number with 1 <= n <= K-1.
         v: (n,) position click probabilities, sums to 1. Defaults to uniform.
         q: required fraction of the per-content maximum quality, in [0, 1].
     """
@@ -88,7 +98,10 @@ class Scenario:
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
 
-        n = int(self.n)
+        try:
+            n = _whole(self.n)
+        except ValueError as exc:
+            raise ValueError(f"n {exc}") from None
         if not 1 <= n <= k - 1:
             raise ValueError(f"n must satisfy 1 <= n <= K-1, got n={n}, K={k}")
 

@@ -318,7 +318,13 @@ def solve_baseline(scenario: Scenario) -> PolicyResult:
 
 
 def solve_greedy(scenario: Scenario, method: str = "auto", **solve_kw) -> PolicyResult:
-    """P1: myopic policy minimizing only the next request's expected cost."""
+    """P1: myopic policy minimizing only the next request's expected cost.
+
+    Under binary costs many slates tie on that cost, so P1 is one of several
+    myopic optima: the row kernel picks it by the lowest-index tie rule of
+    `top_slates`. Its `objective` is unique, but its LTEC and hit rate, and
+    every gain measured against it, depend on that rule.
+    """
     if method == "auto":
         return _row_solve(scenario, "P1")
     return _greedy_lp(scenario, method=method, **solve_kw)

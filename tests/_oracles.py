@@ -308,24 +308,16 @@ def evaluate_each_round(scenario, name: str):
     raise AssertionError("policy iteration did not settle")
 
 
-def _sweep_cell(cfg, axis, value, policy_name, seeds, solve_kw) -> dict:
+def _sweep_cell(cfg, axis, value, policy_name, solve_kw) -> dict:
     row = {"axis": axis, "policy": policy_name, "status": "ok",
            "chr": None, "ltec": None, "mph": None, "value": value}
     try:
-        chrs, ltecs, mphs, axis_vals = [], [], [], []
-        for seed in seeds:
-            cell_cfg = apply_axis(cfg, axis, value)
-            cell_cfg["seed"] = seed
-            scenario, _ = data.scenario_from_config(cell_cfg)
-            result = policies.solve_named(policy_name, scenario, **solve_kw)
-            ltecs.append(result.report.ltec)
-            chrs.append(result.report.chr)
-            mphs.append(mph(scenario.p0, scenario.c) if scenario.binary_costs else None)
-            axis_vals.append(entropy(scenario.v) if axis == "Hv" else value)
-        row["ltec"] = float(np.mean(ltecs))
-        row["chr"] = float(np.mean(chrs)) if None not in chrs else None
-        row["mph"] = float(np.mean(mphs)) if None not in mphs else None
-        row["value"] = axis_vals[0]
+        scenario, _ = data.scenario_from_config(apply_axis(cfg, axis, value))
+        report = policies.solve_named(policy_name, scenario, **solve_kw).report
+        row["ltec"] = report.ltec
+        row["chr"] = report.chr
+        row["mph"] = mph(scenario.p0, scenario.c) if scenario.binary_costs else None
+        row["value"] = entropy(scenario.v) if axis == "Hv" else value
     except policies.InfeasibleProblem as exc:
         row["status"] = f"infeasible: {exc}"
     except Exception as exc:
@@ -336,7 +328,7 @@ def _sweep_cell(cfg, axis, value, policy_name, seeds, solve_kw) -> dict:
 def sweep_each_cell(spec) -> list[dict]:
     """Reference for `cli.run_sweep`: the rows, without wall_time_s, of a
     sweep that rebuilds the scenario in every cell."""
-    rows = [_sweep_cell(spec.config, spec.axis, value, name, spec.seeds, spec.solve_kw)
+    rows = [_sweep_cell(spec.config, spec.axis, value, name, spec.solve_kw)
             for value in spec.values for name in spec.policies]
     per_value = len(spec.policies)
     for block in range(len(spec.values)):

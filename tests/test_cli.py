@@ -271,51 +271,41 @@ class TestSweep:
         ("alpha", [0.7], ["P1"], {"kind": "matrix", "u": [[0, 1], [1]]}),
     ])
     def test_rows_match_per_cell_rebuild(self, axis, values, names, graph, seeds):
-        """Sharing each seed's graph and each axis point's scenario changes no
-        row; wall_time_s aside."""
-        cfg = {**self.small_cfg(), "graph": graph or {"kind": "poisson", "k": 10,
-                                                        "mean_degree": 3}}
-        spec = SweepSpec(config=cfg, axis=axis, values=values, policies=names, seeds=seeds)
-        want = sweep_each_cell(spec)
-        got = without_wall_time(run_sweep(spec))
-        assert got == want
-        if graph is not None:
-            assert all(row["status"].startswith("error: ValueError") for row in got)
+        """A replication is one sweep per seed. In each, sharing the seed's
+        graph and each axis point's scenario changes no row; wall_time_s
+        aside."""
+        for seed in seeds:
+            cfg = {**self.small_cfg(), "seed": seed,
+                   "graph": graph or {"kind": "poisson", "k": 10, "mean_degree": 3}}
+            spec = SweepSpec(config=cfg, axis=axis, values=values, policies=names)
+            got = without_wall_time(run_sweep(spec))
+            assert got == sweep_each_cell(spec)
+            if graph is not None:
+                assert all(row["status"].startswith("error: ValueError") for row in got)
 
     def test_failed_solve_marks_only_its_row(self, monkeypatch):
-        """P2 fails on the second seed's scenario only, and P1 with its solver
-        setting everywhere: the baseline rows still solve."""
+        """P2 fails at q = 0.9 only, and P1 with its solver setting everywhere:
+        the baseline rows and P2 at q = 0.7 still solve."""
         cfg = {**self.small_cfg(), "graph": {"kind": "poisson", "k": 10, "mean_degree": 3}}
-        second, _ = data.gen_poisson_graph(10, 3, 12)
         solve = policies.solve_named
 
         def failing(name, scenario, **kw):
-            if name == "P2" and np.array_equal(scenario.u, second):
+            if name == "P2" and scenario.q == 0.9:
                 raise RuntimeError("no P2 here")
             return solve(name, scenario, **(kw if name == "P1" else {}))
 
         monkeypatch.setattr(policies, "solve_named", failing)
         spec = SweepSpec(config=cfg, axis="q", values=[0.7, 0.9],
-                         policies=["baseline", "P1", "P2"], seeds=[11, 12],
-                         solve_kw={"method": "external"})
+                         policies=["baseline", "P1", "P2"], solve_kw={"method": "external"})
         rows = run_sweep(spec)
-        assert [row["status"] for row in rows[:3]] == [
-            "ok", "error: ValueError: method='external' needs external_cmd",
-            "error: RuntimeError: no P2 here"]
-        assert without_wall_time(rows) == sweep_each_cell(spec)
-
-    def test_first_failing_seed_names_the_status(self):
-        cfg = self.small_cfg()
-        spec = SweepSpec(config=cfg, axis="q", values=[0.8], policies=["P1", "P2"],
-                         seeds=[11, -1, 12], workers=2)
-        rows = run_sweep(spec)
+        no_cmd = "error: ValueError: method='external' needs external_cmd"
         assert [row["status"] for row in rows] == [
-            "error: ValueError: config key 'seed' must be a whole number >= 0, got -1"] * 2
+            "ok", no_cmd, "ok", "ok", no_cmd, "error: RuntimeError: no P2 here"]
         assert without_wall_time(rows) == sweep_each_cell(spec)
 
     def test_workers_match_per_cell_rebuild(self):
         spec = SweepSpec(config=self.small_cfg(), axis="N", values=[2, 3, 14],
-                         policies=["P1", "P2"], seeds=[11, 12], workers=2)
+                         policies=["P1", "P2"], workers=2)
         got = without_wall_time(run_sweep(spec))
         assert got == sweep_each_cell(spec)
         assert [row["status"] == "ok" for row in got] == [True] * 4 + [False] * 2
@@ -330,10 +320,9 @@ class TestSweep:
 
         monkeypatch.setattr(data, "gen_poisson_graph", spy)
         rows = run_sweep(SweepSpec(config=self.small_cfg(), axis="alpha",
-                                   values=[0.5, 0.7, 0.9], policies=["baseline", "P1", "P2"],
-                                   seeds=[11, 12]))
+                                   values=[0.5, 0.7, 0.9], policies=["baseline", "P1", "P2"]))
         assert [row["status"] for row in rows] == ["ok"] * 9
-        assert calls == [11, 12]
+        assert calls == [11]  # one graph per sweep
 
     def test_wall_time_is_solve_time(self):
         rows = run_sweep(SweepSpec(config=self.small_cfg(), axis="N", values=[2, 14],
@@ -636,13 +625,16 @@ class TestCommands:
         assert "Traceback" not in err
 
     def test_sweep_malformed_seed_exits_io_naming_key(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.yaml"
-        cfg.write_text("graph: {kind: poisson, k: 10}\nseed: [1]\n")
-        assert main(["sweep", "--config", str(cfg), "--axis", "q", "--values", "0.5",
-                     "--out", str(tmp_path / "sweep.csv")]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("error: config key 'seed'")
-        assert "Traceback" not in err
+        """A seed that is not a count is refused before any row is solved."""
+        cfg, out = tmp_path / "bad.yaml", tmp_path / "sweep.csv"
+        for seed in ("[1]", "-1", "2.5"):
+            cfg.write_text(f"graph: {{kind: poisson, k: 10}}\nseed: {seed}\n")
+            assert main(["sweep", "--config", str(cfg), "--axis", "q", "--values", "0.5",
+                         "--out", str(out)]) == EXIT_IO
+            err = capsys.readouterr().err
+            assert err.startswith("error: config key 'seed'"), err
+            assert "Traceback" not in err
+            assert not out.exists()
 
     def test_infeasible_exit_code(self, cfg_file, monkeypatch, capsys):
         from cacherec import policies as pol

@@ -257,12 +257,26 @@ def test_evaluate_solves_only_on_the_recommended_contents(monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_factor_rejects_a_non_finite_kernel(bad):
+    """Also when the bad entry sits in a slot of click weight 0, where the
+    slot sum would multiply it by 0."""
     s = Scenario(u=np.ones((3, 3)), c=[0, 1, 1], p0=[0.4, 0.3, 0.3], alpha=0.8, n=1)
+    unclicked = Scenario(u=s.u, c=s.c, p0=s.p0, alpha=s.alpha, n=2, v=[1.0, 0.0])
     mats = np.full((3, 3), 0.5)
     mats[1, 2] = bad
-    for policy in (Policy("uniform", mats), Policy("positional", mats[None])):
+    for policy, scenario in ((Policy("uniform", mats), s), (Policy("positional", mats[None]), s),
+                             (Policy("positional", [np.full((3, 3), 0.5), mats]), unclicked)):
         with pytest.raises(ValueError, match="NaN or infinite"):
-            markov.solve(policy, s)
+            markov.solve(policy, scenario)
+
+
+def test_factor_rejects_a_slot_sum_that_overflows():
+    """Finite entries whose weighted slot sum exceeds the largest float."""
+    s = Scenario(u=np.ones((3, 3)), c=[0, 1, 1], p0=[0.4, 0.3, 0.3], alpha=0.8, n=2,
+                 v=[0.5 + 4e-10, 0.5 + 4e-10])
+    mats = np.full((2, 3, 3), 0.5)
+    mats[:, 1, 2] = np.finfo(float).max
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        markov.solve(Policy("positional", mats), s)
 
 
 def test_factor_rejects_a_singular_system():

@@ -50,6 +50,15 @@ class TestScenario:
         with pytest.raises(ValueError):
             scenario5(q=1.5)
 
+    def test_n_follows_the_rule_of_config_counts(self):
+        """2.0 is the count 2; a fraction, a negative or a bool is refused, not
+        truncated."""
+        s = scenario5(n=2.0)
+        assert (s.n, type(s.n)) == (2, int)
+        for bad in (2.7, -1, True, "2"):
+            with pytest.raises(ValueError, match="^n must be a whole number >= 0"):
+                scenario5(n=bad)
+
     def test_uniform_click_default(self):
         s = scenario5()
         assert np.allclose(s.v, 0.5)
