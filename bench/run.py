@@ -21,8 +21,9 @@ The cacherec package is imported from --src (default: this checkout's src/),
 so one script measures two checkouts with identical settings. The records go
 to `runs[label]` of the --out file, and the file's other labels are kept.
 Once it holds both a "parent" and a "change" run, `compare` lists each
-cell's time ratio (change / parent) and LTEC difference, and for P3 cells
-the simulation's time ratio and cost-rate difference. The script uses one
+cell's time ratio (change / parent), kernel calls and LTEC difference, and
+for P3 cells the simulation's time ratio and cost-rate difference; it also
+counts the cells whose kernel calls differ. The script uses one
 BLAS thread and needs only the standard library and numpy.
 """
 from __future__ import annotations
@@ -128,6 +129,8 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
     return {"max_ltec_diff": max((row["ltec_diff"] for row in rows), default=None),
             "max_sim_rate_diff": max((row["sim_rate_diff"] for row in rows
                                       if "sim_rate_diff" in row), default=None),
+            "kernel_calls_changed": sum(row["kernel_calls"][0] != row["kernel_calls"][1]
+                                        for row in rows),
             "cells": rows}
 
 
@@ -162,7 +165,8 @@ def main(argv=None) -> int:
         doc["compare"] = compare(doc["runs"]["parent"], doc["runs"]["change"])
         print(f"max |LTEC change - parent| = {doc['compare']['max_ltec_diff']!r}, "
               f"max |sim cost rate change - parent| = "
-              f"{doc['compare']['max_sim_rate_diff']!r}")
+              f"{doc['compare']['max_sim_rate_diff']!r}, cells with changed kernel "
+              f"calls: {doc['compare']['kernel_calls_changed']}")
     out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -29,6 +29,9 @@ EXIT_IO = 4
 
 _SOLVER_METHODS = {"auto": "auto", "builtin": "dense", "highs": "highs", "external": "external"}
 _PROBLEM_POLICY = {"greedy": "P1", "uni": "P2", "pref": "P3"}
+#: What a sweep can vary: the quality floor q, the slot count N, alpha, the
+#: popularity exponent s, the click entropy Hv and the cache size C.
+SWEEP_AXES = ("q", "N", "alpha", "s", "Hv", "C")
 
 
 def gain(chr_x: float, chr_y: float) -> float | None:
@@ -193,7 +196,7 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if self.axis not in ("q", "N", "alpha", "s", "Hv", "C"):
+        if self.axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise ValueError("sweep needs at least one axis value")
@@ -219,6 +222,8 @@ class SweepSpec:
 
 def apply_axis(cfg: dict, axis: str, value) -> dict:
     """Return a config copy with one swept parameter applied."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
     out = copy.deepcopy(cfg)
     if axis == "q":
         out["q"] = float(value)
@@ -233,13 +238,11 @@ def apply_axis(cfg: dict, axis: str, value) -> dict:
     elif axis == "C":
         out["cache_size"] = int(value)
         out.pop("c", None)
-    elif axis == "Hv":
+    else:  # Hv
         n = int(out.get("n", 2))
         beta = float(value)
         weights = np.arange(1, n + 1, dtype=float) ** (-beta)
         out["v"] = (weights / weights.sum()).tolist()
-    else:
-        raise ValueError(f"unknown sweep axis {axis!r}")
     return out
 
 
@@ -572,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV")
-    p.add_argument("--axis", choices=["q", "N", "alpha", "s", "Hv", "C"], required=True)
+    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--policies", default="P1,P2")
     p.add_argument("--reference", default="P1", help="gain reference policy")

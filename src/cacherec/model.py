@@ -336,12 +336,18 @@ def validate_policy(policy: Policy, scenario: Scenario, tol: float = FEAS_TOL) -
     return out
 
 
-def _smallest_first(score: np.ndarray, n: int) -> np.ndarray:
-    """(rows, n) column indices of the n smallest entries of each row of
-    `score`, smallest first; equal scores go to the lowest index. Takes n
-    passes of `argmin` and overwrites each pick in `score` with inf."""
-    at = np.arange(score.shape[0])
-    pick = np.empty((score.shape[0], n), dtype=np.intp)
+def _select(values: np.ndarray, u: np.ndarray, mu: np.ndarray, rows: np.ndarray,
+            n: int) -> np.ndarray:
+    """(rows.size, n) indices of the N smallest scores V - mu_i u_i in each
+    row i of `rows`, smallest first; equal scores go to the lowest index, and
+    row i never picks item i. The scores are built in one K-wide buffer per
+    row, and N passes of `argmin` each overwrite their pick with inf."""
+    score = u[rows]
+    score *= -mu[:, None]
+    score += values
+    at = np.arange(rows.size)
+    score[at, rows] = np.inf
+    pick = np.empty((rows.size, n), dtype=np.intp)
     for t in range(n):
         pick[:, t] = score.argmin(axis=1)
         score[at, pick[:, t]] = np.inf
@@ -350,13 +356,13 @@ def _smallest_first(score: np.ndarray, n: int) -> np.ndarray:
 
 def top_slates(u: np.ndarray, n: int) -> np.ndarray:
     """(K, N) indices of each content's N most similar other items, most
-    similar first; equal scores go to the lowest index."""
-    score = np.negative(u, dtype=float)
-    k = score.shape[0]
+    similar first; equal scores go to the lowest index. This is `_select`
+    at V = 0 and mu = 1 over every row."""
+    u = np.asarray(u, dtype=float)
+    k = u.shape[0]
     if n >= k:
         raise ValueError(f"need n < K, got n={n}, K={k}")
-    np.fill_diagonal(score, np.inf)  # self never ranks top-N
-    return _smallest_first(score, n)
+    return _select(np.zeros(k), u, np.ones(k), np.arange(k), n)
 
 
 def slot_order(v: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ slate mixtures per content. `row_kernel` solves the per-row problem
 "cheapest slate mix meeting the floor" for a value vector V, for all rows at
 once. One routine, `_row_solve`, serves P1, P2 and P3: policy iteration
 (Howard 1960; Puterman 1994, ch. 6) from the kernel's slates at V = c, the
-first Bellman step from V = c. Each round builds the policy of the current
+first Bellman step from V = c, which starts from the max-quality slates of
+`model.top_slates`. Each round builds the policy of the current
 slates (`model.slate_policy`) and solves its session system V = c + Q V by
 `markov.solve`, the routine `markov.evaluate` calls, which factors I - Q
 only on the contents some slate shows. P1 stops after this first
@@ -33,8 +34,8 @@ import numpy as np
 
 from . import lp, markov, simplex
 from .markov import EvalReport
-from .model import (Policy, Scenario, _smallest_first, baseline_policy, quality_of,
-                    slate_policy, slot_order, top_quality, top_slates, validate_policy)
+from .model import (Policy, Scenario, _select, baseline_policy, quality_of, slate_policy,
+                    slot_order, top_quality, top_slates, validate_policy)
 
 POLICY_NAMES = ("baseline", "P1", "P2", "P3")
 
@@ -101,27 +102,16 @@ class RowSolution(NamedTuple):
     theta: np.ndarray
 
 
-def _select(values: np.ndarray, u: np.ndarray, mu: np.ndarray, rows: np.ndarray,
-            n: int) -> np.ndarray:
-    """The N smallest scores V - mu_i u_i in each row i of `rows`, smallest
-    first; equal scores go to the lowest index, as in `model.top_slates`."""
-    score = u[rows] * -mu[:, None]
-    score += values
-    score[np.arange(rows.size), rows] = np.inf
-    return _smallest_first(score, n)
-
-
 def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
-               floor: np.ndarray, top: np.ndarray,
-               start: RowSolution | None = None) -> RowSolution:
+               floor: np.ndarray, start: RowSolution) -> RowSolution:
     """Cheapest slate mix meeting each row's quality floor, for all rows at once.
 
     values is the (K,) value vector V, weights the N slot weights in
-    decreasing order, floor the (K,) quality floors, and top the (K, N)
-    max-quality slates of `model.top_slates`, most similar first. start, if
-    given, is an earlier result of this kernel for the same u, weights and
-    floor, such as the previous policy-iteration round's; it changes where
-    the search begins, not the optimal value it ends at.
+    decreasing order and floor the (K,) quality floors. start is where the
+    search begins: the max-quality bracket (top, top, 1) of
+    `model.top_slates`, or an earlier result of this kernel for the same u,
+    weights and floor, such as the previous policy-iteration round's. It
+    changes where the search begins, not the optimal value it ends at.
 
     Row i solves  min sum_t w_t V[s_t]  subject to  sum_t w_t u_i[s_t] >= floor_i
     over mixtures of slates s of N distinct items other than i. With unit
@@ -131,13 +121,15 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     inequality the item with the smallest score takes the largest weight.
 
     Dualizing the floor with a multiplier mu leaves "take the N smallest
-    V - mu u"; `_select` takes them smallest first with ties to the lowest
-    index, so the kernel is deterministic. Each row keeps a bracket: a slate
-    lo below the floor and a slate hi that meets it. A row whose start lo is
-    below its floor begins from the start bracket. Every other row first
-    takes its cheapest slate (mu = 0) and keeps it if it meets the floor;
-    if not, that slate is lo and hi is the start hi, or top[i] without a
-    start. Any slate that meets the floor serves as hi.
+    V - mu u"; `model._select` takes them smallest first with ties to the
+    lowest index, so the kernel is deterministic. Each row keeps a bracket:
+    a slate lo below the floor and a slate hi that meets it. A row whose
+    start lo is below its floor begins from the start bracket. Every other
+    row first takes its cheapest slate (mu = 0) and keeps it if it meets
+    the floor; if not, that slate is lo and the start hi is hi. From the
+    top bracket every row is of this kind: q <= 1 puts each floor at most
+    a rounding slack above the quality of top. Any slate that meets the
+    floor serves as hi.
 
     Each step splits the bracket at mu >= 0 where the two slates'
     Lagrangian lines V(s) - mu Q(s) cross, and picks the slate x minimizing
@@ -160,11 +152,8 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     rows = np.arange(k)
     # Quality sums differ from the floor's by a few ulps of summation order.
     slack = 8.0 * _EPS * (1.0 + floor)
-    if start is None:
-        lo, hi, cold = np.empty_like(top), top.copy(), rows
-    else:
-        lo, hi = start.lo.copy(), start.hi.copy()
-        cold = np.flatnonzero(quality(lo, rows) >= floor - slack)
+    lo, hi = start.lo.copy(), start.hi.copy()
+    cold = np.flatnonzero(quality(lo, rows) >= floor - slack)
     lo[cold] = _select(values, u, np.zeros(cold.size), cold, n)
     q_lo = quality(lo, rows)
     feasible = q_lo >= floor - slack
@@ -207,20 +196,21 @@ def _mix_value(sol: RowSolution, values: np.ndarray, weights: np.ndarray) -> np.
 def _row_problem(scenario: Scenario, positional: bool):
     """Slot weights in decreasing order, per-row quality floors, the click
     distribution (None for uniform clicks, whose slates are unordered) and
-    the max-quality slates."""
+    the max-quality bracket (top, top, 1) the first kernel call starts from."""
     u, n = scenario.u, scenario.n
     v = scenario.v if positional else None
     weights = np.ones(n) if v is None else v[slot_order(v)]
     top = top_slates(u, n)
-    return weights, scenario.q * top_quality(top, u, v), v, top
+    return (weights, scenario.q * top_quality(top, u, v), v,
+            RowSolution(top, top, np.ones(scenario.k)))
 
 
 def _row_solve(scenario: Scenario, name: str) -> PolicyResult:
     """P1, P2 or P3 by the row kernel; P1 is the first round, whose objective
     is the myopic cost."""
     t0 = time.perf_counter()
-    weights, floor, v, top = _row_problem(scenario, positional=name == "P3")
-    sol = row_kernel(scenario.c, scenario.u, weights, floor, top)
+    weights, floor, v, start = _row_problem(scenario, positional=name == "P3")
+    sol = row_kernel(scenario.c, scenario.u, weights, floor, start)
     calls = 1
     for _ in range(MAX_ROUNDS):
         policy = slate_policy(*sol, v)
@@ -229,7 +219,7 @@ def _row_solve(scenario: Scenario, name: str) -> PolicyResult:
         if name == "P1":
             objective = float(scenario.p0 @ _mix_value(sol, scenario.c, weights))
             break
-        new = row_kernel(values, scenario.u, weights, floor, top, start=sol)
+        new = row_kernel(values, scenario.u, weights, floor, sol)
         calls += 1
         old = _mix_value(sol, values, weights)
         margin = IMPROVE_RTOL * np.abs(values).max()

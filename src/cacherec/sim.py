@@ -10,14 +10,16 @@ like the sequential step-by-step walk.
 
 Every draw is an inverse-CDF pick. Cycle starts search the popularity CDF
 through a guide table of M >= 4K buckets. A followed request searches its
-row of a step table, the click kernel's positive support padded to one
-power-of-two width W: log2(W) branch-free rounds of flat takes and compares
-for all active cycles at once. The tables take O(K W + K) memory. The
-sampled paths are bitwise those of a dense scan over each cumulative row
-wherever that scan stays on the row's support. It leaves the support for a
-draw above a row total that rounding left below 1, where it lands on
-content K - 1 and the step table on the row's last positive entry, and for
-a draw of exactly 0 in a row whose first entry is 0.
+row of a step table: the click kernel's positive entries, scattered into
+rows of one power-of-two width W and summed by one cumsum. A step is
+log2(W) branch-free rounds of flat takes and compares for all active
+cycles at once. The tables take O(K W + K) memory. On a kernel with no
+negative entry, the sampled paths are bitwise those of a dense scan over
+each cumulative row wherever that scan stays on the row's support. It
+leaves the support for a draw above a row total that rounding left below
+1, where it lands on content K - 1 and the step table on the row's last
+positive entry, and for a draw of exactly 0 in a row whose first entry
+is 0.
 """
 from __future__ import annotations
 
@@ -60,61 +62,50 @@ class SimReport:
     n_cycles: int
 
 
-def _kernel_support(kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positive entries of a row-stochastic kernel in CSR form, for sampling.
+def _step_table(kernel) -> tuple[np.ndarray, np.ndarray, int]:
+    """A click kernel's positive entries padded to one width, for
+    fixed-depth inverse-CDF steps.
 
-    kernel is K-row CSR arrays (indptr, indices, data), columns increasing in
-    each row, as `markov.click_kernel` returns. Returns (indptr, cols, cum):
-    row i's support is cols[indptr[i]:indptr[i+1]] in column order, and cum
-    holds the row's cumulative sums at those columns. Each row is summed
-    from its first entry on, one entry at a time, so cum holds the same
-    floats a dense row cumsum has there. Raises ValueError for a row with
-    no positive entry, which has nothing to sample.
+    kernel is K-row CSR arrays (indptr, indices, data), columns increasing
+    in each row, as `markov.click_kernel` returns. Returns (thr, cols,
+    width), two flat arrays of K rows of `width` entries (the most positive
+    entries any row has, rounded up to a power of two); row i starts at
+    i * width. thr holds the row's cumulative sums at every positive entry
+    but the last, then +inf; cols holds the row's positive columns, then
+    its last positive column again. Counting a row's thresholds below u
+    therefore picks the first positive column whose cumulative sum reaches
+    u, or the last one when rounding leaves the row total below u.
+
+    The positive entries are scattered into a zeroed (K, width) table and
+    each row summed by one cumsum, one entry at a time from the first on.
+    The stored zeros this drops add nothing, so the sums are the floats a
+    dense row cumsum has at those columns; a negative entry, which
+    validation tolerates down to -`markov.EVAL_TOL`, is dropped too.
+    Raises ValueError for a row with no positive entry, which has nothing
+    to sample, and, before allocating them, when the two tables (16 K
+    width bytes) exceed the machine's memory.
     """
     indptr, cols, vals = kernel
-    counts = np.diff(indptr)
-    cum = vals.copy()
-    for t in range(1, int(counts.max(initial=0))):
-        at = indptr[:-1][counts > t] + t
-        cum[at] += cum[at - 1]
+    k = indptr.size - 1
     positive = vals > 0.0
-    k = counts.size
-    per_row = np.bincount(np.repeat(np.arange(k), counts)[positive], minlength=k)
-    empty = np.flatnonzero(per_row == 0)
+    counts = np.bincount(np.repeat(np.arange(k), np.diff(indptr))[positive], minlength=k)
+    empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise ValueError(f"click kernel row {empty[0]} has no positive entry "
                          f"({empty.size} such rows)")
-    support = np.zeros(k + 1, dtype=np.intp)
-    np.cumsum(per_row, out=support[1:])
-    return support, cols[positive], cum[positive]
-
-
-def _step_table(support) -> tuple[np.ndarray, np.ndarray, int]:
-    """`_kernel_support` padded to one width, for fixed-depth inverse-CDF steps.
-
-    Returns (thr, cols, width), two flat arrays of K rows of `width` entries
-    (the widest support rounded up to a power of two); row i starts at
-    i * width. thr holds the row's cumulative sums at every support entry but
-    the last, then +inf; cols holds the row's support columns, then its last
-    support column again. Counting a row's thresholds below u therefore
-    picks the first support column whose cumulative sum reaches u, or the
-    last one when rounding leaves the row total below u. Raises ValueError,
-    before allocating them, when the two tables (16 K width bytes) exceed
-    the machine's memory.
-    """
-    indptr, cols, cum = support
-    counts = np.diff(indptr)
-    k = counts.size
     width = 1 << int(counts.max() - 1).bit_length()
     data.check_fits((2, k, width), "the sampler's step table")
-    last = indptr[1:] - 1
-    at = np.arange(cols.size) + np.repeat(np.arange(k) * width - indptr[:-1], counts)
-    thr = np.full(k * width, np.inf)
-    thr[at] = cum
-    thr[at[last]] = np.inf
-    table = np.repeat(cols[last], width)
+    start = np.cumsum(counts) - counts  # each row's first positive entry
+    end = start + counts - 1  # and its last
+    at = np.arange(counts.sum()) + np.repeat(np.arange(k) * width - start, counts)
+    thr = np.zeros((k, width))
+    thr.flat[at] = vals[positive]
+    thr.flat[at[end]] = np.inf  # the cumsum carries it through the padding
+    np.cumsum(thr, axis=1, out=thr)
+    cols = cols[positive]
+    table = np.repeat(cols[end], width)
     table[at] = cols
-    return thr, table, width
+    return thr.ravel(), table, width
 
 
 def _step(table: tuple[np.ndarray, np.ndarray, int], current: np.ndarray,
@@ -195,7 +186,7 @@ def _sample_path(policy: Policy, scenario: Scenario, steps: int,
     # one uniform per active cycle in cycle order. An active cycle carries its
     # next path position; follows[p] says whether position p continues the
     # cycle that holds position p - 1.
-    table = _step_table(_kernel_support(markov.click_kernel(policy, scenario)))
+    table = _step_table(markov.click_kernel(policy, scenario))
     follows = np.ones(steps + 1, dtype=bool)
     follows[offsets] = False
     follows[steps] = False

@@ -12,8 +12,8 @@ click kernel, the entries below its uniform draw. The production sampler
 searches only each row's nonzero support and must return bitwise the same
 paths.
 
-`dense_validate_policy`, `dense_click_kernel`, `dense_kernel_support` and
-`dense_policy_csv` are the policy checks, click kernel, sampling support and
+`dense_validate_policy`, `dense_click_kernel`, `dense_step_table` and
+`dense_policy_csv` are the policy checks, click kernel, sampler step table and
 policy file computed on the dense (K, K) matrix or (N, K, K) stack of a
 policy. The production versions visit only the stored entries of the CSR
 policy and must return the same violations, the same kernel, bitwise the
@@ -192,16 +192,23 @@ def reduced_dense_solve(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float
     return values, float(np.abs(values - c - qv).max())
 
 
-def dense_kernel_support(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference for `sim._kernel_support`, from a dense (K, K) kernel."""
-    rows, cols = np.nonzero(kernel > 0.0)
-    cum = np.cumsum(kernel, axis=1)[rows, cols]
-    indptr = np.searchsorted(rows, np.arange(kernel.shape[0] + 1))
-    empty = np.flatnonzero(np.diff(indptr) == 0)
-    if empty.size:
+def dense_step_table(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference for `sim._step_table`, from a dense (K, K) kernel, row by row:
+    the cumulative sums of the row's positive part at its positive columns."""
+    support = [np.flatnonzero(row > 0.0) for row in kernel]
+    empty = [i for i, cols in enumerate(support) if cols.size == 0]
+    if empty:
         raise ValueError(f"click kernel row {empty[0]} has no positive entry "
-                         f"({empty.size} such rows)")
-    return indptr, cols, cum
+                         f"({len(empty)} such rows)")
+    width = 1 << (max(cols.size for cols in support) - 1).bit_length()
+    thr = np.full((kernel.shape[0], width), np.inf)
+    table = np.empty((kernel.shape[0], width), dtype=np.intp)
+    for i, cols in enumerate(support):
+        cum = np.cumsum(np.where(kernel[i] > 0.0, kernel[i], 0.0))[cols]
+        thr[i, :cols.size - 1] = cum[:-1]
+        table[i] = cols[-1]
+        table[i, :cols.size] = cols
+    return thr.ravel(), table.ravel(), width
 
 
 def dense_policy_csv(policy, meta: dict | None = None) -> str:
@@ -279,10 +286,10 @@ def evaluate_each_round(scenario, name: str):
     """Reference for `policies._row_solve` on P1, P2 or P3. Returns (policy,
     report, kernel calls, objective): P1's objective is its myopic cost, and
     P2's and P3's the cycle cost p0'V."""
-    weights, floor, v, top = policies._row_problem(scenario, positional=name == "P3")
+    weights, floor, v, start = policies._row_problem(scenario, positional=name == "P3")
     kernel = functools.partial(policies.row_kernel, u=scenario.u, weights=weights,
-                               floor=floor, top=top)
-    sol = kernel(scenario.c)
+                               floor=floor)
+    sol = kernel(scenario.c, start=start)
     calls = 1
     for _ in range(policies.MAX_ROUNDS):
         policy = slate_policy(*sol, v)

@@ -27,6 +27,7 @@ def test_ladder_records_and_compares_two_runs(tmp_path):
     assert len(sims) == 4
     assert all(r["sim_median_s"] > 0 and 0 <= r["empirical_cost_rate"] <= 1 for r in sims)
     assert doc["compare"]["max_ltec_diff"] == 0.0  # same code, same answers
+    assert doc["compare"]["kernel_calls_changed"] == 0
     assert len(doc["compare"]["cells"]) == 6
     compared = [c for c in doc["compare"]["cells"] if c["policy"] == "P3"]
     assert all(c["sim_ratio"] > 0 and c["sim_rate_diff"] == 0.0 for c in compared)

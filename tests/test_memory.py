@@ -9,8 +9,8 @@ import pytest
 from cacherec import evaluate, max_quality, scenario_from_config, simulate, solve_positional
 
 K = 1000
-#: One (K, K) float array; the LU of `evaluate` and the score matrix of
-#: `top_slates` each need one.
+#: One (K, K) float array; the LU of `evaluate` and the score buffer that
+#: `top_slates` selects from each need one.
 DENSE = K * K * 8
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cacherec import Scenario, quality_profile, scenario_from_config, validate_policy
-from cacherec import policies
+from cacherec import model, policies
 from cacherec.lp import build_greedy_row_lps, build_positional_lp, build_session_lp
 from cacherec.simplex import solve
 from conftest import random_scenario
@@ -149,7 +149,14 @@ def test_select_is_ordered_with_ties_to_lowest_index():
         score[np.arange(rows.size), rows] = np.inf
         for n in (1, 2, 3, 7):
             want = np.argsort(score, axis=1, kind="stable")[:, :n]
-            assert np.array_equal(policies._select(values, u, mu, rows, n), want)
+            assert np.array_equal(model._select(values, u, mu, rows, n), want)
+    # top_slates is the selector at V = 0 and mu = 1 over every row.
+    score = -u
+    np.fill_diagonal(score, np.inf)
+    for n in (1, 2, 3, 7):
+        want = np.argsort(score, axis=1, kind="stable")[:, :n]
+        assert np.array_equal(model.top_slates(u, n), want)
+        assert np.array_equal(model.top_slates(u.tolist(), n), want)
 
 
 def slate_mix_quality(sol, u, weights):
@@ -163,20 +170,19 @@ def slate_mix_quality(sol, u, weights):
 @settings(max_examples=150, deadline=None)
 def test_warm_start_reaches_the_cold_optimum(seed, k, q, positional, tied_values):
     """From any start whose hi rows meet the floor, the kernel ends at the
-    same row values as from a cold start, and meets every floor."""
+    same row values as from the max-quality bracket (top, top, 1), and
+    meets every floor."""
     rng = np.random.default_rng(seed)
     s = random_scenario(rng, k=k, n=int(rng.integers(1, min(4, k))), q=q,
                         v="skewed" if positional else None)
-    weights, floor, _, top = policies._row_problem(s, positional)
-    kernel = functools.partial(policies.row_kernel, u=s.u, weights=weights, floor=floor,
-                               top=top)
+    weights, floor, _, top_start = policies._row_problem(s, positional)
+    kernel = functools.partial(policies.row_kernel, u=s.u, weights=weights, floor=floor)
     values = rng.integers(0, 4, k).astype(float) if tied_values else rng.uniform(0, 3, k)
-    cold = kernel(values)
-    other = kernel(rng.uniform(0, 3, k))
-    dearest = policies._select(-values, s.u, np.zeros(k), np.arange(k), s.n)
+    cold = kernel(values, start=top_start)
+    other = kernel(rng.uniform(0, 3, k), start=top_start)
+    dearest = model._select(-values, s.u, np.zeros(k), np.arange(k), s.n)
     starts = {
-        "top": policies.RowSolution(top, top, np.ones(k)),
-        "P1": kernel(s.c),
+        "P1": kernel(s.c, start=top_start),
         "other round": other,
         "lo == hi": policies.RowSolution(other.hi, other.hi, np.ones(k)),
         # Rows whose dearest slate misses the floor start with hi cheaper than lo.
@@ -190,6 +196,31 @@ def test_warm_start_reaches_the_cold_optimum(seed, k, q, positional, tied_values
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * values.max(),
                                    err_msg=label)
         assert np.all(slate_mix_quality(warm, s.u, weights) >= floor - slack), label
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40), st.integers(1, 3),
+       st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_top_bracket_meets_every_floor(seed, k, n, q, positional, tied):
+    """Every row's top slate meets its floor within the kernel's rounding
+    slack, so a first call from the bracket (top, top, 1) gives every row
+    the selector's mu = 0 pick as lo wherever that pick meets the floor."""
+    rng = np.random.default_rng(seed)
+    s = random_scenario(rng, k=k, n=min(n, k - 1), q=q, v="skewed" if positional else None)
+    if tied:
+        s = s.replace(u=rng.integers(0, 4, (k, k)) / 3)
+    weights, floor, _, start = policies._row_problem(s, positional)
+    top = model.top_slates(s.u, s.n)
+    assert np.array_equal(start.lo, top) and np.array_equal(start.hi, top)
+    assert np.all(start.theta == 1.0)
+    rows = np.arange(k)
+    slack = 8.0 * np.finfo(float).eps * (1.0 + floor)
+    assert np.all(s.u[rows[:, None], top] @ weights >= floor - slack)
+    values = rng.integers(0, 4, k).astype(float)
+    sol = policies.row_kernel(values, s.u, weights, floor, start)
+    cheapest = model._select(values, s.u, np.zeros(k), rows, s.n)
+    meets = s.u[rows[:, None], cheapest] @ weights >= floor - slack
+    assert np.array_equal(sol.lo[meets], cheapest[meets])
 
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P3"])

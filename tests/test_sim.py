@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from cacherec import (Policy, Scenario, baseline_policy, data, evaluate, markov,
                       scenario_from_config, sim, solve_positional, solve_session)
-from cacherec.sim import (_guide_search, _kernel_support, _sample_path, _step, _step_table,
+from cacherec.sim import (_guide_search, _sample_path, _step, _step_table,
                           brute_force_optimum, simulate)
-from _oracles import csr_arrays, dense_click_kernel, dense_kernel_support, dense_sample_path
+from _oracles import csr_arrays, dense_click_kernel, dense_sample_path, dense_step_table
 from conftest import (CORRUPTIONS, corrupt_policy, random_dense_policy,
                       random_positional_policy, random_scenario, random_slate_policy,
                       random_uniform_policy)
@@ -148,7 +148,7 @@ class TestSparseSampler:
                            [0.0, 0.0, 0.0, 0.0, 1.0],
                            [0.2, 0.2, 0.2, 0.0, 0.4],
                            [1.0, 0.0, 0.0, 0.0, 0.0]])
-        table = _step_table(_kernel_support(csr_arrays(kernel)))
+        table = _step_table(csr_arrays(kernel))
         u = np.array([0.0, 0.3, 0.31, 0.6, 0.7, 0.999])
         got = _step(table, np.zeros(u.size, dtype=np.int64), u)
         assert got.tolist() == [1, 1, 3, 3, 3, 3]
@@ -158,18 +158,18 @@ class TestSparseSampler:
     def test_row_without_support_raises(self):
         kernel = np.array([[0.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [0.5, 0.5, 0.0]])
         with pytest.raises(ValueError, match="row 1 has no positive entry"):
-            _kernel_support(csr_arrays(kernel))
+            _step_table(csr_arrays(kernel))
 
     def test_step_table_refused_before_allocation(self, monkeypatch):
         # Rows of 2, 1 and 3 support entries pad to width 4: two tables of
         # 3 x 4 entries, 192 bytes.
         kernel = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.25, 0.25, 0.5]])
-        support = _kernel_support(csr_arrays(kernel))
+        kernel = csr_arrays(kernel)
         monkeypatch.setattr(data, "machine_memory", lambda: 191)
         with pytest.raises(ValueError, match="step table 2 x 3 x 4 cannot be allocated"):
-            _step_table(support)
+            _step_table(kernel)
         monkeypatch.setattr(data, "machine_memory", lambda: 192)
-        assert _step_table(support)[2] == 4
+        assert _step_table(kernel)[2] == 4
 
     def test_memory_independent_of_catalog_width(self):
         # A per-step (active cycles, K) float temporary would take about
@@ -236,8 +236,9 @@ class TestBruteForce:
 @settings(max_examples=300, deadline=None)
 def test_support_on_entries_matches_dense_oracle(seed, k, positional, source, how):
     """The click kernel built from the policy's entries is the dense kernel,
-    entry for entry, and its sampling support has the dense support's rows
-    and columns and bitwise the same cumulative sums (or the same error)."""
+    entry for entry, and its step table is the dense reference table: the
+    same columns and width and bitwise the same thresholds (or the same
+    error)."""
     rng = np.random.default_rng(seed)
     s = random_scenario(rng, k=k, v="skewed" if positional else None)
     if source == "slates":
@@ -252,18 +253,18 @@ def test_support_on_entries_matches_dense_oracle(seed, k, positional, source, ho
     scattered[np.repeat(np.arange(k), np.diff(kernel[0])), kernel[1]] = kernel[2]
     assert scattered.tobytes() == dense.tobytes()
 
-    def support(fn, kernel):
+    def table(fn, kernel):
         try:
             return fn(kernel)
         except ValueError as exc:
             return str(exc)
 
-    got, want = support(_kernel_support, kernel), support(dense_kernel_support, dense)
+    got, want = table(_step_table, kernel), table(dense_step_table, dense)
     if isinstance(want, str):
         assert got == want
     else:
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[2].tobytes() == want[2].tobytes()
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1]) and got[2] == want[2]
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3000),
@@ -318,5 +319,5 @@ def test_step_table_matches_dense_scan(seed, k, short):
     want = np.where(hit.any(axis=1), hit.argmax(axis=1), last[current])
     scan = np.minimum((row_cum[current] < u[:, None]).sum(axis=1), last[current])
     assert np.array_equal(want[u > 0.0], scan[u > 0.0])
-    got = _step(_step_table(_kernel_support(csr_arrays(kernel))), current, u)
+    got = _step(_step_table(csr_arrays(kernel)), current, u)
     assert np.array_equal(got, want)
