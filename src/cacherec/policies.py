@@ -124,12 +124,12 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     V - mu u"; `model._select` takes them smallest first with ties to the
     lowest index, so the kernel is deterministic. Each row keeps a bracket:
     a slate lo below the floor and a slate hi that meets it. A row whose
-    start lo is below its floor begins from the start bracket. Every other
-    row first takes its cheapest slate (mu = 0) and keeps it if it meets
-    the floor; if not, that slate is lo and the start hi is hi. From the
-    top bracket every row is of this kind: q <= 1 puts each floor at most
-    a rounding slack above the quality of top. Any slate that meets the
-    floor serves as hi.
+    start lo meets its floor, or whose start is one slate (lo = hi, as in
+    every row of the top bracket), first takes its cheapest slate (mu = 0)
+    and keeps it if it meets the floor; if not, that slate is lo and the
+    start hi is hi. Every other row begins from its start bracket. Any
+    slate that meets the floor serves as hi, and top is taken as one even
+    where rounding leaves its quality a few ulps below the floor.
 
     Each step splits the bracket at mu >= 0 where the two slates'
     Lagrangian lines V(s) - mu Q(s) cross, and picks the slate x minimizing
@@ -153,7 +153,7 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     # Quality sums differ from the floor's by a few ulps of summation order.
     slack = 8.0 * _EPS * (1.0 + floor)
     lo, hi = start.lo.copy(), start.hi.copy()
-    cold = np.flatnonzero(quality(lo, rows) >= floor - slack)
+    cold = np.flatnonzero((quality(lo, rows) >= floor - slack) | (lo == hi).all(axis=1))
     lo[cold] = _select(values, u, np.zeros(cold.size), cold, n)
     q_lo = quality(lo, rows)
     feasible = q_lo >= floor - slack

@@ -10,16 +10,15 @@ like the sequential step-by-step walk.
 
 Every draw is an inverse-CDF pick. Cycle starts search the popularity CDF
 through a guide table of M >= 4K buckets. A followed request searches its
-row of a step table: the click kernel's positive entries, scattered into
-rows of one power-of-two width W and summed by one cumsum. A step is
-log2(W) branch-free rounds of flat takes and compares for all active
-cycles at once. The tables take O(K W + K) memory. On a kernel with no
-negative entry, the sampled paths are bitwise those of a dense scan over
-each cumulative row wherever that scan stays on the row's support. It
-leaves the support for a draw above a row total that rounding left below
-1, where it lands on content K - 1 and the step table on the row's last
-positive entry, and for a draw of exactly 0 in a row whose first entry
-is 0.
+row of a step table: the running sums of the click kernel's rows, from
+one cumsum, at their positive entries, padded to one power-of-two width
+W. A step is log2(W) branch-free rounds of flat takes and compares for
+all active cycles at once. The tables take O(K W + K) memory. The
+sampled paths are bitwise those of a dense scan over each cumulative row
+wherever that scan stays on the row's support. It leaves the support for
+a draw above a row total that rounding left below 1, where it lands on
+content K - 1 and the step table on the row's last positive entry, and
+for a draw of exactly 0 in a row whose first entry is 0.
 """
 from __future__ import annotations
 
@@ -76,36 +75,42 @@ def _step_table(kernel) -> tuple[np.ndarray, np.ndarray, int]:
     therefore picks the first positive column whose cumulative sum reaches
     u, or the last one when rounding leaves the row total below u.
 
-    The positive entries are scattered into a zeroed (K, width) table and
-    each row summed by one cumsum, one entry at a time from the first on.
-    The stored zeros this drops add nothing, so the sums are the floats a
-    dense row cumsum has at those columns; a negative entry, which
-    validation tolerates down to -`markov.EVAL_TOL`, is dropped too.
-    Raises ValueError for a row with no positive entry, which has nothing
-    to sample, and, before allocating them, when the two tables (16 K
-    width bytes) exceed the machine's memory.
+    The running sums are those of a dense row cumsum, negative entries
+    included: each row's stored entries are scattered into a zeroed scratch
+    table, as wide as the most any row stores, and summed by one cumsum,
+    one entry at a time from the first on. Raises ValueError for a row with
+    no positive entry, which has nothing to sample, and, before allocating
+    them, when the two tables (16 K width bytes) or the scratch table
+    exceed the machine's memory.
     """
     indptr, cols, vals = kernel
     k = indptr.size - 1
     positive = vals > 0.0
-    counts = np.bincount(np.repeat(np.arange(k), np.diff(indptr))[positive], minlength=k)
+    seen = np.zeros(vals.size + 1, dtype=np.intp)  # positive entries before each
+    np.cumsum(positive, out=seen[1:])
+    counts = seen[indptr[1:]] - seen[indptr[:-1]]
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise ValueError(f"click kernel row {empty[0]} has no positive entry "
                          f"({empty.size} such rows)")
     width = 1 << int(counts.max() - 1).bit_length()
     data.check_fits((2, k, width), "the sampler's step table")
-    start = np.cumsum(counts) - counts  # each row's first positive entry
-    end = start + counts - 1  # and its last
-    at = np.arange(counts.sum()) + np.repeat(np.arange(k) * width - start, counts)
-    thr = np.zeros((k, width))
-    thr.flat[at] = vals[positive]
-    thr.flat[at[end]] = np.inf  # the cumsum carries it through the padding
-    np.cumsum(thr, axis=1, out=thr)
+    stored = np.diff(indptr)
+    data.check_fits((k, int(stored.max())), "the sampler's running sums")
+    at = np.arange(stored.max()) < stored[:, None]  # where the entries go, row by row
+    cum = np.zeros(at.shape)
+    cum[at] = vals
+    np.cumsum(cum, axis=1, out=cum)
+    at[at] = positive
+    cum = cum[at]  # the sums at the positive entries; frees the scratch table
+    at = np.arange(width) < counts[:, None]
+    thr = np.full(at.shape, np.inf)
+    thr[at] = cum
+    thr[np.arange(k), counts - 1] = np.inf
     cols = cols[positive]
-    table = np.repeat(cols[end], width)
+    table = np.repeat(cols[seen[indptr[1:]] - 1], width).reshape(k, width)
     table[at] = cols
-    return thr.ravel(), table, width
+    return thr.ravel(), table.ravel(), width
 
 
 def _step(table: tuple[np.ndarray, np.ndarray, int], current: np.ndarray,

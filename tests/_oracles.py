@@ -194,7 +194,7 @@ def reduced_dense_solve(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float
 
 def dense_step_table(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Reference for `sim._step_table`, from a dense (K, K) kernel, row by row:
-    the cumulative sums of the row's positive part at its positive columns."""
+    the row's cumulative sums at its positive columns."""
     support = [np.flatnonzero(row > 0.0) for row in kernel]
     empty = [i for i, cols in enumerate(support) if cols.size == 0]
     if empty:
@@ -204,7 +204,7 @@ def dense_step_table(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     thr = np.full((kernel.shape[0], width), np.inf)
     table = np.empty((kernel.shape[0], width), dtype=np.intp)
     for i, cols in enumerate(support):
-        cum = np.cumsum(np.where(kernel[i] > 0.0, kernel[i], 0.0))[cols]
+        cum = np.cumsum(kernel[i])[cols]
         thr[i, :cols.size - 1] = cum[:-1]
         table[i] = cols[-1]
         table[i, :cols.size] = cols

@@ -198,15 +198,16 @@ def test_warm_start_reaches_the_cold_optimum(seed, k, q, positional, tied_values
         assert np.all(slate_mix_quality(warm, s.u, weights) >= floor - slack), label
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40), st.integers(1, 3),
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40), st.integers(1, 15),
        st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.booleans(), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_top_bracket_meets_every_floor(seed, k, n, q, positional, tied):
     """Every row's top slate meets its floor within the kernel's rounding
-    slack, so a first call from the bracket (top, top, 1) gives every row
+    slack, and a first call from the bracket (top, top, 1) gives every row
     the selector's mu = 0 pick as lo wherever that pick meets the floor."""
     rng = np.random.default_rng(seed)
-    s = random_scenario(rng, k=k, n=min(n, k - 1), q=q, v="skewed" if positional else None)
+    k = max(k, n + 1)
+    s = random_scenario(rng, k=k, n=n, q=q, v="skewed" if positional else None)
     if tied:
         s = s.replace(u=rng.integers(0, 4, (k, k)) / 3)
     weights, floor, _, start = policies._row_problem(s, positional)
@@ -221,6 +222,24 @@ def test_top_bracket_meets_every_floor(seed, k, n, q, positional, tied):
     cheapest = model._select(values, s.u, np.zeros(k), rows, s.n)
     meets = s.u[rows[:, None], cheapest] @ weights >= floor - slack
     assert np.array_equal(sol.lo[meets], cheapest[meets])
+
+
+def test_top_bracket_row_below_its_floor_starts_from_the_cheapest_slate():
+    # A row whose top quality sits more than the rounding slack below its
+    # floor still takes its mu = 0 slate as lo and top as hi; resuming from
+    # the one-slate bracket (top, top) would split it at mu = 0 / 0.
+    rng = np.random.default_rng(5)
+    s = random_scenario(rng, k=12, n=3, q=1.0)
+    weights, floor, _, start = policies._row_problem(s, positional=False)
+    top_quality = s.u[0, start.hi[0]] @ weights
+    floor = floor.copy()
+    floor[0] = top_quality + 32.0 * np.finfo(float).eps * (1.0 + top_quality)
+    values = s.u[0].copy()  # the most similar items cost the most
+    sol = policies.row_kernel(values, s.u, weights, floor, start)
+    cheapest = model._select(values, s.u, np.zeros(1), np.zeros(1, dtype=np.intp), s.n)[0]
+    assert not np.array_equal(cheapest, start.hi[0])
+    assert np.array_equal(sol.lo[0], cheapest) and np.array_equal(sol.hi[0], start.hi[0])
+    assert np.isfinite(sol.theta).all()
 
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P3"])

@@ -170,6 +170,16 @@ class TestSparseSampler:
             _step_table(kernel)
         monkeypatch.setattr(data, "machine_memory", lambda: 192)
         assert _step_table(kernel)[2] == 4
+        # Row 0 stores a tolerated negative entry and a zero beside its one
+        # positive entry: the running sums need a 3 x 3 scratch table (72
+        # bytes) beside the two 3 x 1 tables (48 bytes).
+        kernel = (np.array([0, 3, 4, 5]), np.array([0, 1, 2, 0, 1]),
+                  np.array([-1e-9, 0.0, 1.0, 1.0, 1.0]))
+        monkeypatch.setattr(data, "machine_memory", lambda: 71)
+        with pytest.raises(ValueError, match="running sums 3 x 3 cannot be allocated"):
+            _step_table(kernel)
+        monkeypatch.setattr(data, "machine_memory", lambda: 72)
+        assert _step_table(kernel)[1].tolist() == [2, 0, 1]
 
     def test_memory_independent_of_catalog_width(self):
         # A per-step (active cycles, K) float temporary would take about
