@@ -12,7 +12,8 @@ SKEWED[N]. P3 runs on both click vectors. P2 solves the uniform-click
 problem whatever the clicks are, so it runs once per (K, N). A cell repeats
 its solve until the solves add up to TIME_FLOOR_S (at least MIN_SOLVES
 times) and records the median and minimum wall time, the number of solves,
-the kernel calls (`PolicyResult.iterations`) and the LTEC. A P3 cell then
+the kernel calls (`PolicyResult.iterations`), the LTEC and a sha256 of the
+policy's CSR arrays (indptr, indices, data). A P3 cell then
 simulates SIM_STEPS requests of its policy (seed SIM_SEED) the same way,
 until the simulations add up to TIME_FLOOR_S, and records their median
 wall time and the empirical cost rate.
@@ -21,14 +22,16 @@ The cacherec package is imported from --src (default: this checkout's src/),
 so one script measures two checkouts with identical settings. The records go
 to `runs[label]` of the --out file, and the file's other labels are kept.
 Once it holds both a "parent" and a "change" run, `compare` lists each
-cell's time ratio (change / parent), kernel calls and LTEC difference, and
-for P3 cells the simulation's time ratio and cost-rate difference; it also
-counts the cells whose kernel calls differ. The script uses one
+cell's time ratio (change / parent), kernel calls, LTEC difference and
+whether its policy changed, and for P3 cells the simulation's time ratio and
+cost-rate difference; it also counts the cells whose kernel calls differ and
+those whose policies differ in any bit. The script uses one
 BLAS thread and needs only the standard library and numpy.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -87,13 +90,21 @@ def run_cell(cacherec, k: int, n: int, v: str, name: str) -> dict:
     times, result = timed(lambda: cacherec.solve_named(name, scenario))
     rec = {"k": k, "n": n, "v": v, "policy": name, "median_s": statistics.median(times),
            "min_s": min(times), "solves": len(times), "kernel_calls": result.iterations,
-           "ltec": result.report.ltec}
+           "ltec": result.report.ltec, "policy_sha256": policy_digest(result.policy)}
     if name == "P3":
         times, report = timed(lambda: cacherec.simulate(result.policy, scenario,
                                                         steps=SIM_STEPS, seed=SIM_SEED))
         rec.update(sim_median_s=statistics.median(times),
                    empirical_cost_rate=report.empirical_cost_rate)
     return rec
+
+
+def policy_digest(policy) -> str:
+    """sha256 of a policy's CSR arrays, so two runs can tell equal policies."""
+    digest = hashlib.sha256()
+    for arr in (policy.indptr, policy.indices, policy.data):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
 
 
 def timed(fn) -> tuple[list[float], object]:
@@ -120,7 +131,8 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
         row = {"k": rec["k"], "n": rec["n"], "v": rec["v"], "policy": rec["policy"],
                "time_ratio": rec["median_s"] / prev["median_s"],
                "kernel_calls": [prev["kernel_calls"], rec["kernel_calls"]],
-               "ltec_diff": abs(rec["ltec"] - prev["ltec"])}
+               "ltec_diff": abs(rec["ltec"] - prev["ltec"]),
+               "policy_changed": rec["policy_sha256"] != prev["policy_sha256"]}
         if "sim_median_s" in rec and "sim_median_s" in prev:
             row.update(sim_ratio=rec["sim_median_s"] / prev["sim_median_s"],
                        sim_rate_diff=abs(rec["empirical_cost_rate"]
@@ -131,6 +143,7 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
                                       if "sim_rate_diff" in row), default=None),
             "kernel_calls_changed": sum(row["kernel_calls"][0] != row["kernel_calls"][1]
                                         for row in rows),
+            "policies_changed": sum(row["policy_changed"] for row in rows),
             "cells": rows}
 
 
@@ -166,7 +179,8 @@ def main(argv=None) -> int:
         print(f"max |LTEC change - parent| = {doc['compare']['max_ltec_diff']!r}, "
               f"max |sim cost rate change - parent| = "
               f"{doc['compare']['max_sim_rate_diff']!r}, cells with changed kernel "
-              f"calls: {doc['compare']['kernel_calls_changed']}")
+              f"calls: {doc['compare']['kernel_calls_changed']}, cells with changed "
+              f"policies: {doc['compare']['policies_changed']}")
     out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

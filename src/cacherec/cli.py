@@ -230,13 +230,13 @@ def apply_axis(cfg: dict, axis: str, value) -> dict:
     elif axis == "alpha":
         out["alpha"] = float(value)
     elif axis == "N":
-        out["n"] = int(value)
+        out["n"] = data._count(value, "n")
         out.pop("v", None)  # slot count changed: keep clicks uniform
     elif axis == "s":
         out["zipf_s"] = float(value)
         out.pop("p0", None)
     elif axis == "C":
-        out["cache_size"] = int(value)
+        out["cache_size"] = data._count(value, "cache_size")
         out.pop("c", None)
     else:  # Hv
         n = int(out.get("n", 2))

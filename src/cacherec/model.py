@@ -29,7 +29,7 @@ FEAS_TOL = 1e-7
 
 
 def _as_vector(x, k: int | None, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    arr = np.array(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
     if k is not None and arr.shape[0] != k:
@@ -54,7 +54,7 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable problem instance.
+    """Immutable problem instance, holding read-only copies of its arrays.
 
     Attributes:
         u: (K, K) pairwise similarity scores in [0, 1]; diagonal forced to 0.
@@ -116,6 +116,8 @@ class Scenario:
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {self.q}")
 
+        for arr in (u, c, p0, v):
+            arr.flags.writeable = False  # its own copies, validated once
         for name, val in (("u", u), ("c", c), ("p0", p0), ("v", v), ("n", n)):
             object.__setattr__(self, name, val)
 
@@ -436,18 +438,11 @@ def max_quality(u: np.ndarray, n: int, v: np.ndarray | None = None) -> np.ndarra
     Without `v` (uniform clicks) this is the sum of the N largest
     off-diagonal scores. With position click probabilities `v` it is the
     click-weighted quality of the best placement, which puts the t-th most
-    similar item in the t-th most clicked slot. Either way it is the quality
-    of `baseline_policy(u, n, v)`, computed by the same formula as
-    `quality_of`, so the two agree bitwise.
+    similar item in the t-th most clicked slot. Either way it is
+    `quality_of` the baseline policy, bit for bit.
     """
     u = np.asarray(u, dtype=float)
-    return top_quality(top_slates(u, n), u, v)
-
-
-def top_quality(top: np.ndarray, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """`max_quality` from slates already chosen by `top_slates(u, n)`, for
-    callers that need the slates too and should not sort twice."""
-    return _slate_quality(slate_policy(top, top, np.ones(top.shape[0]), v), u, v)
+    return _slate_quality(baseline_policy(u, n, v), u, v)
 
 
 def quality_of(policy: Policy, scenario: Scenario) -> np.ndarray:

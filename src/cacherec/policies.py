@@ -9,13 +9,15 @@ slate mixtures per content. `row_kernel` solves the per-row problem
 once. One routine, `_row_solve`, serves P1, P2 and P3: policy iteration
 (Howard 1960; Puterman 1994, ch. 6) from the kernel's slates at V = c, the
 first Bellman step from V = c, which starts from the max-quality slates of
-`model.top_slates`. Each round builds the policy of the current
-slates (`model.slate_policy`) and solves its session system V = c + Q V by
-`markov.solve`, the routine `markov.evaluate` calls, which factors I - Q
-only on the contents some slate shows. P1 stops after this first
-evaluation. P2 and P3 replace each row the kernel improves by more than a
-rounding margin, starting its call from the current slates. When no row
-changes, the last round's policy is the result, with that round's report.
+`model.top_slates`. `_weigh` prices and rates every slate, slot by slot, so
+a row's sums do not depend on the rows weighed with it. Each round builds
+the policy of the current slates (`model.slate_policy`) and solves its
+session system V = c + Q V by `markov.solve`, the routine `markov.evaluate`
+calls, which factors I - Q only on the contents some slate shows. P1 stops
+after this first evaluation. P2 and P3 replace each row the kernel improves
+by more than a rounding margin, starting its call from the current slates.
+When no row changes, the last round's policy is the result, with that
+round's report.
 
 An explicit LP method ("dense", "highs" or "external") instead builds the
 K^2-variable LP of `cacherec.lp` and solves it with `cacherec.simplex`; that
@@ -35,7 +37,7 @@ import numpy as np
 from . import lp, markov, simplex
 from .markov import EvalReport
 from .model import (Policy, Scenario, _select, baseline_policy, quality_of, slate_policy,
-                    slot_order, top_quality, top_slates, validate_policy)
+                    slot_order, top_slates, validate_policy)
 
 POLICY_NAMES = ("baseline", "P1", "P2", "P3")
 
@@ -50,8 +52,6 @@ MAX_KERNEL_STEPS = 200
 #: to max |V|, so rounding noise cannot make policy iteration cycle. A margin
 #: relative to the row's own value would vanish on rows whose value is ~0.
 IMPROVE_RTOL = 1e-12
-
-_EPS = np.finfo(float).eps
 
 
 class InfeasibleProblem(RuntimeError):
@@ -102,6 +102,16 @@ class RowSolution(NamedTuple):
     theta: np.ndarray
 
 
+def _weigh(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_t block[:, t] * weights[t] per row of an (m, N) block, added slot
+    by slot without BLAS, so a row's sum does not depend on its block. Every
+    slate cost sum_t w_t V[s_t] and quality sum_t w_t u_i[s_t] is weighed here."""
+    total = block[:, 0] * weights[0]
+    for t in range(1, weights.size):
+        total += block[:, t] * weights[t]
+    return total
+
+
 def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
                floor: np.ndarray, start: RowSolution) -> RowSolution:
     """Cheapest slate mix meeting each row's quality floor, for all rows at once.
@@ -119,6 +129,7 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     0 <= r <= 1, r_ii = 0. With the click probabilities sorted in decreasing
     order as weights it is the positional row LP: by the rearrangement
     inequality the item with the smallest score takes the largest weight.
+    Both sums are weighed once, when a slate is picked; floors are exact.
 
     Dualizing the floor with a multiplier mu leaves "take the N smallest
     V - mu u"; `model._select` takes them smallest first with ties to the
@@ -127,9 +138,8 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     start lo meets its floor, or whose start is one slate (lo = hi, as in
     every row of the top bracket), first takes its cheapest slate (mu = 0)
     and keeps it if it meets the floor; if not, that slate is lo and the
-    start hi is hi. Every other row begins from its start bracket. Any
-    slate that meets the floor serves as hi, and top is taken as one even
-    where rounding leaves its quality a few ulps below the floor.
+    start hi is hi, so even a one-slate start that misses the floor gets a
+    finite theta. Every other row begins from its start bracket.
 
     Each step splits the bracket at mu >= 0 where the two slates'
     Lagrangian lines V(s) - mu Q(s) cross, and picks the slate x minimizing
@@ -140,42 +150,35 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     0 (hi is cheaper than lo), mu is clipped to 0 and nothing beats hi, so
     hi alone is a cheapest slate and meets the floor: theta is 0.
     """
-    k = u.shape[0]
-    n = weights.size
-
-    def cost(x, pick):
-        return x[pick] @ weights
-
-    def quality(pick, rows):
-        return u[rows[:, None], pick] @ weights
-
-    rows = np.arange(k)
-    # Quality sums differ from the floor's by a few ulps of summation order.
-    slack = 8.0 * _EPS * (1.0 + floor)
+    k, n = u.shape[0], weights.size
+    rows = np.arange(k)[:, None]
     lo, hi = start.lo.copy(), start.hi.copy()
-    cold = np.flatnonzero((quality(lo, rows) >= floor - slack) | (lo == hi).all(axis=1))
+    q_lo = _weigh(u[rows, lo], weights)
+    cold = np.flatnonzero((q_lo >= floor) | (lo == hi).all(axis=1))
     lo[cold] = _select(values, u, np.zeros(cold.size), cold, n)
-    q_lo = quality(lo, rows)
-    feasible = q_lo >= floor - slack
+    q_lo[cold] = _weigh(u[rows[cold], lo[cold]], weights)
+    feasible = q_lo >= floor
     hi[feasible] = lo[feasible]
-    q_hi = quality(hi, rows)
+    q_hi = _weigh(u[rows, hi], weights)
+    v_lo, v_hi = _weigh(values[lo], weights), _weigh(values[hi], weights)
     active = np.flatnonzero(~feasible)
 
     for _ in range(MAX_KERNEL_STEPS):
         if active.size == 0:
             break
-        v_lo, v_hi = cost(values, lo[active]), cost(values, hi[active])
-        ql, qh = q_lo[active], q_hi[active]
-        mu = np.maximum((v_hi - v_lo) / (qh - ql), 0.0)
+        vl, vh, ql, qh = v_lo[active], v_hi[active], q_lo[active], q_hi[active]
+        mu = np.maximum((vh - vl) / (qh - ql), 0.0)
         x = _select(values, u, mu, active, n)
-        v_x, q_x = cost(values, x), quality(x, active)
-        line = np.minimum(v_lo - mu * ql, v_hi - mu * qh)
-        tol = 8.0 * _EPS * (np.abs(v_lo) + np.abs(v_hi) + mu * (ql + qh))
+        v_x, q_x = _weigh(values[x], weights), _weigh(u[rows[active], x], weights)
+        line = np.minimum(vl - mu * ql, vh - mu * qh)
+        tol = 8.0 * np.finfo(float).eps * (np.abs(vl) + np.abs(vh) + mu * (ql + qh))
         open_ = v_x - mu * q_x < line - tol
-        up = open_ & (q_x >= floor[active] - slack[active])
+        up = open_ & (q_x >= floor[active])
         down = open_ & ~up
-        hi[active[up]], q_hi[active[up]] = x[up], q_x[up]
-        lo[active[down]], q_lo[active[down]] = x[down], q_x[down]
+        at = active[up]
+        hi[at], v_hi[at], q_hi[at] = x[up], v_x[up], q_x[up]
+        at = active[down]
+        lo[at], v_lo[at], q_lo[at] = x[down], v_x[down], q_x[down]
         active = active[open_]
     if active.size:
         raise SolverFailure(f"row kernel: {active.size} rows still open after "
@@ -183,26 +186,27 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
 
     gap = q_hi - q_lo
     theta = np.divide(q_hi - floor, gap, out=np.ones(k), where=gap > 0)
-    theta[cost(values, hi) < cost(values, lo)] = 0.0  # mu clipped at 0
+    theta[v_hi < v_lo] = 0.0  # mu clipped at 0
     return RowSolution(lo, hi, np.clip(theta, 0.0, 1.0))
 
 
 def _mix_value(sol: RowSolution, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Each row's weighted cost of the slate mix `sol` under a value vector."""
-    return (sol.theta * (values[sol.lo] @ weights)
-            + (1.0 - sol.theta) * (values[sol.hi] @ weights))
+    return (sol.theta * _weigh(values[sol.lo], weights)
+            + (1.0 - sol.theta) * _weigh(values[sol.hi], weights))
 
 
 def _row_problem(scenario: Scenario, positional: bool):
     """Slot weights in decreasing order, per-row quality floors, the click
     distribution (None for uniform clicks, whose slates are unordered) and
-    the max-quality bracket (top, top, 1) the first kernel call starts from."""
-    u, n = scenario.u, scenario.n
+    the max-quality bracket (top, top, 1) the first kernel call starts from.
+    A floor is q times top's weighed quality, which top meets: fl(q x) <= x."""
+    u, n, k = scenario.u, scenario.n, scenario.k
     v = scenario.v if positional else None
     weights = np.ones(n) if v is None else v[slot_order(v)]
     top = top_slates(u, n)
-    return (weights, scenario.q * top_quality(top, u, v), v,
-            RowSolution(top, top, np.ones(scenario.k)))
+    floor = scenario.q * _weigh(u[np.arange(k)[:, None], top], weights)
+    return weights, floor, v, RowSolution(top, top, np.ones(k))
 
 
 def _row_solve(scenario: Scenario, name: str) -> PolicyResult:

@@ -199,6 +199,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             apply_axis(cfg, "bogus", 1)
 
+    def test_axis_counts_refuse_fractions(self):
+        """N and C are counts, as in a config or a SweepSpec: 3.0 is 3, and a
+        fraction or a bool raises naming the key instead of truncating."""
+        cfg = self.small_cfg()
+        assert apply_axis(cfg, "N", 3.0)["n"] == 3
+        assert apply_axis(cfg, "C", 4.0)["cache_size"] == 4
+        for axis, value, key in (("N", 2.5, "n"), ("C", 3.7, "cache_size"), ("N", True, "n")):
+            with pytest.raises(ValueError, match=f"config key '{key}' must be a whole number"):
+                apply_axis(cfg, axis, value)
+
     def test_rows_ordered_and_dominant(self):
         spec = SweepSpec(config=self.small_cfg(), axis="q",
                          values=[0.7, 0.9], policies=["P1", "P2"])

@@ -88,6 +88,21 @@ class TestScenario:
         assert not s.replace(v=[0.5, 0.5]).replace(v=[0.6, 0.4]).uniform_clicks
         assert fractional.replace(c=[1, 0, 1, 1, 0]).binary_costs
 
+    def test_holds_read_only_copies(self):
+        """A validated scenario cannot be changed through its arrays or the
+        caller's: a negative cost would otherwise pass with binary_costs
+        cached as True."""
+        u, c, p0, v = U5.copy(), np.array([1.0, 1, 1, 1, 0]), np.full(5, 0.2), np.array([0.7, 0.3])
+        s = Scenario(u=u, c=c, p0=p0, alpha=0.8, n=2, v=v, q=0.8)
+        assert s.binary_costs
+        for name, mine in (("u", u), ("c", c), ("p0", p0), ("v", v)):
+            arr = getattr(s, name)
+            assert arr is not mine and not np.shares_memory(arr, mine), name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+            mine[0] = -5.0  # the caller's own arrays stay writeable
+        assert s.c[0] == 1.0 and s.binary_costs and s.u[0, 0] == 0.0
+
     def test_replace_resets_clicks_on_new_n(self):
         s = scenario5(v=[0.7, 0.3])
         s2 = s.replace(n=3)

@@ -161,8 +161,28 @@ def test_select_is_ordered_with_ties_to_lowest_index():
 
 def slate_mix_quality(sol, u, weights):
     rows = np.arange(u.shape[0])[:, None]
-    return (sol.theta * (u[rows, sol.lo] @ weights)
-            + (1.0 - sol.theta) * (u[rows, sol.hi] @ weights))
+    return (sol.theta * policies._weigh(u[rows, sol.lo], weights)
+            + (1.0 - sol.theta) * policies._weigh(u[rows, sol.hi], weights))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 15), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_weigh_is_row_local_and_left_to_right(seed, m, n, skewed):
+    """A row's weighed sum is bitwise the same in any block it is gathered
+    in, and is the plain left-to-right sum of its N products."""
+    rng = np.random.default_rng(seed)
+    block = rng.random((m, n)) * rng.choice([1.0, 1e-3, 1e3], size=(m, 1))
+    weights = np.ones(n)
+    if skewed:
+        weights = np.sort(rng.dirichlet(np.full(n, 0.5)))[::-1].copy()
+    got = policies._weigh(block, weights)
+    sub = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+    assert got[sub].tobytes() == policies._weigh(block[sub], weights).tobytes()
+    for i in range(m):
+        want = 0.0
+        for t in range(n):
+            want += block[i, t] * weights[t]
+        assert got[i] == want
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 24), st.sampled_from([0.0, 0.5, 0.9, 1.0]),
@@ -202,9 +222,9 @@ def test_warm_start_reaches_the_cold_optimum(seed, k, q, positional, tied_values
        st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.booleans(), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_top_bracket_meets_every_floor(seed, k, n, q, positional, tied):
-    """Every row's top slate meets its floor within the kernel's rounding
-    slack, and a first call from the bracket (top, top, 1) gives every row
-    the selector's mu = 0 pick as lo wherever that pick meets the floor."""
+    """Every row's top slate meets its floor exactly, for every N, and a
+    first call from the bracket (top, top, 1) gives every row the
+    selector's mu = 0 pick as lo wherever that pick meets the floor."""
     rng = np.random.default_rng(seed)
     k = max(k, n + 1)
     s = random_scenario(rng, k=k, n=n, q=q, v="skewed" if positional else None)
@@ -215,19 +235,18 @@ def test_top_bracket_meets_every_floor(seed, k, n, q, positional, tied):
     assert np.array_equal(start.lo, top) and np.array_equal(start.hi, top)
     assert np.all(start.theta == 1.0)
     rows = np.arange(k)
-    slack = 8.0 * np.finfo(float).eps * (1.0 + floor)
-    assert np.all(s.u[rows[:, None], top] @ weights >= floor - slack)
+    assert np.all(policies._weigh(s.u[rows[:, None], top], weights) >= floor)
     values = rng.integers(0, 4, k).astype(float)
     sol = policies.row_kernel(values, s.u, weights, floor, start)
     cheapest = model._select(values, s.u, np.zeros(k), rows, s.n)
-    meets = s.u[rows[:, None], cheapest] @ weights >= floor - slack
+    meets = policies._weigh(s.u[rows[:, None], cheapest], weights) >= floor
     assert np.array_equal(sol.lo[meets], cheapest[meets])
 
 
 def test_top_bracket_row_below_its_floor_starts_from_the_cheapest_slate():
-    # A row whose top quality sits more than the rounding slack below its
-    # floor still takes its mu = 0 slate as lo and top as hi; resuming from
-    # the one-slate bracket (top, top) would split it at mu = 0 / 0.
+    # A caller's floor may sit above a row's top quality. That row still
+    # takes its mu = 0 slate as lo and top as hi; resuming from the
+    # one-slate bracket (top, top) would split it at mu = 0 / 0.
     rng = np.random.default_rng(5)
     s = random_scenario(rng, k=12, n=3, q=1.0)
     weights, floor, _, start = policies._row_problem(s, positional=False)
