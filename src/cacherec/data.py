@@ -201,10 +201,7 @@ def _number(val, key: str) -> float:
 
 def _count(val, key: str) -> int:
     """A config count as a nonnegative int (`_whole`); raises naming the key."""
-    try:
-        return _whole(val)
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r} {exc}") from None
+    return _whole(val, f"config key {key!r}")
 
 
 def _floats(val, key: str) -> np.ndarray:
@@ -325,7 +322,7 @@ def load_scenario_npz(path) -> Scenario:
             raise ValueError(f"{path}: not a scenario .npz file: {exc}") from None
         if not isinstance(z, np.lib.npyio.NpzFile):
             raise ValueError(f"{path}: not a scenario .npz file: it holds a single array")
-        scalars = {"alpha": float, "n": lambda arr: _whole(arr.item()), "q": float}
+        scalars = {"alpha": float, "n": lambda arr: _whole(arr.item(), "n"), "q": float}
         members = {}
         for key in ("u", "c", "p0", "v", "alpha", "n", "q"):
             try:

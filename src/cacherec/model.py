@@ -38,13 +38,14 @@ def _as_vector(x, k: int | None, name: str) -> np.ndarray:
     return arr
 
 
-def _whole(val) -> int:
-    """A count as a nonnegative int; a fraction, a negative or a non-number raises."""
+def _whole(val, name: str) -> int:
+    """A count as a nonnegative int; a fraction, a negative, a bool or a
+    non-number raises ValueError naming the count."""
     if isinstance(val, (float, np.floating)) and val.is_integer():
         val = int(val)
     if isinstance(val, (int, np.integer)) and not isinstance(val, bool) and val >= 0:
         return int(val)
-    raise ValueError(f"must be a whole number >= 0, got {reprlib.repr(val)}")
+    raise ValueError(f"{name} must be a whole number >= 0, got {reprlib.repr(val)}")
 
 
 def _require_finite(arr: np.ndarray, name: str) -> None:
@@ -98,10 +99,7 @@ class Scenario:
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
 
-        try:
-            n = _whole(self.n)
-        except ValueError as exc:
-            raise ValueError(f"n {exc}") from None
+        n = _whole(self.n, "n")
         if not 1 <= n <= k - 1:
             raise ValueError(f"n must satisfy 1 <= n <= K-1, got n={n}, K={k}")
 
@@ -476,4 +474,4 @@ def entropy(v) -> float:
     if n == 1:
         return 0.0
     pos = v[v > 0]
-    return float(-(pos * (np.log(pos) / np.log(n))).sum())
+    return float(0.0 - (pos * (np.log(pos) / np.log(n))).sum())  # +0.0, not -0.0

@@ -14,10 +14,10 @@ a row's sums do not depend on the rows weighed with it. Each round builds
 the policy of the current slates (`model.slate_policy`) and solves its
 session system V = c + Q V by `markov.solve`, the routine `markov.evaluate`
 calls, which factors I - Q only on the contents some slate shows. P1 stops
-after this first evaluation. P2 and P3 replace each row the kernel improves
-by more than a rounding margin, starting its call from the current slates.
-When no row changes, the last round's policy is the result, with that
-round's report.
+after this first evaluation. P2 and P3 call the kernel once a round from
+the current slates and replace each row whose returned cost under V beats
+its start's by more than a rounding margin. When no row changes, the last
+round's policy is the result, with that round's report.
 
 An explicit LP method ("dense", "highs" or "external") instead builds the
 K^2-variable LP of `cacherec.lp` and solves it with `cacherec.simplex`; that
@@ -52,6 +52,8 @@ MAX_KERNEL_STEPS = 200
 #: to max |V|, so rounding noise cannot make policy iteration cycle. A margin
 #: relative to the row's own value would vanish on rows whose value is ~0.
 IMPROVE_RTOL = 1e-12
+#: Relative rounding margin by which a kernel step's slate must beat its bracket.
+LINE_RTOL = 8.0 * np.finfo(float).eps
 
 
 class InfeasibleProblem(RuntimeError):
@@ -112,8 +114,8 @@ def _weigh(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return total
 
 
-def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
-               floor: np.ndarray, start: RowSolution) -> RowSolution:
+def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray, floor: np.ndarray,
+               start: RowSolution) -> tuple[RowSolution, np.ndarray, np.ndarray]:
     """Cheapest slate mix meeting each row's quality floor, for all rows at once.
 
     values is the (K,) value vector V, weights the N slot weights in
@@ -122,6 +124,9 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     `model.top_slates`, or an earlier result of this kernel for the same u,
     weights and floor, such as the previous policy-iteration round's. It
     changes where the search begins, not the optimal value it ends at.
+    Returns (solution, cost, start_cost): the optimal mixes and each row's
+    cost theta V(lo) + (1 - theta) V(hi) under values, for the solution and
+    for start, from the sums the search weighed.
 
     Row i solves  min sum_t w_t V[s_t]  subject to  sum_t w_t u_i[s_t] >= floor_i
     over mixtures of slates s of N distinct items other than i. With unit
@@ -134,9 +139,9 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     Dualizing the floor with a multiplier mu leaves "take the N smallest
     V - mu u"; `model._select` takes them smallest first with ties to the
     lowest index, so the kernel is deterministic. Each row keeps a bracket:
-    a slate lo below the floor and a slate hi that meets it. A row whose
-    start lo meets its floor, or whose start is one slate (lo = hi, as in
-    every row of the top bracket), first takes its cheapest slate (mu = 0)
+    a slate lo below the floor and a slate hi that meets it. A cold row,
+    whose start lo meets its floor or whose start is one slate (lo = hi, as
+    in every row of the top bracket), first takes its cheapest slate (mu = 0)
     and keeps it if it meets the floor; if not, that slate is lo and the
     start hi is hi, so even a one-slate start that misses the floor gets a
     finite theta. Every other row begins from its start bracket.
@@ -153,14 +158,16 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     k, n = u.shape[0], weights.size
     rows = np.arange(k)[:, None]
     lo, hi = start.lo.copy(), start.hi.copy()
-    q_lo = _weigh(u[rows, lo], weights)
-    cold = np.flatnonzero((q_lo >= floor) | (lo == hi).all(axis=1))
-    lo[cold] = _select(values, u, np.zeros(cold.size), cold, n)
-    q_lo[cold] = _weigh(u[rows[cold], lo[cold]], weights)
-    feasible = q_lo >= floor
-    hi[feasible] = lo[feasible]
-    q_hi = _weigh(u[rows, hi], weights)
+    q_lo, q_hi = _weigh(u[rows, lo], weights), _weigh(u[rows, hi], weights)
     v_lo, v_hi = _weigh(values[lo], weights), _weigh(values[hi], weights)
+    start_cost = start.theta * v_lo + (1.0 - start.theta) * v_hi
+    cold = np.flatnonzero((q_lo >= floor) | (lo == hi).all(axis=1))
+    if cold.size:
+        lo[cold] = _select(values, u, np.zeros(cold.size), cold, n)
+        q_lo[cold] = _weigh(u[rows[cold], lo[cold]], weights)
+        v_lo[cold] = _weigh(values[lo[cold]], weights)
+    feasible = q_lo >= floor
+    hi[feasible], q_hi[feasible], v_hi[feasible] = lo[feasible], q_lo[feasible], v_lo[feasible]
     active = np.flatnonzero(~feasible)
 
     for _ in range(MAX_KERNEL_STEPS):
@@ -171,7 +178,7 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
         x = _select(values, u, mu, active, n)
         v_x, q_x = _weigh(values[x], weights), _weigh(u[rows[active], x], weights)
         line = np.minimum(vl - mu * ql, vh - mu * qh)
-        tol = 8.0 * np.finfo(float).eps * (np.abs(vl) + np.abs(vh) + mu * (ql + qh))
+        tol = LINE_RTOL * (np.abs(vl) + np.abs(vh) + mu * (ql + qh))
         open_ = v_x - mu * q_x < line - tol
         up = open_ & (q_x >= floor[active])
         down = open_ & ~up
@@ -187,13 +194,8 @@ def row_kernel(values: np.ndarray, u: np.ndarray, weights: np.ndarray,
     gap = q_hi - q_lo
     theta = np.divide(q_hi - floor, gap, out=np.ones(k), where=gap > 0)
     theta[v_hi < v_lo] = 0.0  # mu clipped at 0
-    return RowSolution(lo, hi, np.clip(theta, 0.0, 1.0))
-
-
-def _mix_value(sol: RowSolution, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Each row's weighted cost of the slate mix `sol` under a value vector."""
-    return (sol.theta * _weigh(values[sol.lo], weights)
-            + (1.0 - sol.theta) * _weigh(values[sol.hi], weights))
+    theta = np.clip(theta, 0.0, 1.0)
+    return RowSolution(lo, hi, theta), theta * v_lo + (1.0 - theta) * v_hi, start_cost
 
 
 def _row_problem(scenario: Scenario, positional: bool):
@@ -214,20 +216,19 @@ def _row_solve(scenario: Scenario, name: str) -> PolicyResult:
     is the myopic cost."""
     t0 = time.perf_counter()
     weights, floor, v, start = _row_problem(scenario, positional=name == "P3")
-    sol = row_kernel(scenario.c, scenario.u, weights, floor, start)
+    sol, cost, _ = row_kernel(scenario.c, scenario.u, weights, floor, start)
     calls = 1
     for _ in range(MAX_ROUNDS):
         policy = slate_policy(*sol, v)
         report = markov.solve(policy, scenario)
         values = report.cost_to_go
         if name == "P1":
-            objective = float(scenario.p0 @ _mix_value(sol, scenario.c, weights))
+            objective = float(scenario.p0 @ cost)
             break
-        new = row_kernel(values, scenario.u, weights, floor, sol)
+        new, cost, start_cost = row_kernel(values, scenario.u, weights, floor, sol)
         calls += 1
-        old = _mix_value(sol, values, weights)
         margin = IMPROVE_RTOL * np.abs(values).max()
-        better = _mix_value(new, values, weights) < old - margin
+        better = cost < start_cost - margin
         if not better.any():
             objective = float(scenario.p0 @ values)
             break

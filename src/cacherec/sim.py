@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data, markov
-from .model import Policy, Scenario, max_quality, slate_policy, validate_policy
+from .model import Policy, Scenario, _whole, max_quality, slate_policy, validate_policy
 
 #: Number of batches used for the batch-means standard error.
 N_BATCHES = 100
@@ -189,22 +189,19 @@ def _sample_path(policy: Policy, scenario: Scenario, steps: int,
 
     # Advance every active cycle by one followed request per step, drawing
     # one uniform per active cycle in cycle order. An active cycle carries its
-    # next path position; follows[p] says whether position p continues the
-    # cycle that holds position p - 1.
+    # next path position and its end, where the next cycle starts.
     table = _step_table(markov.click_kernel(policy, scenario))
-    follows = np.ones(steps + 1, dtype=bool)
-    follows[offsets] = False
-    follows[steps] = False
     live = np.flatnonzero(lengths > 1)
     pos = offsets.take(live) + 1
+    end = pos + lengths.take(live) - 1
     current = starts.take(live)
     while pos.size:
         current = _step(table, current, rng.random(pos.size))
         path[pos] = current
         pos += 1
-        live = np.flatnonzero(follows.take(pos))
+        live = np.flatnonzero(pos < end)
         if live.size < pos.size:
-            pos, current = pos.take(live), current.take(live)
+            pos, end, current = pos.take(live), end.take(live), current.take(live)
     return path, lengths, truncated
 
 
@@ -214,14 +211,15 @@ def simulate(policy: Policy, scenario: Scenario, steps: int, seed: int) -> SimRe
     Raises ValueError, before drawing anything, when eight 8-byte values a
     step exceed the machine's memory: the sampling arrays peak at 57 bytes a
     step (alpha = 0, where every cycle has one request) and fewer for larger
-    alpha."""
+    alpha. steps and seed are whole numbers: a fraction or a bool raises
+    ValueError too."""
+    steps, seed = _whole(steps, "steps"), _whole(seed, "seed")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     data.check_fits((8, steps), f"steps = {steps} is too large: its sampling arrays")
     bad = validate_policy(policy, scenario, tol=markov.EVAL_TOL)
     if bad:
         raise ValueError("invalid policy: " + "; ".join(bad[:5]))
-    seed = int(seed)
     path, lengths, truncated = _sample_path(policy, scenario, steps,
                                             np.random.default_rng(seed))
     costs = scenario.c[path]

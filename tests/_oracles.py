@@ -282,6 +282,19 @@ def dense_sample_path(policy, scenario, steps: int, rng: np.random.Generator):
     return path, lengths, truncated
 
 
+def mix_value(sol, values, weights) -> np.ndarray:
+    """Each row's cost theta * V(lo) + (1 - theta) * V(hi) of a slate mix,
+    one row at a time, with V(s) the left-to-right sum of w_t V[s_t]."""
+    cost = np.empty(sol.theta.size)
+    for i, theta in enumerate(sol.theta):
+        v_lo = v_hi = 0.0
+        for t, w in enumerate(weights):
+            v_lo += values[sol.lo[i, t]] * w
+            v_hi += values[sol.hi[i, t]] * w
+        cost[i] = theta * v_lo + (1.0 - theta) * v_hi
+    return cost
+
+
 def evaluate_each_round(scenario, name: str):
     """Reference for `policies._row_solve` on P1, P2 or P3. Returns (policy,
     report, kernel calls, objective): P1's objective is its myopic cost, and
@@ -289,7 +302,7 @@ def evaluate_each_round(scenario, name: str):
     weights, floor, v, start = policies._row_problem(scenario, positional=name == "P3")
     kernel = functools.partial(policies.row_kernel, u=scenario.u, weights=weights,
                                floor=floor)
-    sol = kernel(scenario.c, start=start)
+    sol, _, _ = kernel(scenario.c, start=start)
     calls = 1
     for _ in range(policies.MAX_ROUNDS):
         policy = slate_policy(*sol, v)
@@ -300,13 +313,13 @@ def evaluate_each_round(scenario, name: str):
             ltec=ltec, cost_to_go=values, chr=1.0 - ltec if scenario.binary_costs else None,
             residual=residual)
         if name == "P1":
-            myopic_cost = scenario.p0 @ policies._mix_value(sol, scenario.c, weights)
+            myopic_cost = scenario.p0 @ mix_value(sol, scenario.c, weights)
             return policy, report, calls, float(myopic_cost)
-        new = kernel(values, start=sol)
+        new, _, _ = kernel(values, start=sol)
         calls += 1
-        old = policies._mix_value(sol, values, weights)
+        old = mix_value(sol, values, weights)
         margin = policies.IMPROVE_RTOL * np.abs(values).max()
-        better = policies._mix_value(new, values, weights) < old - margin
+        better = mix_value(new, values, weights) < old - margin
         if not better.any():
             return policy, report, calls, float(scenario.p0 @ values)
         sol = policies.RowSolution(np.where(better[:, None], new.lo, sol.lo),

@@ -493,6 +493,15 @@ class TestCommands:
                      "--policies", "P1", "--out", str(out)]) == EXIT_OK
         assert [line.split(",")[1] for line in out.read_text().splitlines()[3:]] == ["3", "3"]
 
+    def test_sweep_one_hot_clicks_write_entropy_zero(self, cfg_file, tmp_path, capsys):
+        """A huge position-zipf exponent makes the clicks one-hot: their
+        entropy is written as 0, not -0."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg_file), "--axis", "Hv", "--values", "1e308",
+                     "--policies", "P1,P3", "--out", str(out)]) == EXIT_OK
+        assert [line.split(",")[:2] for line in out.read_text().splitlines()[3:]] == [
+            ["Hv", "0"], ["Hv", "0"]]
+
     def test_sweep_csv_row_stays_one_line(self, cfg_file, tmp_path, capsys):
         """A status with line breaks, here an external solver's stderr, is
         written on its row's one line."""

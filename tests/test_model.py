@@ -1,6 +1,8 @@
 """Domain types: validation, quality accounting, baseline, entropy."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,7 +351,9 @@ class TestEntropy:
         assert entropy(np.full(7, 1 / 7)) == pytest.approx(1.0)
 
     def test_deterministic_is_zero(self):
-        assert entropy([1.0, 0.0]) == pytest.approx(0.0)
+        for v in ([1.0, 0.0], [0.0, 1.0, 0.0]):
+            assert entropy(v) == 0.0
+            assert math.copysign(1.0, entropy(v)) == 1.0  # +0.0, not -0.0
 
     def test_skewed_pair(self):
         assert entropy([0.8, 0.2]) == pytest.approx(0.72193, abs=1e-5)

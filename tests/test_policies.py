@@ -14,7 +14,7 @@ from cacherec import model, policies
 from cacherec.lp import build_greedy_row_lps, build_positional_lp, build_session_lp
 from cacherec.simplex import solve
 from conftest import random_scenario
-from _oracles import evaluate_each_round
+from _oracles import evaluate_each_round, mix_value
 
 TOL = 1e-9
 
@@ -93,15 +93,20 @@ def test_iteration_cap_raises_solver_failure(monkeypatch):
 
 def test_kernel_step_cap_counts_only_steps_that_leave_rows_open(monkeypatch):
     s, _ = scenario_from_config({
-        "graph": {"kind": "poisson", "k": 100, "mean_degree": 8}, "alpha": 0.8, "n": 2,
+        "graph": {"kind": "poisson", "k": 100, "mean_degree": 8}, "alpha": 0.8, "n": 3,
         "q": 0.9, "zipf_s": 0.7, "cache_size": 2, "seed": 0})
-    # Each kernel call runs `_select` once for its mu = 0 pick, then once a step.
-    calls = []
+    # A kernel call runs `_select` once a step, and once before its first
+    # step for the mu = 0 pick when some row is cold: its start lo meets the
+    # floor or its start is one slate. Here only the first call has one.
+    calls, cold_calls = [], []
     kernel, select = policies.row_kernel, policies._select
 
-    def counting_kernel(*args, **kwargs):
-        calls.append(-1)
-        return kernel(*args, **kwargs)
+    def counting_kernel(values, u, weights, floor, start):
+        q_lo = policies._weigh(u[np.arange(u.shape[0])[:, None], start.lo], weights)
+        cold = ((q_lo >= floor) | (start.lo == start.hi).all(axis=1)).any()
+        cold_calls.append(bool(cold))
+        calls.append(-1 if cold else 0)
+        return kernel(values, u, weights, floor, start)
 
     def counting_select(*args):
         calls[-1] += 1
@@ -113,6 +118,7 @@ def test_kernel_step_cap_counts_only_steps_that_leave_rows_open(monkeypatch):
     monkeypatch.undo()
     need = max(calls)
     assert need >= 2
+    assert not cold_calls[calls.index(need)]  # the longest call has no cold row
 
     # The last allowed step closes every row: that call solves.
     monkeypatch.setattr(policies, "MAX_KERNEL_STEPS", need)
@@ -198,21 +204,19 @@ def test_warm_start_reaches_the_cold_optimum(seed, k, q, positional, tied_values
     weights, floor, _, top_start = policies._row_problem(s, positional)
     kernel = functools.partial(policies.row_kernel, u=s.u, weights=weights, floor=floor)
     values = rng.integers(0, 4, k).astype(float) if tied_values else rng.uniform(0, 3, k)
-    cold = kernel(values, start=top_start)
-    other = kernel(rng.uniform(0, 3, k), start=top_start)
+    cold, want, _ = kernel(values, start=top_start)
+    other = kernel(rng.uniform(0, 3, k), start=top_start)[0]
     dearest = model._select(-values, s.u, np.zeros(k), np.arange(k), s.n)
     starts = {
-        "P1": kernel(s.c, start=top_start),
+        "P1": kernel(s.c, start=top_start)[0],
         "other round": other,
         "lo == hi": policies.RowSolution(other.hi, other.hi, np.ones(k)),
         # Rows whose dearest slate misses the floor start with hi cheaper than lo.
         "hi cheaper": policies.RowSolution(dearest, cold.hi, np.zeros(k)),
     }
-    want = policies._mix_value(cold, values, weights)
     slack = 1e-12 * (1.0 + floor)
     for label, start in starts.items():
-        warm = kernel(values, start=start)
-        got = policies._mix_value(warm, values, weights)
+        warm, got, _ = kernel(values, start=start)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * values.max(),
                                    err_msg=label)
         assert np.all(slate_mix_quality(warm, s.u, weights) >= floor - slack), label
@@ -237,10 +241,32 @@ def test_top_bracket_meets_every_floor(seed, k, n, q, positional, tied):
     rows = np.arange(k)
     assert np.all(policies._weigh(s.u[rows[:, None], top], weights) >= floor)
     values = rng.integers(0, 4, k).astype(float)
-    sol = policies.row_kernel(values, s.u, weights, floor, start)
+    sol, _, _ = policies.row_kernel(values, s.u, weights, floor, start)
     cheapest = model._select(values, s.u, np.zeros(k), rows, s.n)
     meets = policies._weigh(s.u[rows[:, None], cheapest], weights) >= floor
     assert np.array_equal(sol.lo[meets], cheapest[meets])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40), st.integers(1, 15),
+       st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_kernel_costs_are_its_slates_priced_afresh(seed, k, n, q, positional, tied):
+    """The costs a kernel call returns are bitwise a row-by-row pricing of
+    the slates it returns and of the start it was given, whether that start
+    is the top bracket or an earlier call's result."""
+    rng = np.random.default_rng(seed)
+    k = max(k, n + 1)
+    s = random_scenario(rng, k=k, n=n, q=q, v="skewed" if positional else None)
+    if tied:
+        s = s.replace(u=rng.integers(0, 4, (k, k)) / 3)
+    weights, floor, _, top = policies._row_problem(s, positional)
+    kernel = functools.partial(policies.row_kernel, u=s.u, weights=weights, floor=floor)
+    earlier = kernel(rng.uniform(0, 3, k), start=top)[0]
+    for start in (top, earlier):
+        values = rng.integers(0, 4, k).astype(float) if tied else rng.uniform(0, 3, k)
+        sol, cost, start_cost = kernel(values, start=start)
+        assert cost.tobytes() == mix_value(sol, values, weights).tobytes()
+        assert start_cost.tobytes() == mix_value(start, values, weights).tobytes()
 
 
 def test_top_bracket_row_below_its_floor_starts_from_the_cheapest_slate():
@@ -254,7 +280,7 @@ def test_top_bracket_row_below_its_floor_starts_from_the_cheapest_slate():
     floor = floor.copy()
     floor[0] = top_quality + 32.0 * np.finfo(float).eps * (1.0 + top_quality)
     values = s.u[0].copy()  # the most similar items cost the most
-    sol = policies.row_kernel(values, s.u, weights, floor, start)
+    sol, _, _ = policies.row_kernel(values, s.u, weights, floor, start)
     cheapest = model._select(values, s.u, np.zeros(1), np.zeros(1, dtype=np.intp), s.n)[0]
     assert not np.array_equal(cheapest, start.hi[0])
     assert np.array_equal(sol.lo[0], cheapest) and np.array_equal(sol.hi[0], start.hi[0])

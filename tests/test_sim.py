@@ -58,6 +58,25 @@ class TestSimulate:
         c = simulate(p, s, steps=5_000, seed=43)
         assert c.empirical_cost_rate != a.empirical_cost_rate
 
+    @pytest.mark.parametrize("steps, seed", [
+        (1000.0, 2.0), (np.int64(1000), np.int64(2)), (1000, np.float64(2.0))])
+    def test_whole_float_and_numpy_counts_run(self, steps, seed):
+        s, p = two_state()
+        rep = simulate(p, s, steps=steps, seed=seed)
+        assert (rep.steps, rep.seed) == (1000, 2)
+        assert type(rep.steps) is int and type(rep.seed) is int
+        assert rep == simulate(p, s, steps=1000, seed=2)
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 2.7), ("seed", True), ("seed", np.float64(3.9)), ("seed", -1), ("seed", "1"),
+        ("steps", True), ("steps", 1000.5), ("steps", np.float64(10.2)), ("steps", None),
+    ])
+    def test_fractional_or_bool_count_raises_naming_it(self, key, value):
+        s, p = two_state()
+        kw = {"steps": 1000, "seed": 2, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be a whole number >= 0"):
+            simulate(p, s, **kw)
+
     def test_invalid_policy_rejected(self, rng):
         s = random_scenario(rng, k=5, n=2)
         with pytest.raises(ValueError, match="invalid policy"):
