@@ -2,8 +2,8 @@
 
 Run from the root of a cacherec checkout:
 
-    python3 bench/run.py --out BENCH_8.json --label change
-    python3 bench/run.py --out BENCH_8.json --label parent --src ../parent/src
+    python3 bench/run.py --out BENCH_8.json
+    python3 bench/run.py --out BENCH_8.json --parent-src ../parent/src
 
 Every cell builds a Poisson-graph scenario (mean degree 8, Zipf(0.7)
 popularity, a cache of K/50 items, alpha = 0.8, q = 0.9, graph seed 1) for
@@ -18,20 +18,23 @@ simulates SIM_STEPS requests of its policy (seed SIM_SEED) the same way,
 until the simulations add up to TIME_FLOOR_S, and records their median
 wall time and the empirical cost rate.
 
-The cacherec package is imported from --src (default: this checkout's src/),
-so one script measures two checkouts with identical settings. The records go
-to `runs[label]` of the --out file, and the file's other labels are kept.
-Once it holds both a "parent" and a "change" run, `compare` lists each
-cell's time ratio (change / parent), kernel calls, LTEC difference and
-whether its policy changed, and for P3 cells the simulation's time ratio and
-cost-rate difference; it also counts the cells whose kernel calls differ and
-those whose policies differ in any bit. The script uses one
-BLAS thread and needs only the standard library and numpy.
+The cacherec package of this checkout is the "change" run. With
+--parent-src, the cacherec package in that directory is imported as a
+second package in the same process and is the "parent" run: each cell
+builds its scenario in both packages and alternates their solves, and then
+their simulations, reversing the order on every repeat, so both see the
+same machine state. `compare` then lists each cell's time ratio
+(change / parent), kernel calls, LTEC difference and whether its policy
+changed, and for P3 cells the simulation's time ratio and cost-rate
+difference; it also counts the cells whose kernel calls differ and those
+whose policies differ in any bit. The --out file is written afresh. The
+script uses one BLAS thread and needs only the standard library and numpy.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -82,21 +85,38 @@ def machine() -> dict:
             "blas_threads": 1}
 
 
-def run_cell(cacherec, k: int, n: int, v: str, name: str) -> dict:
+def load_parent(src: str):
+    """The cacherec package in directory `src`, imported as "cacherec_parent"
+    so that it lives beside this checkout's package."""
+    pkg = Path(src).resolve() / "cacherec"
+    spec = importlib.util.spec_from_file_location(
+        "cacherec_parent", pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_cell(packages, k: int, n: int, v: str, name: str) -> list[dict]:
+    """One record per package, in the order of `packages`."""
     cfg = {"graph": {"kind": "poisson", "k": k, "mean_degree": 8}, "alpha": 0.8, "n": n,
            "v": SKEWED[n] if v == "skewed" else "uniform", "q": 0.9, "zipf_s": 0.7,
            "cache_size": max(1, k // 50), "seed": GRAPH_SEED}
-    scenario, _ = cacherec.scenario_from_config(cfg)
-    times, result = timed(lambda: cacherec.solve_named(name, scenario))
-    rec = {"k": k, "n": n, "v": v, "policy": name, "median_s": statistics.median(times),
-           "min_s": min(times), "solves": len(times), "kernel_calls": result.iterations,
-           "ltec": result.report.ltec, "policy_sha256": policy_digest(result.policy)}
+    scenarios = [pkg.scenario_from_config(cfg)[0] for pkg in packages]
+    times, results = timed([lambda pkg=pkg, s=s: pkg.solve_named(name, s)
+                            for pkg, s in zip(packages, scenarios)])
+    recs = [{"k": k, "n": n, "v": v, "policy": name, "median_s": statistics.median(t),
+             "min_s": min(t), "solves": len(t), "kernel_calls": result.iterations,
+             "ltec": result.report.ltec, "policy_sha256": policy_digest(result.policy)}
+            for t, result in zip(times, results)]
     if name == "P3":
-        times, report = timed(lambda: cacherec.simulate(result.policy, scenario,
-                                                        steps=SIM_STEPS, seed=SIM_SEED))
-        rec.update(sim_median_s=statistics.median(times),
-                   empirical_cost_rate=report.empirical_cost_rate)
-    return rec
+        times, reports = timed([
+            lambda pkg=pkg, s=s, r=r: pkg.simulate(r.policy, s, steps=SIM_STEPS, seed=SIM_SEED)
+            for pkg, s, r in zip(packages, scenarios, results)])
+        for rec, t, report in zip(recs, times, reports):
+            rec.update(sim_median_s=statistics.median(t),
+                       empirical_cost_rate=report.empirical_cost_rate)
+    return recs
 
 
 def policy_digest(policy) -> str:
@@ -107,33 +127,31 @@ def policy_digest(policy) -> str:
     return digest.hexdigest()
 
 
-def timed(fn) -> tuple[list[float], object]:
-    """Wall times of repeated calls of fn, until they add up to TIME_FLOOR_S
-    (at least MIN_SOLVES calls), and the last call's result."""
-    times = []
-    while len(times) < MIN_SOLVES or sum(times) < TIME_FLOOR_S:
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-    return times, out
+def timed(fns) -> tuple[list[list[float]], list]:
+    """Wall times of repeated calls of each function in `fns`, and each one's
+    last result. A repeat calls every function once, in order on even
+    repeats and in reverse on odd ones, until the calls of each add up to
+    TIME_FLOOR_S (at least MIN_SOLVES repeats)."""
+    times, outs = [[] for _ in fns], [None] * len(fns)
+    while len(times[0]) < MIN_SOLVES or min(map(sum, times)) < TIME_FLOOR_S:
+        order = range(len(fns)) if len(times[0]) % 2 == 0 else reversed(range(len(fns)))
+        for at in order:
+            t0 = time.perf_counter()
+            outs[at] = fns[at]()
+            times[at].append(time.perf_counter() - t0)
+    return times, outs
 
 
 def compare(parent: list[dict], change: list[dict]) -> dict:
-    def key(rec):
-        return rec["k"], rec["n"], rec["v"], rec["policy"]
-
-    before = {key(rec): rec for rec in parent}
+    """Cell-by-cell differences of two runs of the same cells."""
     rows = []
-    for rec in change:
-        prev = before.get(key(rec))
-        if prev is None:
-            continue
+    for prev, rec in zip(parent, change):
         row = {"k": rec["k"], "n": rec["n"], "v": rec["v"], "policy": rec["policy"],
                "time_ratio": rec["median_s"] / prev["median_s"],
                "kernel_calls": [prev["kernel_calls"], rec["kernel_calls"]],
                "ltec_diff": abs(rec["ltec"] - prev["ltec"]),
                "policy_changed": rec["policy_sha256"] != prev["policy_sha256"]}
-        if "sim_median_s" in rec and "sim_median_s" in prev:
+        if "sim_median_s" in rec:
             row.update(sim_ratio=rec["sim_median_s"] / prev["sim_median_s"],
                        sim_rate_diff=abs(rec["empirical_cost_rate"]
                                          - prev["empirical_cost_rate"]))
@@ -149,39 +167,40 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, help="JSON file to add this run to")
-    parser.add_argument("--label", default="change", help="key of this run in the file")
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="directory holding the cacherec package to measure")
+    parser.add_argument("--out", required=True, help="JSON file to write the runs to")
+    parser.add_argument("--parent-src", help="directory holding the cacherec package "
+                                             "to compare this checkout with")
     parser.add_argument("--max-k", type=int, default=LADDER[-1],
                         help="stop the ladder after this K")
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    sys.path.insert(0, str(ROOT / "src"))
     import cacherec
 
-    records = []
+    labels, packages = ["change"], [cacherec]
+    if args.parent_src:
+        labels.append("parent")
+        packages.append(load_parent(args.parent_src))
+    runs = {label: [] for label in labels}
     for cell in cells(args.max_k):
-        rec = run_cell(cacherec, *cell)
-        records.append(rec)
-        sim = (f", sim median {rec['sim_median_s']:.4f} s"
-               if "sim_median_s" in rec else "")
-        print(f"K={rec['k']:5d} N={rec['n']} v={rec['v']:7s} {rec['policy']}: "
-              f"median {rec['median_s']:.4f} s, {rec['kernel_calls']} kernel calls, "
-              f"LTEC {rec['ltec']:.15f}{sim}", flush=True)
+        for label, rec in zip(labels, run_cell(packages, *cell)):
+            runs[label].append(rec)
+            sim = (f", sim median {rec['sim_median_s']:.4f} s"
+                   if "sim_median_s" in rec else "")
+            print(f"{label:6s} K={rec['k']:5d} N={rec['n']} v={rec['v']:7s} "
+                  f"{rec['policy']}: median {rec['median_s']:.4f} s, "
+                  f"{rec['kernel_calls']} kernel calls, LTEC {rec['ltec']:.15f}{sim}",
+                  flush=True)
 
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["machine"] = machine()
-    doc.setdefault("runs", {})[args.label] = records
-    if {"parent", "change"} <= doc["runs"].keys():
-        doc["compare"] = compare(doc["runs"]["parent"], doc["runs"]["change"])
+    doc = {"machine": machine(), "runs": runs}
+    if args.parent_src:
+        doc["compare"] = compare(runs["parent"], runs["change"])
         print(f"max |LTEC change - parent| = {doc['compare']['max_ltec_diff']!r}, "
               f"max |sim cost rate change - parent| = "
               f"{doc['compare']['max_sim_rate_diff']!r}, cells with changed kernel "
               f"calls: {doc['compare']['kernel_calls_changed']}, cells with changed "
               f"policies: {doc['compare']['policies_changed']}")
-    out.write_text(json.dumps(doc, indent=1) + "\n")
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

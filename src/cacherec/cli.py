@@ -6,7 +6,6 @@ Subcommands: gen, ingest, solve, eval, sim, sweep, oracle. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import copy
 import math
 import sys
 import time
@@ -221,10 +220,11 @@ class SweepSpec:
 
 
 def apply_axis(cfg: dict, axis: str, value) -> dict:
-    """Return a config copy with one swept parameter applied."""
+    """Return a shallow config copy with one swept parameter applied; only
+    top-level keys change, so nested values are shared with `cfg`."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    out = copy.deepcopy(cfg)
+    out = dict(cfg)
     if axis == "q":
         out["q"] = float(value)
     elif axis == "alpha":
@@ -437,8 +437,7 @@ def cmd_ingest(args) -> int:
         if key in cfg:
             raise ValueError(f"config key {key!r} would be ignored: the edge list "
                              f"{args.edges} is the graph")
-    cfg["graph"] = {"kind": "matrix", "u": u.tolist()}
-    return _save_scenario(data.scenario_from_config(cfg)[0], stats, args.out)
+    return _save_scenario(data.scenario_on_graph(cfg, u), stats, args.out)
 
 
 def cmd_solve(args) -> int:

@@ -1,10 +1,10 @@
 """Scenario construction: graph ingestion, synthetic graphs, popularity, caching.
 
-The edge-list reader and the random-graph generator both produce a symmetric
-zero-diagonal similarity matrix together with simple graph statistics
-("arcs" counts directed neighbor links, i.e. twice the undirected edge
-count). Popularity follows a Zipf law over catalog ranks and the cache holds
-the most popular contents.
+The edge-list reader and the random-graph generator both build a graph as
+edge arrays, which `_dense` makes a symmetric zero-diagonal similarity
+matrix; they return it with simple graph statistics ("arcs" counts directed
+neighbor links, i.e. twice the undirected edge count). Popularity follows a
+Zipf law over catalog ranks and the cache holds the most popular contents.
 
 A scenario can also be assembled from a single YAML/JSON config document;
 see `scenario_from_config` for the recognized keys.
@@ -34,6 +34,16 @@ class GraphStats:
     std_neighbors: float
 
 
+def _dense(k: int, a: np.ndarray, b: np.ndarray, w: np.ndarray, what: str) -> np.ndarray:
+    """The symmetric (k, k) matrix of each pair's largest edge weight w, 0 off
+    the edges (a, b); ValueError starting with `what` if it cannot fit."""
+    check_fits((k, k), what)
+    u = np.zeros((k, k))
+    np.maximum.at(u, (a, b), w)
+    np.maximum.at(u, (b, a), w)
+    return u
+
+
 def _stats_of(u: np.ndarray) -> GraphStats:
     deg = (u > 0).sum(axis=1)
     nodes = u.shape[0]
@@ -46,16 +56,21 @@ def _stats_of(u: np.ndarray) -> GraphStats:
     )
 
 
-def _largest_component(u: np.ndarray) -> np.ndarray:
+def _largest_component(k: int, a: np.ndarray, b: np.ndarray,
+                       w: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The size of the largest connected component of the positive-weight
+    undirected edges (a, b, w) of a k-node graph (the one holding the lowest
+    node among equals), and its edges with its nodes renumbered in order."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    n_comp, labels = connected_components(csr_matrix(u > 0), directed=False)
-    if n_comp <= 1:
-        return u
-    sizes = np.bincount(labels)
-    keep = np.flatnonzero(labels == int(np.argmax(sizes)))
-    return u[np.ix_(keep, keep)]
+    pos = w > 0
+    a, b, w = a[pos], b[pos], w[pos]
+    _, labels = connected_components(csr_matrix((w, (a, b)), shape=(k, k)), directed=False)
+    keep = labels == int(np.argmax(np.bincount(labels)))
+    renumber = np.cumsum(keep) - 1
+    inside = keep[a]  # an edge's two ends share a component
+    return int(keep.sum()), renumber[a[inside]], renumber[b[inside]], w[inside]
 
 
 def load_edgelist(path, saturation_threshold: float,
@@ -63,16 +78,16 @@ def load_edgelist(path, saturation_threshold: float,
     """Read a "i j [w]" edge list into a similarity matrix.
 
     Weights above `saturation_threshold` saturate to 1, the rest drop to 0;
-    a negative threshold keeps the raw weights. The matrix is symmetrized by
-    the elementwise max and reduced to its largest connected component
-    (by default after saturation). '#' starts a comment, blank lines are
-    skipped, node ids are remapped to 0..K-1 in sorted order. A malformed
-    line or a negative or non-finite weight raises ValueError naming the
-    path and line.
+    a negative threshold keeps the raw weights. Each pair takes its largest
+    weight in either order, self-loops are dropped, and the graph is reduced
+    to the largest connected component of its positive-weight edges (by
+    default after saturation), all on the edge arrays. '#' starts a comment,
+    blank lines are skipped, node ids are remapped to 0..K-1 in sorted
+    order. A malformed line, a negative or non-finite weight or a component
+    too large for memory raises ValueError naming the path.
     """
     text = Path(path).read_text()
     edges: list[tuple[int, int, float]] = []
-    ids: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -87,49 +102,45 @@ def load_edgelist(path, saturation_threshold: float,
                 raise ValueError(f"weight {parts[2]!r} is not a finite nonnegative number")
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
-        ids.update((i, j))
         edges.append((i, j, w))
-    if not ids:
+    if not edges:
         raise ValueError(f"{path}: no nodes found")
 
-    remap = {node: pos for pos, node in enumerate(sorted(ids))}
+    src, dst, weights = zip(*edges)
+    remap = {node: pos for pos, node in enumerate(sorted({*src, *dst}))}
     k = len(remap)
-    u = np.zeros((k, k))
-    for i, j, w in edges:
-        a, b = remap[i], remap[j]
-        if a == b:
-            continue
-        u[a, b] = max(u[a, b], w)
-    u = np.maximum(u, u.T)
-
-    def saturate(mat: np.ndarray) -> np.ndarray:
-        if saturation_threshold < 0:
-            return mat
-        return (mat > saturation_threshold).astype(float)
+    a, b = (np.array([remap[node] for node in ends], dtype=np.intp) for ends in (src, dst))
+    pair = a != b
+    a, b, w = a[pair], b[pair], np.array(weights)[pair]
 
     if component_before_saturation:
-        u = saturate(_largest_component(u))
-    else:
-        u = _largest_component(saturate(u))
-    np.fill_diagonal(u, 0.0)
-    if u.shape[0] < 2:
+        k, a, b, w = _largest_component(k, a, b, w)
+    if saturation_threshold >= 0:
+        w = (w > saturation_threshold).astype(float)
+    if not component_before_saturation:
+        k, a, b, w = _largest_component(k, a, b, w)
+    if k < 2:
         raise ValueError(f"{path}: largest component has fewer than 2 nodes")
+    u = _dense(k, a, b, w, f"{path}: its similarity matrix")
     return u, _stats_of(u)
 
 
 def gen_poisson_graph(k: int, mean_degree: float, seed: int) -> tuple[np.ndarray, GraphStats]:
-    """Random graph with independent edges and the given expected degree."""
+    """Random graph with independent edges and the given expected degree: one
+    uniform draw per node pair i < j, in row-major order, decides its edge."""
     if k < 2:
         raise ValueError("need at least 2 nodes")
     if not 0.0 < mean_degree < k - 1:
         raise ValueError(f"mean_degree must be in (0, {k - 1}), got {mean_degree}")
+    check_fits((k, k), "similarity matrix")
     p = mean_degree / (k - 1)
     rng = np.random.default_rng(seed)
-    iu = np.triu_indices(k, 1)
-    mask = rng.random(iu[0].shape[0]) < p
-    u = np.zeros((k, k))
-    u[iu[0][mask], iu[1][mask]] = 1.0
-    u = np.maximum(u, u.T)
+    hits = np.flatnonzero(rng.random(k * (k - 1) // 2) < p)
+    rows = np.arange(k - 1)
+    first = rows * (2 * k - rows - 1) // 2  # pair index of (i, i + 1)
+    i = np.searchsorted(first, hits, side="right") - 1
+    j = hits - first[i] + i + 1
+    u = _dense(k, i, j, np.ones(hits.size), "similarity matrix")
     return u, _stats_of(u)
 
 

@@ -257,37 +257,31 @@ def simulate(policy: Policy, scenario: Scenario, steps: int, seed: int) -> SimRe
 # ---------------------------------------------------------------------------
 # Exhaustive search over deterministic policies (oracle for the LP).
 
-def _feasible_rows(scenario: Scenario, tol: float = 1e-9) -> list[list[tuple[int, ...]]]:
-    k, n = scenario.k, scenario.n
-    qmax = max_quality(scenario.u, n)
-    rows: list[list[tuple[int, ...]]] = []
-    for i in range(k):
-        floor = scenario.q * qmax[i] - tol
-        others = [j for j in range(k) if j != i]
-        cands = [c for c in itertools.combinations(others, n)
-                 if scenario.u[i, list(c)].sum() >= floor]
-        rows.append(cands)
-    return rows
-
-
 def brute_force_optimum(scenario: Scenario, cap: int = BRUTE_FORCE_CAP) -> tuple[float, Policy]:
     """Best deterministic slate assignment by exhaustive enumeration.
 
     Enumerates every policy whose rows are N-subsets meeting the quality
     floor, scores each through the same session-chain formula the analytic
     evaluator uses, and returns the smallest cost with its policy. Intended
-    as an independent check for the LP pipeline at toy sizes.
+    as an independent check for the LP pipeline at toy sizes. The count of
+    candidate policies is multiplied up row by row, and ValueError is raised
+    at the first row where it passes `cap`, before later rows are enumerated.
     """
     if not scenario.uniform_clicks:
         raise ValueError("exhaustive search covers the uniform-click model only")
     k, n, alpha = scenario.k, scenario.n, scenario.alpha
-    rows = _feasible_rows(scenario)
-    for i, cands in enumerate(rows):
+    qmax = max_quality(scenario.u, n)
+    rows, total = [], 1
+    for i in range(k):
+        floor = scenario.q * qmax[i] - 1e-9
+        cands = [c for c in itertools.combinations([j for j in range(k) if j != i], n)
+                 if scenario.u[i, list(c)].sum() >= floor]
         if not cands:
             raise ValueError(f"row {i} has no feasible slate: quality floor unattainable")
-    total = math.prod(len(c) for c in rows)
-    if total > cap:
-        raise ValueError(f"{total} candidate policies exceed the cap of {cap}")
+        total *= len(cands)
+        if total > cap:
+            raise ValueError(f"{total} candidate policies of rows 0..{i} exceed the cap of {cap}")
+        rows.append(cands)
 
     eye = np.eye(k)
     best_cost = np.inf

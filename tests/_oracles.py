@@ -46,6 +46,14 @@ nested loops over contents, with the f-column of pair (i, j) computed by
 index arithmetic. `lp.build_session_lp` and `build_positional_lp` assemble
 each constraint family from index arrays and must build the same problem,
 entry for entry.
+
+`dense_edgelist` is `data.load_edgelist` after its line parser, in its plain
+dense form: a Python loop takes each pair's largest weight into a (K, K)
+matrix, which is symmetrized by its elementwise max with its transpose,
+saturated as a whole and cut to the largest component of its positive
+entries with one np.ix_ copy. The production reader does all of this on
+edge arrays and densifies once, and must return bitwise the same matrix and
+the same statistics.
 """
 from __future__ import annotations
 
@@ -430,3 +438,42 @@ def entrywise_session_lp(scenario, positional: bool) -> LpProblem:
         lb=np.zeros(nv), ub=np.full(nv, np.inf), var_names=names,
         eq_names=eq_names, ub_names=ub_names,
         name="positional-session-lp" if positional else "session-lp")
+
+
+def dense_edgelist(edges, saturation_threshold: float,
+                   component_before_saturation: bool = False):
+    """Reference for `data.load_edgelist` on the parsed (i, j, w) edges of a
+    file: the similarity matrix and GraphStats, or ValueError when the
+    largest component has fewer than 2 nodes."""
+    from scipy.sparse.csgraph import connected_components
+
+    remap = {node: pos for pos, node in enumerate(sorted({x for i, j, _ in edges
+                                                          for x in (i, j)}))}
+    k = len(remap)
+    u = np.zeros((k, k))
+    for i, j, w in edges:
+        a, b = remap[i], remap[j]
+        if a != b:
+            u[a, b] = max(u[a, b], w)
+    u = np.maximum(u, u.T)
+
+    def saturate(mat):
+        return mat if saturation_threshold < 0 else (mat > saturation_threshold).astype(float)
+
+    def largest_component(mat):
+        n_comp, labels = connected_components(sparse.csr_matrix(mat > 0), directed=False)
+        if n_comp <= 1:
+            return mat
+        keep = np.flatnonzero(labels == int(np.argmax(np.bincount(labels))))
+        return mat[np.ix_(keep, keep)]
+
+    if component_before_saturation:
+        u = saturate(largest_component(u))
+    else:
+        u = largest_component(saturate(u))
+    if u.shape[0] < 2:
+        raise ValueError("largest component has fewer than 2 nodes")
+    deg = (u > 0).sum(axis=1)
+    arcs = int(deg.sum())
+    return u, data.GraphStats(nodes=u.shape[0], arcs=arcs, mean_neighbors=arcs / u.shape[0],
+                              std_neighbors=float(deg.std()))

@@ -1,4 +1,4 @@
-"""The scaling-ladder script must stay runnable and keep earlier runs."""
+"""The scaling-ladder script must stay runnable and compare two packages."""
 from __future__ import annotations
 
 import json
@@ -6,16 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "bench" / "run.py"
 
 
 def test_ladder_records_and_compares_two_runs(tmp_path):
     out = tmp_path / "bench.json"
-    for label in ("parent", "change"):
-        proc = subprocess.run([sys.executable, str(SCRIPT), "--out", str(out),
-                               "--label", label, "--max-k", "25"],
-                              capture_output=True, text=True, timeout=180)
-        assert proc.returncode == 0, proc.stderr[-2000:]
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--out", str(out),
+                           "--parent-src", str(ROOT / "src"), "--max-k", "25"],
+                          capture_output=True, text=True, timeout=180)
+    assert proc.returncode == 0, proc.stderr[-2000:]
     doc = json.loads(out.read_text())
     assert doc["machine"]["blas_threads"] == 1
     cells = {(r["n"], r["v"], r["policy"]) for r in doc["runs"]["change"]}
@@ -31,6 +31,9 @@ def test_ladder_records_and_compares_two_runs(tmp_path):
     assert doc["compare"]["policies_changed"] == 0
     assert all(len(r["policy_sha256"]) == 64 for r in doc["runs"]["change"])
     assert len(doc["compare"]["cells"]) == 6
+    # the two packages alternate, so every cell times both equally often
+    assert [r["solves"] for r in doc["runs"]["parent"]] == \
+        [r["solves"] for r in doc["runs"]["change"]]
     compared = [c for c in doc["compare"]["cells"] if c["policy"] == "P3"]
     assert all(c["sim_ratio"] > 0 and c["sim_rate_diff"] == 0.0 for c in compared)
     assert doc["compare"]["max_sim_rate_diff"] == 0.0

@@ -17,7 +17,7 @@ from cacherec.cli import (EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, SweepSpec, apply_ax
                           build_parser, gain, main, mph, read_policy_csv, run_sweep,
                           write_policy_csv, write_sweep_csv)
 from cacherec.data import scenario_from_config
-from cacherec.model import Policy, validate_policy
+from cacherec.model import Policy, baseline_policy, validate_policy
 from cacherec.policies import solve_named
 from _oracles import dense_policy_csv, dense_validate_policy, sweep_each_cell
 from conftest import (assert_canonical, random_positional_policy, random_scenario,
@@ -198,6 +198,7 @@ class TestSweep:
         assert hv["v"][0] > hv["v"][1]
         with pytest.raises(ValueError):
             apply_axis(cfg, "bogus", 1)
+        assert cfg == self.small_cfg()  # the copies left the config as it was
 
     def test_axis_counts_refuse_fractions(self):
         """N and C are counts, as in a config or a SweepSpec: 3.0 is 3, and a
@@ -395,6 +396,20 @@ class TestCommands:
                      "--steps", "20000", "--seed", "3"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "cost_rate=" in out and "mean_cycle=" in out
+
+    def test_eval_prints_quality_of_a_policy_within_its_tolerance(self, tmp_path, capsys):
+        # Entries 4e-7 above the baseline's pass `evaluate` (EVAL_TOL = 1e-6),
+        # and lift the achieved quality 8e-7 above its maximum of 2.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("graph: {kind: poisson, k: 30, mean_degree: 4}\nalpha: 0.8\nn: 2\n"
+                       "q: 0.9\nzipf_s: 0.7\ncache_size: 2\nseed: 1\n")
+        scenario, _ = scenario_from_config(data.load_config(cfg))
+        policy_file = tmp_path / "p.csv"
+        write_policy_csv(policy_file, Policy(
+            "uniform", baseline_policy(scenario.u, scenario.n).mats * (1 + 4e-7)))
+        assert main(["eval", "--config", str(cfg), "--policy", str(policy_file)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "LTEC=" in out and "quality: min=1.000000" in out
 
     def test_sim_unallocatable_steps_exits_io(self, cfg_file, tmp_path, capsys):
         # 10**13 steps need hundreds of TB of sampling arrays; the count is
@@ -683,7 +698,9 @@ class TestCommands:
                                        "similarity matrix 400 x 400 cannot be allocated"),
         (["eval", "--config", "{small}", "--policy", "{policy}"],
          "line 4: declared size 400 x 400 cannot be allocated"),
-    ], ids=["config-graph-k", "policy-file-k"])
+        (["ingest", "--edges", "{edges}"],
+         "edges.txt: its similarity matrix 400 x 400 cannot be allocated"),
+    ], ids=["config-graph-k", "policy-file-k", "edge-list-nodes"])
     def test_dense_size_beyond_memory_exits_io_before_allocating(self, tmp_path, monkeypatch,
                                                                 capsys, argv, err):
         # A 400 x 400 float matrix takes 1.28 MB; the machine is said to have 1 MB.
@@ -694,10 +711,14 @@ class TestCommands:
         policy = tmp_path / "p.csv"
         policy.write_text(TestPolicyFiles.UNIFORM_HEAD.replace("# k: 3", "# k: 400") +
                           "0,1,1.0\n")
+        edges = tmp_path / "edges.txt"
+        edges.write_text("".join(f"{i} {i + 1}\n" for i in range(399)))
+        import scipy.sparse.csgraph  # noqa: F401  (ingest imports it on first use)
         monkeypatch.setattr(data, "machine_memory", lambda: 2 ** 20)
         tracemalloc.start()
         try:
-            code = main([a.format(cfg=cfg, small=small, policy=policy) for a in argv])
+            code = main([a.format(cfg=cfg, small=small, policy=policy, edges=edges)
+                         for a in argv])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,6 +14,7 @@ from cacherec.data import (GraphStats, gen_poisson_graph, load_config,
                            load_edgelist, load_scenario_npz, place_cache,
                            save_scenario_npz, scenario_from_config, zipf_popularity)
 from cacherec.model import Scenario
+from _oracles import dense_edgelist
 
 
 class TestLoadEdgelist:
@@ -151,6 +152,32 @@ def test_edgelist_round_trips_or_raises_value_error(u, mutations):
     assert back.shape[0] >= 2 and np.array_equal(back, back.T)
     assert np.all(np.isfinite(back)) and np.all(back >= 0) and not np.diag(back).any()
     assert stats.nodes == back.shape[0] and stats.arcs == int((back > 0).sum())
+
+
+@given(st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7),
+                          st.one_of(st.none(), st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5]),
+                                    st.floats(0.0, 3.0))),
+                min_size=1, max_size=14),
+       st.sampled_from([-1.0, 0.0, 0.1, 0.5]), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_edgelist_matches_dense_reference(edges, threshold, component_first):
+    """The edge-array reader returns bitwise the matrix and the statistics of
+    the dense reference, through duplicates, self-loops, zero and >1
+    weights, default weights and ties between largest components."""
+    lines = [f"{i} {j}" if w is None else f"{i} {j} {w!r}" for i, j, w in edges]
+    parsed = [(i, j, 1.0 if w is None else w) for i, j, w in edges]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.txt"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            want = dense_edgelist(parsed, threshold, component_first)
+        except ValueError:
+            with pytest.raises(ValueError, match="fewer than 2 nodes"):
+                load_edgelist(path, threshold, component_before_saturation=component_first)
+            return
+        got = load_edgelist(path, threshold, component_before_saturation=component_first)
+    assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1]
 
 
 class TestPoissonGraph:

@@ -246,6 +246,14 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="cap"):
             brute_force_optimum(s, cap=10)
 
+    def test_cap_refused_at_the_first_row_past_it(self):
+        # Each row scans C(99, 3) = 156 849 slates; rows 0..3 already pass the
+        # cap, so the other 96 rows are never scanned.
+        s, _ = scenario_from_config({"graph": {"kind": "poisson", "k": 100}, "n": 3,
+                                     "q": 0.9, "seed": 1})
+        with pytest.raises(ValueError, match=r"of rows 0\.\.3 exceed the cap"):
+            brute_force_optimum(s)
+
     def test_batched_scores_match_evaluator(self, rng, monkeypatch):
         # the vectorized scorer must agree with the per-policy evaluator
         monkeypatch.setattr(sim, "BRUTE_FORCE_CHUNK", 7)  # odd chunk exercises batching
