@@ -303,8 +303,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         graph = _status(exc)
     points = [(spec.config, spec.axis, value, spec.policies, graph, spec.solve_kw)
               for value in spec.values]
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    workers = min(spec.workers, len(points))  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(_sweep_point, points))
     else:
         groups = list(map(_sweep_point, points))
@@ -578,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--policies", default="P1,P2")
     p.add_argument("--reference", default="P1", help="gain reference policy")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes; slower than 1 unless BLAS runs one thread")
     p.add_argument("--config", required=True, help="YAML/JSON scenario config")
     p.add_argument("--seed", type=int, help="seed of the config's graph")
     p.add_argument("--out", help="sweep CSV to write (default sweep.csv)")

@@ -45,15 +45,10 @@ def _dense(k: int, a: np.ndarray, b: np.ndarray, w: np.ndarray, what: str) -> np
 
 
 def _stats_of(u: np.ndarray) -> GraphStats:
-    deg = (u > 0).sum(axis=1)
-    nodes = u.shape[0]
+    deg, nodes = (u > 0).sum(axis=1), u.shape[0]
     arcs = int(deg.sum())
-    return GraphStats(
-        nodes=nodes,
-        arcs=arcs,
-        mean_neighbors=arcs / nodes,
-        std_neighbors=float(deg.std()),
-    )
+    return GraphStats(nodes=nodes, arcs=arcs, mean_neighbors=arcs / nodes,
+                      std_neighbors=float(deg.std()))
 
 
 def _largest_component(k: int, a: np.ndarray, b: np.ndarray,
@@ -83,9 +78,12 @@ def load_edgelist(path, saturation_threshold: float,
     to the largest connected component of its positive-weight edges (by
     default after saturation), all on the edge arrays. '#' starts a comment,
     blank lines are skipped, node ids are remapped to 0..K-1 in sorted
-    order. A malformed line, a negative or non-finite weight or a component
-    too large for memory raises ValueError naming the path.
+    order. A non-finite threshold raises ValueError naming it; a malformed
+    line, a negative or non-finite weight or a component too large for
+    memory raises ValueError naming the path.
     """
+    if not math.isfinite(saturation_threshold):  # NaN would keep the raw weights
+        raise ValueError(f"saturation threshold must be finite, got {saturation_threshold}")
     text = Path(path).read_text()
     edges: list[tuple[int, int, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -146,8 +144,8 @@ def gen_poisson_graph(k: int, mean_degree: float, seed: int) -> tuple[np.ndarray
 
 def zipf_popularity(k: int, s: float) -> np.ndarray:
     """Zipf popularity with exponent s over ranks 1..K, content i at rank i + 1."""
-    if s < 0:
-        raise ValueError("exponent must be nonnegative")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"Zipf exponent zipf_s must be finite and nonnegative, got {s}")
     weights = np.arange(1, k + 1, dtype=float) ** (-s)
     return weights / weights.sum()
 

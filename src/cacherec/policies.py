@@ -9,15 +9,13 @@ slate mixtures per content. `row_kernel` solves the per-row problem
 once. One routine, `_row_solve`, serves P1, P2 and P3: policy iteration
 (Howard 1960; Puterman 1994, ch. 6) from the kernel's slates at V = c, the
 first Bellman step from V = c, which starts from the max-quality slates of
-`model.top_slates`. `_weigh` prices and rates every slate, slot by slot, so
-a row's sums do not depend on the rows weighed with it. Each round builds
-the policy of the current slates (`model.slate_policy`) and solves its
-session system V = c + Q V by `markov.solve`, the routine `markov.evaluate`
-calls, which factors I - Q only on the contents some slate shows. P1 stops
-after this first evaluation. P2 and P3 call the kernel once a round from
-the current slates and replace each row whose returned cost under V beats
-its start's by more than a rounding margin. When no row changes, the last
-round's policy is the result, with that round's report.
+`model.top_slates`. Each round builds the policy of the current slates
+(`model.slate_policy`) and solves its session system V = c + Q V by
+`markov.solve`. P1 stops after this first evaluation. P2 and P3 call the
+kernel once a round from the current slates and replace each row whose
+returned cost under V beats its start's by more than a rounding margin.
+When no row changes, the last round's policy is the result, with that
+round's report.
 
 An explicit LP method ("dense", "highs" or "external") instead builds the
 K^2-variable LP of `cacherec.lp` and solves it with `cacherec.simplex`; that
@@ -25,6 +23,11 @@ path is kept as an independent oracle. The positional optimum is compared
 against the uniform one on equal footing: a uniform-click policy whose slate
 is placed uniformly at random over the positions is insensitive to the click
 distribution, so its session cost is exactly its uniform-click cost.
+
+Every solver returns through one exit, `_finish`: it validates the policy
+(at `markov.EVAL_TOL` for an LP recovery) and raises SolverFailure for a
+violation, takes the kernel's last report or solves the session system
+once, and builds the `PolicyResult`.
 """
 from __future__ import annotations
 
@@ -36,8 +39,8 @@ import numpy as np
 
 from . import lp, markov, simplex
 from .markov import EvalReport
-from .model import (Policy, Scenario, _select, baseline_policy, quality_of, slate_policy,
-                    slot_order, top_slates, validate_policy)
+from .model import (FEAS_TOL, Policy, Scenario, _select, baseline_policy, quality_of,
+                    slate_policy, slot_order, top_slates, validate_policy)
 
 POLICY_NAMES = ("baseline", "P1", "P2", "P3")
 
@@ -77,6 +80,8 @@ class PolicyResult:
         p0'V with V = G c, so LTEC = (1 - alpha) * objective.
     On an LP path these are the simplex iterations, the largest LP constraint
     violation and the LP objective (P1: the same myopic cost; P2/P3: c'z).
+    The baseline has no objective, 0 iterations and residual 0. status is
+    always "optimal": a failed solve raises. seconds includes the exit's checks.
     """
 
     name: str
@@ -87,6 +92,22 @@ class PolicyResult:
     iterations: int
     residual: float
     seconds: float
+
+
+def _finish(name: str, scenario: Scenario, policy: Policy, t0: float,
+            report: EvalReport | None = None, tol: float = FEAS_TOL,
+            objective: float | None = None, iterations: int = 0,
+            residual: float = 0.0) -> PolicyResult:
+    """The one exit of every solver: a policy that fails `validate_policy` at
+    `tol` raises SolverFailure; `markov.solve` gives its report unless the
+    solver passes its last round's; the clock is read last."""
+    bad = validate_policy(policy, scenario, tol=tol)
+    if bad:
+        raise SolverFailure(f"{name}: invalid policy: " + "; ".join(bad[:5]))
+    return PolicyResult(
+        name=name, policy=policy, report=report or markov.solve(policy, scenario),
+        objective=objective, status="optimal", iterations=iterations, residual=residual,
+        seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +259,9 @@ def _row_solve(scenario: Scenario, name: str) -> PolicyResult:
     else:
         raise SolverFailure(f"{name}: policy iteration did not settle in "
                             f"{MAX_ROUNDS} rounds")
-    bad = validate_policy(policy, scenario)
-    if bad:
-        raise SolverFailure(f"{name}: invalid policy: " + "; ".join(bad[:5]))
     shortfall = floor - quality_of(policy, scenario)
-    return PolicyResult(
-        name=name, policy=policy, report=report,
-        objective=objective, status="optimal", iterations=calls,
-        residual=float(max(shortfall.max(), 0.0)), seconds=time.perf_counter() - t0)
+    return _finish(name, scenario, policy, t0, report, objective=objective,
+                   iterations=calls, residual=float(max(shortfall.max(), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,39 +277,32 @@ def _raise_for_status(solution, what: str):
 
 def _greedy_lp(scenario: Scenario, **solve_kw) -> PolicyResult:
     t0 = time.perf_counter()
-    problems = lp.build_greedy_row_lps(scenario)
-    xs, iters, resid = [], 0, 0.0
+    problems, sols = lp.build_greedy_row_lps(scenario), []
     for prob in problems:
-        sol = simplex.solve(prob, **solve_kw)
-        _raise_for_status(sol, prob.name)
-        xs.append(sol.x)
-        iters += sol.iterations
-        resid = max(resid, sol.max_residual)
+        sols.append(simplex.solve(prob, **solve_kw))
+        _raise_for_status(sols[-1], prob.name)
     k = scenario.k
     ii, jj = lp._off_diagonal(k)  # row i's LP lists r_ij over j != i in order
-    policy = Policy.from_entries("uniform", k, k, ii * k + jj, np.concatenate(xs))
-    report = markov.evaluate(policy, scenario)
-    myopic_cost = float(sum(p0i * (prob.c @ x)
-                            for p0i, prob, x in zip(scenario.p0, problems, xs)))
-    return PolicyResult(
-        name="P1", policy=policy, report=report, objective=myopic_cost,
-        status="optimal", iterations=iters, residual=resid,
-        seconds=time.perf_counter() - t0)
+    policy = Policy.from_entries("uniform", k, k, ii * k + jj, np.concatenate([s.x for s in sols]))
+    myopic_cost = float(sum(p0i * (prob.c @ sol.x)
+                            for p0i, prob, sol in zip(scenario.p0, problems, sols)))
+    return _finish("P1", scenario, policy, t0, tol=markov.EVAL_TOL, objective=myopic_cost,
+                   iterations=sum(sol.iterations for sol in sols),
+                   residual=max(sol.max_residual for sol in sols))
 
 
 def _session_lp(scenario: Scenario, positional: bool, name: str, **solve_kw) -> PolicyResult:
     t0 = time.perf_counter()
-    builder = lp.build_positional_lp if positional else lp.build_session_lp
-    problem = builder(scenario)
+    problem = (lp.build_positional_lp if positional else lp.build_session_lp)(scenario)
     sol = simplex.solve(problem, **solve_kw)
     _raise_for_status(sol, problem.name)
-    rec = lp.recover_policy(sol, scenario, positional=positional, problem=problem)
-    report = markov.evaluate(rec.policy, scenario)
-    return PolicyResult(
-        name=name, policy=rec.policy, report=report,
-        objective=rec.objective_value,
-        status=sol.status, iterations=sol.iterations, residual=rec.residuals,
-        seconds=time.perf_counter() - t0)
+    try:
+        rec = lp.recover_policy(sol, scenario, positional=positional, problem=problem)
+    except ValueError as exc:  # z at or below Z_FLOOR, or a solution of the wrong size
+        raise SolverFailure(f"{name}: {exc}") from None
+    return _finish(name, scenario, rec.policy, t0, tol=markov.EVAL_TOL,
+                   objective=rec.objective_value, iterations=sol.iterations,
+                   residual=rec.residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +313,7 @@ def solve_baseline(scenario: Scenario) -> PolicyResult:
     """Most-similar-items policy; positional variant when clicks are non-uniform."""
     t0 = time.perf_counter()
     v = None if scenario.uniform_clicks else scenario.v
-    policy = baseline_policy(scenario.u, scenario.n, v)
-    report = markov.evaluate(policy, scenario)
-    return PolicyResult(
-        name="baseline", policy=policy, report=report, objective=None,
-        status="optimal", iterations=0, residual=0.0,
-        seconds=time.perf_counter() - t0)
+    return _finish("baseline", scenario, baseline_policy(scenario.u, scenario.n, v), t0)
 
 
 def solve_greedy(scenario: Scenario, method: str = "auto", **solve_kw) -> PolicyResult:
@@ -341,12 +345,8 @@ def solve_positional(scenario: Scenario, method: str = "auto", **solve_kw) -> Po
 
 def solve_named(name: str, scenario: Scenario, **solve_kw) -> PolicyResult:
     """Dispatch on the policy names used across sweeps and the CLI."""
-    table = {
-        "baseline": lambda s, **_: solve_baseline(s),  # no solver: ignores solve_kw
-        "P1": solve_greedy,
-        "P2": solve_session,
-        "P3": solve_positional,
-    }
+    table = {"baseline": lambda s, **_: solve_baseline(s),  # no solver: ignores solve_kw
+             "P1": solve_greedy, "P2": solve_session, "P3": solve_positional}
     if name not in table:
         raise ValueError(f"unknown policy {name!r}; choose from {sorted(table)}")
     return table[name](scenario, **solve_kw)

@@ -1,6 +1,8 @@
 """Shared generators for scenarios, policies, and random LPs."""
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,23 @@ def random_box_lp(rng: np.random.Generator, n_vars: int | None = None) -> LpProb
         c=c, a_eq=sparse.csr_matrix(a_eq) if me else sparse.csr_matrix((0, n)),
         b_eq=b_eq, a_ub=sparse.csr_matrix(a_ub), b_ub=b_ub,
         lb=lb, ub=ub, var_names=[f"x{i}" for i in range(n)], name="random-box-lp")
+
+
+#: Result files of external solvers whose solution is unusable: every dumped
+#: variable 5 (entries above 1), or "optimal" with z0 = 0 and every other
+#: variable at its lower bound (a session LP's z cannot be divided by).
+BAD_SOLUTIONS = {
+    "fives": "names = [ln.split()[1] for ln in open(sys.argv[1]) if ln.startswith('var ')]\n"
+             "open(sys.argv[2], 'w').write(''.join(f'{n}=5\\n' for n in names))\n",
+    "z0": "open(sys.argv[2], 'w').write('status=optimal\\nz0=0\\n')\n",
+}
+
+
+def bad_solver_cmd(tmp_path, kind: str) -> str:
+    """An --external-cmd that writes the BAD_SOLUTIONS[kind] result file."""
+    script = tmp_path / f"{kind}_solver.py"
+    script.write_text("import sys\n" + BAD_SOLUTIONS[kind])
+    return f"{sys.executable} {script} {{lp}} {{out}}"
 
 
 @pytest.fixture

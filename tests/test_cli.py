@@ -13,15 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cacherec import cli, data, policies
-from cacherec.cli import (EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, SweepSpec, apply_axis,
+from cacherec.cli import (EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_SOLVER, SweepSpec, apply_axis,
                           build_parser, gain, main, mph, read_policy_csv, run_sweep,
                           write_policy_csv, write_sweep_csv)
 from cacherec.data import scenario_from_config
 from cacherec.model import Policy, baseline_policy, validate_policy
 from cacherec.policies import solve_named
 from _oracles import dense_policy_csv, dense_validate_policy, sweep_each_cell
-from conftest import (assert_canonical, random_positional_policy, random_scenario,
-                      random_slate_policy, random_uniform_policy)
+from conftest import (assert_canonical, bad_solver_cmd, random_positional_policy,
+                      random_scenario, random_slate_policy, random_uniform_policy)
 
 
 class TestGain:
@@ -320,6 +320,43 @@ class TestSweep:
         got = without_wall_time(run_sweep(spec))
         assert got == sweep_each_cell(spec)
         assert [row["status"] == "ok" for row in got] == [True] * 4 + [False] * 2
+
+    def test_pool_never_outnumbers_the_points(self, monkeypatch):
+        """A process pool starts all its workers at the first task, so a
+        sweep asks for no more workers than it has axis points, and runs one
+        point without a pool. The fake pool maps in this process."""
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        spec = dict(config=self.small_cfg(), axis="q", policies=["P1", "P2"])
+        rows = run_sweep(SweepSpec(values=[0.7, 0.9], workers=64, **spec))
+        assert started == [2]
+        run_sweep(SweepSpec(values=[0.7], workers=64, **spec))
+        assert started == [2]
+        assert without_wall_time(rows) == without_wall_time(
+            run_sweep(SweepSpec(values=[0.7, 0.9], **spec)))
+
+    def test_unusable_lp_solution_fails_its_row(self, tmp_path):
+        rows = run_sweep(SweepSpec(
+            config=self.small_cfg(), axis="q", values=[0.8], policies=["baseline", "P2"],
+            reference="baseline", solve_kw={"method": "external",
+                                            "external_cmd": bad_solver_cmd(tmp_path, "z0")}))
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"].startswith("error: SolverFailure: P2: z_0 = 0.000e+00 is not "
+                                            "strictly positive")
 
     def test_graph_built_once_per_seed(self, monkeypatch):
         calls = []
@@ -681,6 +718,46 @@ class TestCommands:
                             lambda name, s, **kw: boom())
         assert main(["solve", "--problem", "uni", "--config",
                      str(cfg_file)]) == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("problem,kind,err", [
+        ("uni", "fives", "P2: invalid policy: row 0 sums to 11, expected 2"),
+        ("greedy", "fives", "P1: invalid policy: entry (0, 1) above 1: 5"),
+        ("uni", "z0", "P2: z_0 = 0.000e+00 is not strictly positive"),
+    ])
+    def test_unusable_external_solution_exits_solver(self, cfg_file, tmp_path, capsys,
+                                                     problem, kind, err):
+        """An external solution that fails validation or cannot be recovered
+        is a solver failure, whatever status the solver reported."""
+        out = tmp_path / "p.csv"
+        assert main(["solve", "--problem", problem, "--config", str(cfg_file),
+                     "--solver", "external", "--external-cmd", bad_solver_cmd(tmp_path, kind),
+                     "--out", str(out)]) == EXIT_SOLVER
+        assert capsys.readouterr().err.startswith(f"solver failure: {err}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("graph,zipf_s,err", [
+        ("{kind: poisson, k: 8, mean_degree: 3}", ".nan",
+         "Zipf exponent zipf_s must be finite and nonnegative, got nan"),
+        ("{kind: poisson, k: 8, mean_degree: 3}", ".inf",
+         "Zipf exponent zipf_s must be finite and nonnegative, got inf"),
+        ("{kind: edgelist, path: edges.txt, saturation: .nan}", "0.7",
+         "saturation threshold must be finite, got nan"),
+    ], ids=["zipf-nan", "zipf-inf", "saturation-nan"])
+    def test_non_finite_config_parameter_exits_io_naming_it(self, tmp_path, capsys, graph,
+                                                            zipf_s, err):
+        (tmp_path / "edges.txt").write_text("0 1 0.9\n1 2 0.8\n2 3 0.05\n3 0 0.6\n")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"graph: {graph}\nzipf_s: {zipf_s}\nalpha: 0.7\nn: 2\nq: 0.8\n"
+                       "cache_size: 2\n")
+        assert main(["gen", "--config", str(cfg)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_ingest_non_finite_threshold_exits_io_naming_it(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1 0.9\n1 2 0.8\n2 3 0.05\n3 0 0.6\n")
+        for value in ("nan", "inf", "-inf"):
+            assert main(["ingest", "--edges", str(edges), f"--threshold={value}"]) == EXIT_IO
+            assert "saturation threshold must be finite" in capsys.readouterr().err
 
     def test_sweep_zero_workers_exits_io_without_a_pool(self, cfg_file, tmp_path, monkeypatch,
                                                        capsys):

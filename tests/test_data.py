@@ -93,6 +93,15 @@ class TestLoadEdgelist:
             load_edgelist(f, -1)
         assert str(f) in str(err.value)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_refused(self, tmp_path, threshold):
+        """NaN compares false with everything, so it used to keep the raw
+        weights as a negative threshold does."""
+        f = tmp_path / "edges.txt"
+        f.write_text("0 1 0.9\n1 2 0.05\n")
+        with pytest.raises(ValueError, match="saturation threshold must be finite"):
+            load_edgelist(f, threshold)
+
 
 EDGE_MUTANTS = ["", "x", "#", "-1", "0", "3", "1.5", "0.25", "nan", "inf", "-inf", "1e999",
                 "-0.5", "1 2", "\u0661"]
@@ -227,6 +236,11 @@ class TestZipfPopularity:
     def test_monotone_in_index_by_default(self):
         p = zipf_popularity(50, 0.9)
         assert np.all(np.diff(p) < 0)
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -0.5])
+    def test_exponent_refused_by_name(self, s):
+        with pytest.raises(ValueError, match="Zipf exponent zipf_s must be finite and nonneg"):
+            zipf_popularity(5, s)
 
 
 class TestPlaceCache:

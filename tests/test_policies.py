@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cacherec import Scenario, quality_profile, scenario_from_config, validate_policy
-from cacherec import model, policies
+from cacherec import Policy, markov, model, policies
 from cacherec.lp import build_greedy_row_lps, build_positional_lp, build_session_lp
 from cacherec.simplex import solve
-from conftest import random_scenario
+from conftest import bad_solver_cmd, random_scenario
 from _oracles import evaluate_each_round, mix_value
 
 TOL = 1e-9
@@ -327,3 +328,52 @@ def test_highs_oracle_agrees_with_kernel_at_tight_tolerances():
     assert (s.k, s.n) == (25, 3)
     assert policies.solve_positional(s).report.ltec == pytest.approx(
         session_reference(s, True), abs=1e-11)
+
+
+@pytest.mark.parametrize("method", ["auto", "dense"])
+def test_every_solver_returns_the_report_evaluate_gives(method):
+    """The one exit, `_finish`, gives every solver's result, and its report
+    is bitwise what `markov.evaluate` gives for the returned policy."""
+    s = random_scenario(np.random.default_rng(3100), k=7, n=2, v="skewed")
+    for name in policies.POLICY_NAMES:
+        got = policies.solve_named(name, s, method=method)
+        want = markov.evaluate(got.policy, s)
+        assert (got.name, got.status) == (name, "optimal")
+        assert got.seconds > 0.0
+        for field in ("ltec", "chr", "residual"):
+            assert getattr(got.report, field) == getattr(want, field), (name, field)
+        assert got.report.cost_to_go.tobytes() == want.cost_to_go.tobytes(), name
+    base = policies.solve_baseline(s)
+    assert (base.objective, base.iterations, base.residual) == (None, 0, 0.0)
+
+
+def test_exit_checks_the_policy_at_the_solvers_tolerance():
+    """Entries 2e-7 above 1 break FEAS_TOL, the row kernel's tolerance, but
+    not EVAL_TOL, the tolerance of a policy recovered from an LP solution."""
+    s = random_scenario(np.random.default_rng(3101), k=6, n=2)
+    base = model.baseline_policy(s.u, s.n)
+    nudged = Policy.from_entries("uniform", s.k, s.k, base.rows * s.k + base.indices,
+                                 base.data * (1.0 + 2e-7))
+    t0 = time.perf_counter()
+    with pytest.raises(policies.SolverFailure, match=r"^P2: invalid policy: entry \(0, "):
+        policies._finish("P2", s, nudged, t0)
+    got = policies._finish("P2", s, nudged, t0, tol=markov.EVAL_TOL, objective=1.5,
+                           iterations=3, residual=0.25)
+    assert (got.objective, got.iterations, got.residual) == (1.5, 3, 0.25)
+    assert got.report.ltec == markov.evaluate(nudged, s).ltec
+
+
+@pytest.mark.parametrize("name,kind,err", [
+    ("P1", "fives", r"^P1: invalid policy: entry \(0, 1\) above 1: 5"),
+    ("P2", "fives", r"^P2: invalid policy: "),
+    ("P3", "fives", r"^P3: invalid policy: "),
+    ("P2", "z0", r"^P2: z_0 = 0\.000e\+00 is not strictly positive"),
+    ("P3", "z0", r"^P3: z_0 = 0\.000e\+00 is not strictly positive"),
+])
+def test_unusable_lp_solution_is_a_solver_failure(tmp_path, name, kind, err):
+    """An LP solution reported optimal that fails validation, or whose z
+    cannot be divided by, is a SolverFailure naming the policy."""
+    s = random_scenario(np.random.default_rng(3102), k=6, n=2, v="skewed")
+    with pytest.raises(policies.SolverFailure, match=err):
+        policies.solve_named(name, s, method="external",
+                             external_cmd=bad_solver_cmd(tmp_path, kind))
