@@ -6,6 +6,7 @@ Subcommands: gen, ingest, solve, eval, sim, sweep, oracle. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -28,9 +29,6 @@ EXIT_IO = 4
 
 _SOLVER_METHODS = {"auto": "auto", "builtin": "dense", "highs": "highs", "external": "external"}
 _PROBLEM_POLICY = {"greedy": "P1", "uni": "P2", "pref": "P3"}
-#: What a sweep can vary: the quality floor q, the slot count N, alpha, the
-#: popularity exponent s, the click entropy Hv and the cache size C.
-SWEEP_AXES = ("q", "N", "alpha", "s", "Hv", "C")
 
 
 def gain(chr_x: float, chr_y: float) -> float | None:
@@ -176,14 +174,14 @@ class SweepSpec:
     """One parameter sweep: vary `axis` over `values` for each policy, on
     the graph of the config's `seed`.
 
-    Hv values are position-zipf exponents; each cell's realized click
-    entropy is reported as the axis value. N and C values are counts, and
-    so is the config's `seed`, so a fraction is refused. The gain reference
-    must be one of the policies. Under binary costs the default reference,
-    P1, is one of several myopic optima, picked by the lowest-index tie rule
-    (see `policies.solve_greedy`), so gains against it depend on that rule.
-    A solver method other than "auto" needs a policy that runs a solver (P1,
-    P2 or P3).
+    Every value is judged here by `apply_axis`, before any row runs. Hv
+    values are position-zipf exponents; each cell's realized click entropy is
+    reported as the axis value. The config's `seed` is a count. The gain
+    reference must be one of the policies. Under binary costs the default
+    reference, P1, is one of several myopic optima, picked by the
+    lowest-index tie rule (see `policies.solve_greedy`), so gains against it
+    depend on that rule. A solver method other than "auto" needs a policy
+    that runs a solver (P1, P2 or P3).
     """
 
     config: dict
@@ -195,13 +193,10 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise ValueError("sweep needs at least one axis value")
-        if self.axis in ("N", "C"):  # the config keys n and cache_size are counts
-            for value in self.values:
-                data._count(value, "n" if self.axis == "N" else "cache_size")
+        for value in self.values:
+            apply_axis(self.config, self.axis, value)
         unknown = set(self.policies) - set(policies.POLICY_NAMES)
         if unknown:
             raise ValueError(f"unknown policies: {sorted(unknown)}")
@@ -219,30 +214,33 @@ class SweepSpec:
         data._count(self.config.get("seed", 0), "seed")
 
 
+#: What a sweep can vary (the quality floor q, the slot count N, alpha, the
+#: popularity exponent s, the click entropy Hv, the cache size C): the config
+#: key each sets, and the key it drops so that the set one takes effect.
+_AXIS_KEYS = {"q": ("q", None), "N": ("n", "v"), "alpha": ("alpha", None),
+              "s": ("zipf_s", "p0"), "Hv": ("v", None), "C": ("cache_size", "c")}
+SWEEP_AXES = tuple(_AXIS_KEYS)
+
+
 def apply_axis(cfg: dict, axis: str, value) -> dict:
     """Return a shallow config copy with one swept parameter applied; only
-    top-level keys change, so nested values are shared with `cfg`."""
-    if axis not in SWEEP_AXES:
+    top-level keys change, so nested values are shared with `cfg`. The value
+    follows the config rule of the key it sets: N and C are counts, q, alpha,
+    s and Hv numbers. An Hv value is the exponent of position-zipf clicks over
+    the config's `n` slots, a count. A broken rule raises ValueError naming
+    the key."""
+    if axis not in _AXIS_KEYS:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    out = dict(cfg)
-    if axis == "q":
-        out["q"] = float(value)
-    elif axis == "alpha":
-        out["alpha"] = float(value)
-    elif axis == "N":
-        out["n"] = data._count(value, "n")
-        out.pop("v", None)  # slot count changed: keep clicks uniform
-    elif axis == "s":
-        out["zipf_s"] = float(value)
-        out.pop("p0", None)
-    elif axis == "C":
-        out["cache_size"] = data._count(value, "cache_size")
-        out.pop("c", None)
-    else:  # Hv
-        n = int(out.get("n", 2))
-        beta = float(value)
-        weights = np.arange(1, n + 1, dtype=float) ** (-beta)
-        out["v"] = (weights / weights.sum()).tolist()
+    key, drops = _AXIS_KEYS[axis]
+    out = {name: val for name, val in cfg.items() if name != drops}
+    if axis in ("N", "C"):
+        out[key] = data._count(value, key)
+    elif axis != "Hv":
+        out[key] = data._number(value, key)
+    else:
+        slots = np.arange(1, data._count(cfg.get("n", 2), "n") + 1, dtype=float)
+        weights = slots ** -data._number(value, key)
+        out[key] = (weights / weights.sum()).tolist()
     return out
 
 
@@ -253,40 +251,39 @@ def _status(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
 
 
-def _sweep_point(payload) -> list[dict]:
+def _rows(spec: SweepSpec, value, status: str = "ok") -> list[dict]:
+    """One unsolved row per policy, in order, at one axis value."""
+    return [{"axis": spec.axis, "policy": name, "status": status, "chr": None, "ltec": None,
+             "mph": None, "value": value, "wall_time_s": 0.0, "gain_pct": None}
+            for name in spec.policies]
+
+
+def _sweep_point(spec: SweepSpec, graph: np.ndarray, value) -> list[dict]:
     """The rows of one axis value, one per policy in order.
 
-    The axis is applied once, and one scenario is built on the sweep's graph
-    and serves every policy. A row takes the status of the first failure
-    among the axis, the graph, the scenario and its own solve. Its
-    wall_time_s is its solve time.
+    One scenario is built on the sweep's graph and serves every policy. A
+    row takes the status of the first failure among the scenario and its own
+    solve; its wall_time_s is its solve time, its gain_pct against the
+    reference row's hit rate.
     """
-    cfg, axis, value, names, graph, solve_kw = payload
-    rows = [{"axis": axis, "policy": name, "status": "ok", "chr": None, "ltec": None,
-             "mph": None, "value": value, "wall_time_s": 0.0} for name in names]
-
-    def fail(status: str) -> list[dict]:
-        for row in rows:
-            row["status"] = status
-        return rows
-
     try:
-        point_cfg = apply_axis(cfg, axis, value)
-        if isinstance(graph, str):
-            return fail(graph)
-        scenario = data.scenario_on_graph(point_cfg, graph)
+        scenario = data.scenario_on_graph(apply_axis(spec.config, spec.axis, value), graph)
     except Exception as exc:
-        return fail(_status(exc))
+        return _rows(spec, value, _status(exc))
+    rows = _rows(spec, value)
     cache_only = mph(scenario.p0, scenario.c) if scenario.binary_costs else None
-    reported = entropy(scenario.v) if axis == "Hv" else value
+    reported = entropy(scenario.v) if spec.axis == "Hv" else value
     for row in rows:
         t0 = time.perf_counter()
         try:
-            report = policies.solve_named(row["policy"], scenario, **solve_kw).report
+            report = policies.solve_named(row["policy"], scenario, **spec.solve_kw).report
             row.update(ltec=report.ltec, chr=report.chr, mph=cache_only, value=reported)
         except Exception as exc:  # record and keep sweeping
             row["status"] = _status(exc)
         row["wall_time_s"] = time.perf_counter() - t0
+    ref_chr = next(row["chr"] for row in rows if row["policy"] == spec.reference)
+    for row in rows:
+        row["gain_pct"] = gain(row["chr"], ref_chr)
     return rows
 
 
@@ -299,24 +296,14 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """
     try:
         graph = data.graph_from_config(spec.config)[0]
-    except Exception as exc:
-        graph = _status(exc)
-    points = [(spec.config, spec.axis, value, spec.policies, graph, spec.solve_kw)
-              for value in spec.values]
-    workers = min(spec.workers, len(points))  # a pool starts all its workers at once
+    except Exception as exc:  # no point can build its scenario
+        return [row for value in spec.values for row in _rows(spec, value, _status(exc))]
+    point = functools.partial(_sweep_point, spec, graph)
+    workers = min(spec.workers, len(spec.values))  # a pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_sweep_point, points))
-    else:
-        groups = list(map(_sweep_point, points))
-
-    # attach gains against the reference policy at the same axis point
-    for group in groups:
-        ref = next((r for r in group if r["policy"] == spec.reference), None)
-        for row in group:
-            row["gain_pct"] = gain(row["chr"], ref["chr"]) if ref and ref["status"] == "ok" \
-                else None
-    return [row for group in groups for row in group]
+            return [row for group in pool.map(point, spec.values) for row in group]
+    return [row for value in spec.values for row in point(value)]
 
 
 def _fmt(x) -> str:
@@ -475,7 +462,7 @@ def cmd_sim(args) -> int:
           f"cost_rate={report.empirical_cost_rate:.6f} (stderr {report.stderr:.2e}) "
           f"CHR={hit} mean_cycle={report.mean_cycle_length:.4f} "
           f"(stderr {report.cycle_length_stderr:.2e}, {report.n_cycles} cycles)")
-    analytic = markov.evaluate(policy, scenario)
+    analytic = markov.solve(policy, scenario)  # simulate validated it at EVAL_TOL
     print(f"analytic: LTEC={analytic.ltec:.6f} "
           f"diff={abs(analytic.ltec - report.empirical_cost_rate):.2e}")
     return EXIT_OK

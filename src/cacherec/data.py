@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .model import Scenario, _whole
+from .model import Scenario, _real, _whole
 
 
 @dataclass(frozen=True)
@@ -199,13 +199,8 @@ def load_config(path) -> dict:
 
 
 def _number(val, key: str) -> float:
-    """A config scalar as float; anything but a real number raises naming the key."""
-    if isinstance(val, (int, float, np.integer, np.floating)) and not isinstance(val, bool):
-        try:
-            return float(val)
-        except OverflowError:
-            pass
-    raise ValueError(f"config key {key!r} must be a number, got {reprlib.repr(val)}")
+    """A config scalar as a float (`_real`); raises naming the key."""
+    return _real(val, f"config key {key!r}")
 
 
 def _count(val, key: str) -> int:
@@ -322,8 +317,9 @@ def save_scenario_npz(path, scenario: Scenario) -> None:
 def load_scenario_npz(path) -> Scenario:
     """Read a scenario written by `save_scenario_npz`. A file that is not an
     .npz archive raises ValueError naming the path; one that lacks a member,
-    or holds one that needs pickle, a scalar that is not one or an `n` that
-    is not a whole number (the rule of config counts), names the member too."""
+    or holds one that needs pickle, an `alpha` or `q` that is not a real
+    number or an `n` that is not a whole number (the rules of config scalars
+    and counts, applied to the 0-d member), names the member too."""
     with open(path, "rb") as fh:  # np.load leaves a path open when the zip is bad
         try:
             z = np.load(fh)
@@ -331,11 +327,11 @@ def load_scenario_npz(path) -> Scenario:
             raise ValueError(f"{path}: not a scenario .npz file: {exc}") from None
         if not isinstance(z, np.lib.npyio.NpzFile):
             raise ValueError(f"{path}: not a scenario .npz file: it holds a single array")
-        scalars = {"alpha": float, "n": lambda arr: _whole(arr.item(), "n"), "q": float}
+        scalars = {"alpha": _real, "n": _whole, "q": _real}
         members = {}
         for key in ("u", "c", "p0", "v", "alpha", "n", "q"):
             try:
-                members[key] = scalars[key](z[key]) if key in scalars else z[key]
+                members[key] = scalars[key](z[key][()], key) if key in scalars else z[key]
             except KeyError:
                 raise ValueError(f"{path}: not a scenario .npz file: no member {key!r}") from None
             except (TypeError, ValueError) as exc:

@@ -12,7 +12,7 @@ A policy is held as one CSR matrix of plain numpy arrays, in canonical form
 (columns increasing within a row, no entry stored twice or as zero), with
 the slot matrices stacked slot-major. Validation, quality and the slot sums
 of the click kernel visit only the stored entries; the dense (K, K) matrix
-or (N, K, K) stack is built only on request, for the LP oracle and tests.
+or (N, K, K) stack is built only on request, for perfbench, demos and tests.
 """
 from __future__ import annotations
 
@@ -48,6 +48,16 @@ def _whole(val, name: str) -> int:
     raise ValueError(f"{name} must be a whole number >= 0, got {reprlib.repr(val)}")
 
 
+def _real(val, name: str) -> float:
+    """A real number as float; a bool or a non-number raises ValueError naming it."""
+    if isinstance(val, (int, float, np.integer, np.floating)) and not isinstance(val, bool):
+        try:
+            return float(val)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number, got {reprlib.repr(val)}")
+
+
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or infinite values")
@@ -62,10 +72,10 @@ class Scenario:
         c: (K,) nonnegative access costs. Binary {0, 1} with 1 = cache miss
            for hit-rate scenarios.
         p0: (K,) catalog popularity; strictly positive, sums to 1.
-        alpha: probability a request follows the recommender, in [0, 1).
+        alpha: probability a request follows the recommender, a number in [0, 1).
         n: number of recommendation slots, a whole number with 1 <= n <= K-1.
         v: (n,) position click probabilities, sums to 1. Defaults to uniform.
-        q: required fraction of the per-content maximum quality, in [0, 1].
+        q: required fraction of the per-content maximum quality, a number in [0, 1].
     """
 
     u: np.ndarray
@@ -96,8 +106,9 @@ class Scenario:
         if np.any(p0 <= 0.0):
             raise ValueError("p0 must be strictly positive for every content")
 
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
+        alpha, q = _real(self.alpha, "alpha"), _real(self.q, "q")
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError(f"alpha must be in [0, 1), got {alpha}")
 
         n = _whole(self.n, "n")
         if not 1 <= n <= k - 1:
@@ -111,12 +122,13 @@ class Scenario:
             if np.any(v < 0.0) or abs(v.sum() - 1.0) > 1e-9:
                 raise ValueError("v must be a probability vector over the slots")
 
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {self.q}")
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"q must be in [0, 1], got {q}")
 
         for arr in (u, c, p0, v):
             arr.flags.writeable = False  # its own copies, validated once
-        for name, val in (("u", u), ("c", c), ("p0", p0), ("v", v), ("n", n)):
+        for name, val in (("u", u), ("c", c), ("p0", p0), ("v", v), ("n", n),
+                          ("alpha", alpha), ("q", q)):
             object.__setattr__(self, name, val)
 
     @property
@@ -175,7 +187,7 @@ class Policy:
     flat keys row * K + column in any order, drops zero values and sorts.
     `Policy(kind, dense)` converts a dense (K, K) matrix or (N, K, K) stack;
     `Policy.from_entries` takes keys and values as they come. `.mats` builds
-    the dense view on demand, for the LP oracle, the demos and the tests.
+    the dense view on demand; only perfbench, the demos and the tests read it.
     """
 
     kind: str

@@ -37,9 +37,10 @@ calls.
 
 `sweep_each_cell` is the parameter sweep in its plain form: every
 (axis value, policy) cell applies the axis and rebuilds the graph and the
-scenario from the config for each seed. `cli.run_sweep` builds each seed's
-graph once and each axis value's scenario once, and must return the same
-rows, `wall_time_s` aside.
+scenario from the config, and a second pass attaches the gains of each axis
+value's rows. `cli.run_sweep` builds the config's graph once and each axis
+value's scenario once, each point attaches its own gains, and it must
+return the same rows, `wall_time_s` aside.
 
 `entrywise_session_lp` emits the session LP one coefficient at a time from
 nested loops over contents, with the f-column of pair (i, j) computed by

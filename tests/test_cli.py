@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cacherec import cli, data, policies
+from cacherec import cli, data, markov, policies, sim
 from cacherec.cli import (EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_SOLVER, SweepSpec, apply_axis,
                           build_parser, gain, main, mph, read_policy_csv, run_sweep,
                           write_policy_csv, write_sweep_csv)
@@ -321,10 +321,10 @@ class TestSweep:
         assert got == sweep_each_cell(spec)
         assert [row["status"] == "ok" for row in got] == [True] * 4 + [False] * 2
 
-    def test_pool_never_outnumbers_the_points(self, monkeypatch):
-        """A process pool starts all its workers at the first task, so a
-        sweep asks for no more workers than it has axis points, and runs one
-        point without a pool. The fake pool maps in this process."""
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The worker counts of the pools a sweep starts; the fake pool maps
+        in this process."""
         started = []
 
         class FakePool:
@@ -341,6 +341,12 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        return started
+
+    def test_pool_never_outnumbers_the_points(self, started):
+        """A process pool starts all its workers at the first task, so a
+        sweep asks for no more workers than it has axis points, and runs one
+        point without a pool."""
         spec = dict(config=self.small_cfg(), axis="q", policies=["P1", "P2"])
         rows = run_sweep(SweepSpec(values=[0.7, 0.9], workers=64, **spec))
         assert started == [2]
@@ -348,6 +354,31 @@ class TestSweep:
         assert started == [2]
         assert without_wall_time(rows) == without_wall_time(
             run_sweep(SweepSpec(values=[0.7, 0.9], **spec)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_graph_fails_every_row(self, started, workers):
+        """A graph that cannot be built is every row's status, and no row has
+        a gain, whether the points would run in order or on the pool."""
+        cfg = {**self.small_cfg(), "graph": {"kind": "poisson", "mean_degree": 3}}
+        rows = run_sweep(SweepSpec(config=cfg, axis="alpha", values=[0.5, 0.7],
+                                   policies=["baseline", "P1"], workers=workers))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["status"] == ("error: ValueError: config key 'graph.k' is required "
+                                     "for a poisson graph")
+            assert (row["chr"], row["gain_pct"], row["wall_time_s"]) == (None, None, 0.0)
+        assert started == []  # no point could build its scenario
+
+    @pytest.mark.parametrize("axis, key", [("q", "q"), ("alpha", "alpha"), ("s", "zipf_s"),
+                                           ("Hv", "v")])
+    @pytest.mark.parametrize("bad", [True, "0.5", None, np.array([0.5])],
+                             ids=["bool", "string", "none", "array"])
+    def test_spec_refuses_a_value_that_is_not_a_number(self, axis, key, bad):
+        """Every value is judged by its config key's rule before any row
+        runs: a bool or a string is not coerced to a number. An Hv value is
+        the exponent of the clicks `v`."""
+        with pytest.raises(ValueError, match=f"^config key '{key}' must be a number, got "):
+            SweepSpec(config=self.small_cfg(), axis=axis, values=[0.5, bad], policies=["P1"])
 
     def test_unusable_lp_solution_fails_its_row(self, tmp_path):
         rows = run_sweep(SweepSpec(
@@ -644,8 +675,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("member,problem", [
         ("c", None), ("q", np.array([None], dtype=object)), ("alpha", np.array([0.5, 0.6])),
-        ("n", np.array(2.7)), ("n", np.array(-1))],
-        ids=["missing", "object-array", "non-scalar", "fractional-n", "negative-n"])
+        ("n", np.array(2.7)), ("n", np.array(-1)), ("q", np.array(True)),
+        ("alpha", np.array("0.5")), ("alpha", np.array([0.5]))],
+        ids=["missing", "object-array", "non-scalar", "fractional-n", "negative-n", "bool-q",
+             "string-alpha", "one-element-alpha"])
     def test_bad_scenario_member_exits_io_naming_file_and_member(
             self, cfg_file, tmp_path, capsys, member, problem):
         npz = tmp_path / "scen.npz"
@@ -706,6 +739,44 @@ class TestCommands:
             assert err.startswith("error: config key 'seed'"), err
             assert "Traceback" not in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("n, shown", [("abc", "'abc'"), ("2.5", "2.5"), ("true", "True"),
+                                          ("-1", "-1")])
+    def test_sweep_hv_bad_config_n_exits_io_naming_it(self, tmp_path, capsys, n, shown):
+        """The Hv axis sizes its clicks by the config's n, which follows the
+        count rule before any row is solved."""
+        cfg, out = tmp_path / "c.yaml", tmp_path / "sweep.csv"
+        cfg.write_text("graph: {kind: poisson, k: 30, mean_degree: 4}\nalpha: 0.8\n"
+                       f"n: {n}\nq: 0.9\nzipf_s: 0.7\ncache_size: 2\nseed: 1\n")
+        assert main(["sweep", "--config", str(cfg), "--axis", "Hv", "--values", "0.5,1",
+                     "--policies", "P1,P2", "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == \
+            f"error: config key 'n' must be a whole number >= 0, got {shown}\n"
+        assert not out.exists()
+
+    def test_sim_validates_its_policy_once(self, cfg_file, tmp_path, monkeypatch, capsys):
+        """simulate validates the policy; the analytic line reuses that check
+        and prints what `markov.evaluate` gives."""
+        policy_file = tmp_path / "policy.csv"
+        assert main(["solve", "--problem", "pref", "--config", str(cfg_file),
+                     "--out", str(policy_file)]) == EXIT_OK
+        capsys.readouterr()
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(kw.get("tol"))
+            return validate_policy(*args, **kw)
+
+        monkeypatch.setattr(sim, "validate_policy", counting)
+        monkeypatch.setattr(markov, "validate_policy", counting)
+        assert main(["sim", "--config", str(cfg_file), "--policy", str(policy_file),
+                     "--steps", "2000"]) == EXIT_OK
+        assert calls == [markov.EVAL_TOL]
+        monkeypatch.undo()
+        report = markov.evaluate(read_policy_csv(policy_file),
+                                 scenario_from_config(data.load_config(cfg_file))[0])
+        assert capsys.readouterr().out.splitlines()[-1].startswith(
+            f"analytic: LTEC={report.ltec:.6f} diff=")
 
     def test_infeasible_exit_code(self, cfg_file, monkeypatch, capsys):
         from cacherec import policies as pol

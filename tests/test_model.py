@@ -61,6 +61,16 @@ class TestScenario:
             with pytest.raises(ValueError, match="^n must be a whole number >= 0"):
                 scenario5(n=bad)
 
+    @pytest.mark.parametrize("field", ["alpha", "q"])
+    def test_alpha_and_q_follow_the_rule_of_config_numbers(self, field):
+        """A real number of any type is stored as a float; a bool, a string,
+        None or an array is refused naming the field, not compared or stored."""
+        s = scenario5(**{field: np.float32(0.5)})
+        assert (getattr(s, field), type(getattr(s, field))) == (0.5, float)
+        for bad in (np.array([0.5]), np.array(0.5), True, np.bool_(True), "0.5", None):
+            with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+                scenario5(**{field: bad})
+
     def test_uniform_click_default(self):
         s = scenario5()
         assert np.allclose(s.v, 0.5)
