@@ -174,7 +174,10 @@ class SweepSpec:
     """One parameter sweep: vary `axis` over `values` for each policy, on
     the graph of the config's `seed`.
 
-    Every value is judged here by `apply_axis`, before any row runs. Hv
+    Every value is judged here, before any row runs: by `apply_axis`, and
+    the config it gives by `data.scenario_keys`, so a mistyped key that the
+    axis does not set raises too. The checks that need the graph's K are
+    left to each point, whose rows fail with their error. Hv
     values are position-zipf exponents; each cell's realized click entropy is
     reported as the axis value. The config's `seed` is a count. The gain
     reference must be one of the policies. Under binary costs the default
@@ -196,7 +199,7 @@ class SweepSpec:
         if not self.values:
             raise ValueError("sweep needs at least one axis value")
         for value in self.values:
-            apply_axis(self.config, self.axis, value)
+            data.scenario_keys(apply_axis(self.config, self.axis, value))
         unknown = set(self.policies) - set(policies.POLICY_NAMES)
         if unknown:
             raise ValueError(f"unknown policies: {sorted(unknown)}")

@@ -257,33 +257,41 @@ def graph_from_config(cfg: dict, base_dir=".") -> tuple[np.ndarray, GraphStats |
     return u, None
 
 
+def scenario_keys(cfg: dict) -> dict:
+    """The config's non-graph keys, each read by its config rule: alpha, q
+    and zipf_s are numbers; n, and cache_size when present, are counts; p0
+    and c when present, and v unless it is absent or "uniform", are lists of
+    numbers (None otherwise). A missing scalar takes its default. A mistyped
+    value raises ValueError naming its key. The checks that need the catalog
+    size K are left to `scenario_on_graph`."""
+    keys = {key: _number(cfg.get(key, default), key)
+            for key, default in (("alpha", 0.8), ("q", 0.9), ("zipf_s", 0.7))}
+    keys["n"] = _count(cfg.get("n", 2), "n")
+    keys["cache_size"] = _count(cfg["cache_size"], "cache_size") if "cache_size" in cfg else None
+    for key in ("p0", "c"):
+        keys[key] = _floats(cfg[key], key) if key in cfg else None
+    v = cfg.get("v", "uniform")
+    keys["v"] = None if v is None or v == "uniform" else _floats(v, "v")
+    return keys
+
+
 def scenario_on_graph(cfg: dict, u: np.ndarray) -> Scenario:
-    """The Scenario that the config's non-graph keys describe on the
-    similarity matrix `u`, which is not modified: popularity, cache, clicks,
-    alpha, n and q. A missing or mistyped value raises ValueError naming its
-    key."""
-    k = u.shape[0]
-    if "p0" in cfg:
-        p0 = _floats(cfg["p0"], "p0")
-        if p0.shape != (k,):
-            raise ValueError(f"config key 'p0' must list {k} numbers, got shape {p0.shape}")
-    else:
-        p0 = zipf_popularity(k, _number(cfg.get("zipf_s", 0.7), "zipf_s"))
-
-    if "c" in cfg:
-        c = _floats(cfg["c"], "c")
-    else:
-        c = place_cache(p0, _count(cfg.get("cache_size", max(1, k // 50)), "cache_size"))
-
-    v_cfg = cfg.get("v", "uniform")
-    v = None if (v_cfg is None or v_cfg == "uniform") else _floats(v_cfg, "v")
-
-    return Scenario(
-        u=u, c=c, p0=p0,
-        alpha=_number(cfg.get("alpha", 0.8), "alpha"),
-        n=_count(cfg.get("n", 2), "n"), v=v,
-        q=_number(cfg.get("q", 0.9), "q"),
-    )
+    """The Scenario that the config's non-graph keys, read by `scenario_keys`,
+    describe on the similarity matrix `u`, which is not modified: popularity,
+    cache, clicks, alpha, n and q. A missing or mistyped value raises
+    ValueError naming its key."""
+    k, keys = u.shape[0], scenario_keys(cfg)
+    p0 = keys["p0"]
+    if p0 is None:
+        p0 = zipf_popularity(k, keys["zipf_s"])
+    elif p0.shape != (k,):
+        raise ValueError(f"config key 'p0' must list {k} numbers, got shape {p0.shape}")
+    c = keys["c"]
+    if c is None:
+        cache_size = keys["cache_size"]
+        c = place_cache(p0, max(1, k // 50) if cache_size is None else cache_size)
+    return Scenario(u=u, c=c, p0=p0, alpha=keys["alpha"], n=keys["n"], v=keys["v"],
+                    q=keys["q"])
 
 
 def scenario_from_config(cfg: dict, base_dir=".") -> tuple[Scenario, GraphStats | None]:

@@ -52,7 +52,9 @@ def click_kernel(policy: Policy, scenario: Scenario) -> tuple[np.ndarray, np.nda
     recommendation: R/N for uniform clicks, sum_n v_n R^n for positional.
 
     Returned as K-row CSR arrays (indptr, indices, data) with columns
-    increasing in each row; entry for entry it equals the dense kernel."""
+    increasing in each row; entry for entry it equals the dense kernel. A
+    positional kernel is `slot_sum`'s canonical form, which stores no zero
+    sum, such as one under a zero click weight."""
     if policy.is_positional:
         return slot_sum(policy, scenario.v)
     return policy.indptr, policy.indices, policy.data / scenario.n

@@ -158,13 +158,18 @@ class Scenario:
 
 def _canonical(key: np.ndarray, val: np.ndarray, rows: int, k: int):
     """Canonical CSR arrays (indptr, indices, data) of `rows` rows of width k
-    from values at distinct flat keys row * k + column, in any order: zero
-    values are dropped and the keys sorted."""
-    keep = val != 0.0
-    key, val = key[keep], val[keep]
-    order = key.argsort()
+    from values at flat keys row * k + column, in any order: the values of a
+    repeated key are added to 0.0 in the order given, zero sums are dropped
+    and the keys sorted. bincount adds the values of a run of equal keys one
+    at a time and, unlike a ufunc, stays silent when a sum overflows."""
+    order = key.argsort(kind="stable")
     key = key[order]
-    return key.searchsorted(np.arange(0, (rows + 1) * k, k)), key % k, val[order]
+    new = np.ones(key.size, dtype=bool)  # where each run of equal keys starts
+    new[1:] = key[1:] != key[:-1]
+    total = np.asarray(np.bincount(new.cumsum() - 1, val[order]), dtype=float)  # int when empty
+    keep = total != 0.0
+    key = key[new][keep]
+    return key.searchsorted(np.arange(0, (rows + 1) * k, k)), key % k, total[keep]
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -183,11 +188,12 @@ class Policy:
     within each row, and no entry is stored twice or stored as zero. A policy
     that mixes two slates per content has at most 2N entries per content.
 
-    Every constructor goes through one canonicalizer, which takes distinct
-    flat keys row * K + column in any order, drops zero values and sorts.
-    `Policy(kind, dense)` converts a dense (K, K) matrix or (N, K, K) stack;
-    `Policy.from_entries` takes keys and values as they come. `.mats` builds
-    the dense view on demand; only perfbench, the demos and the tests read it.
+    Every constructor goes through one canonicalizer, which takes flat keys
+    row * K + column in any order, adds the values of a repeated key, drops
+    zero sums and sorts. `Policy(kind, dense)` converts a dense (K, K) matrix
+    or (N, K, K) stack; `Policy.from_entries` takes keys and values as they
+    come. `.mats` builds the dense view on demand; only perfbench, the demos
+    and the tests read it.
     """
 
     kind: str
@@ -225,10 +231,15 @@ class Policy:
 
     @classmethod
     def from_entries(cls, kind: str, k: int, rows: int, key, val) -> "Policy":
-        """Policy of `rows` rows from entry values `val` at distinct flat keys
-        `key` = row * K + column, in any order; zero values are not stored."""
+        """Policy of `rows` rows from entry values `val` at flat keys `key` =
+        row * K + column, in any order; arrays of more than one dimension are
+        read in row-major order. A repeated key stores the sum of its values,
+        added in that order, and a zero sum is not stored."""
+        key, val = np.asarray(key, dtype=np.intp).ravel(), np.asarray(val, dtype=float).ravel()
+        if key.size != val.size:
+            raise ValueError(f"{key.size} entry keys for {val.size} values")
         policy = cls.__new__(cls)
-        policy._set(kind, k, rows, np.asarray(key, dtype=np.intp), np.asarray(val, dtype=float))
+        policy._set(kind, k, rows, key, val)
         return policy
 
     @property
@@ -256,19 +267,18 @@ class Policy:
 
 def slot_sum(policy: Policy, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sum_n weights[n] * R^n over the slot matrices of a positional policy,
-    as K-row CSR arrays (indptr, indices, data) with columns increasing in
-    each row.
+    as K-row CSR arrays (indptr, indices, data) in canonical form: the
+    canonicalizer applied to the weighted entries at their keys i * K + j.
 
-    Each entry's terms are added in slot order, starting from zero, which is
-    the order of a sum over the dense (N, K, K) stack, so the two agree
-    bitwise: the policy stores its entries slot-major, and bincount adds the
-    weights of a group to 0.0 in array order (so a lone -0.0 sums to 0.0).
+    The policy stores its entries slot-major, so each entry's terms are added
+    to 0.0 in slot order, the order of a sum over the dense (N, K, K) stack,
+    and the two agree bitwise. A zero sum, such as one under a zero slot
+    weight, is not stored.
     """
     k = policy.k
     slot, i = np.divmod(policy.rows, k)
     terms = np.asarray(weights, dtype=float)[slot] * policy.data
-    key, group = np.unique(i * k + policy.indices, return_inverse=True)
-    return key.searchsorted(np.arange(0, (k + 1) * k, k)), key % k, np.bincount(group, terms)
+    return _canonical(i * k + policy.indices, terms, k, k)
 
 
 @dataclass(frozen=True)
@@ -391,27 +401,21 @@ def slate_policy(lo: np.ndarray, hi: np.ndarray, theta: np.ndarray,
     lo and hi are (K, N) item indices. Without `v` the slates are unordered
     and the policy is uniform; with `v`, column t of each slate goes to slot
     slot_order(v)[t] and the policy is positional. Row i of a uniform policy
-    holds lo[i] and hi[i]; row n*K + i of a positional one holds the lo and
-    hi items of slot n. An item both show (in the same slot, for a
-    positional policy) keeps its lo entry, 1.0, and drops its hi entry, 0.0,
-    so no entry repeats.
+    holds theta_i at each lo[i] item and 1 - theta_i at each hi[i] item; row
+    n*K + i of a positional one holds those of slot n. The canonicalizer adds
+    the two entries of an item both show (in the same slot, for a positional
+    policy): theta + (1 - theta) is exactly 1.0 for every theta in [0, 1].
     """
     k, n = lo.shape
     if v is not None and np.shape(v) != (n,):
         raise ValueError(f"v must have length n={n}, got shape {np.shape(v)}")
-    row = np.arange(k)[:, None]
-    if v is None:
-        same = lo[:, :, None] == hi[:, None, :]
-        shared_lo, shared_hi = same.any(axis=2), same.any(axis=1)
-        kind, rows = "uniform", k
-    else:
-        shared_lo = shared_hi = lo == hi
+    row, kind, rows = np.arange(k)[:, None], "uniform", k
+    if v is not None:
         row = slot_order(v) * k + row  # slot of slate column t, after content i
         kind, rows = "positional", n * k
-    theta = theta[:, None]
-    on_lo, on_hi = np.where(shared_lo, 1.0, theta), np.where(shared_hi, 0.0, 1.0 - theta)
     key = np.concatenate([row * k + lo, row * k + hi], axis=1)
-    return Policy.from_entries(kind, k, rows, key, np.concatenate([on_lo, on_hi], axis=1))
+    val = np.repeat(np.column_stack([theta, 1.0 - theta]), n, axis=1)
+    return Policy.from_entries(kind, k, rows, key, val)
 
 
 def baseline_policy(u: np.ndarray, n: int, v: np.ndarray | None = None) -> Policy:

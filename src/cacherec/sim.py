@@ -47,8 +47,11 @@ class SimReport:
 
     stderr is the batch-means standard error of the per-request cost (the
     request stream is autocorrelated within renewal cycles, so plain i.i.d.
-    errors would be too small). cycle_length_stderr is the plain standard
-    error over completed cycles.
+    errors would be too small): the requests are cut into min(N_BATCHES,
+    steps) batches of steps // that many, any rest dropped, so below
+    N_BATCHES steps each batch is one request and it is the i.i.d. error.
+    It is NaN for one step. cycle_length_stderr is the plain standard error
+    over completed cycles.
     """
 
     steps: int
@@ -208,6 +211,9 @@ def _sample_path(policy: Policy, scenario: Scenario, steps: int,
 def simulate(policy: Policy, scenario: Scenario, steps: int, seed: int) -> SimReport:
     """Simulate `steps` requests and report empirical cost rate and cycle stats.
 
+    The cost rate's standard error is the batch-means error over
+    min(N_BATCHES, steps) equal batches (see `SimReport`).
+
     Raises ValueError, before drawing anything, when eight 8-byte values a
     step exceed the machine's memory: the sampling arrays peak at 57 bytes a
     step (alpha = 0, where every cycle has one request) and fewer for larger
@@ -226,12 +232,10 @@ def simulate(policy: Policy, scenario: Scenario, steps: int, seed: int) -> SimRe
     rate = float(costs.mean())
     hit_rate = 1.0 - rate if scenario.binary_costs else None
 
-    if steps >= N_BATCHES:
-        size = steps // N_BATCHES
-        batches = costs[: N_BATCHES * size].reshape(N_BATCHES, size).mean(axis=1)
-        stderr = float(batches.std(ddof=1) / math.sqrt(N_BATCHES))
-    else:
-        stderr = float(costs.std(ddof=1) / math.sqrt(steps)) if steps > 1 else float("nan")
+    n_batches = min(N_BATCHES, steps)
+    size = steps // n_batches
+    batches = costs[: n_batches * size].reshape(n_batches, size).mean(axis=1)
+    stderr = float(batches.std(ddof=1) / math.sqrt(n_batches)) if n_batches > 1 else float("nan")
 
     completed = lengths[:-1] if truncated else lengths
     if completed.size:

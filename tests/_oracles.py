@@ -19,6 +19,17 @@ policy. The production versions visit only the stored entries of the CSR
 policy and must return the same violations, the same kernel, bitwise the
 same cumulative sums and the same file bytes.
 
+`entry_loop_csr` is the policy canonicalizer in its plain form: a Python
+loop adds the values of each flat key to 0.0 in the order given, drops the
+zero sums and sorts the keys. `model._canonical` groups runs of equal keys
+after a stable argsort and adds each run with one bincount, and must return
+bitwise the same arrays. `shared_item_slate_csr` builds a two-slate policy
+without repeated keys: an item both slates show (in the same slot, for a
+positional policy) keeps its lo entry as 1.0 and drops its hi entry.
+`model.slate_policy` writes theta at every lo item and 1 - theta at every
+hi item and lets the canonicalizer add the two, and must return bitwise the
+same arrays.
+
 `reduced_dense_solve` is `markov.solve` on a dense Q: the recommended
 contents R are the columns of Q with a nonzero entry, V_R comes from
 np.linalg.solve of the principal submatrix of I - Q on R, and each other
@@ -67,7 +78,7 @@ from scipy import sparse
 from cacherec import data, markov, policies
 from cacherec.cli import apply_axis, gain, mph
 from cacherec.lp import LpProblem
-from cacherec.model import FEAS_TOL, entropy, max_quality, slate_policy
+from cacherec.model import FEAS_TOL, entropy, max_quality, slate_policy, slot_order
 
 
 def vertex_optimum(problem, tol: float = 1e-7):
@@ -244,6 +255,44 @@ def csr_arrays(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(indptr, indices, data) of the nonzero entries of a 2-D array."""
     rows, cols = np.nonzero(dense)
     return np.searchsorted(rows, np.arange(dense.shape[0] + 1)), cols, dense[rows, cols]
+
+
+def entry_loop_csr(key, val, rows: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference for `model._canonical`: (indptr, indices, data) of the sums
+    of each flat key's values, added to 0.0 in the order given, with the
+    zero sums dropped and the keys sorted."""
+    sums: dict[int, float] = {}
+    for at, x in zip(np.asarray(key).tolist(), np.asarray(val, dtype=float).tolist()):
+        sums[at] = sums.get(at, 0.0) + x
+    kept = sorted(at for at, total in sums.items() if total != 0.0)
+    indptr = [sum(at < row * k for at in kept) for row in range(rows + 1)]
+    return (np.array(indptr, dtype=np.intp), np.array([at % k for at in kept], dtype=np.intp),
+            np.array([sums[at] for at in kept], dtype=float))
+
+
+def shared_item_slate_csr(lo, hi, theta, v=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference for `model.slate_policy`, as CSR arrays: theta at each lo
+    item and 1 - theta at each hi item, except that an item both show (in
+    the same slot, for a positional policy) takes 1.0 at its lo entry and
+    nothing at its hi entry, so that no key repeats."""
+    k, n = lo.shape
+    row = np.arange(k)[:, None]
+    if v is None:
+        same = lo[:, :, None] == hi[:, None, :]
+        shared_lo, shared_hi = same.any(axis=2), same.any(axis=1)
+        rows = k
+    else:
+        shared_lo = shared_hi = lo == hi
+        row = slot_order(v) * k + row
+        rows = n * k
+    theta = theta[:, None]
+    on_lo, on_hi = np.where(shared_lo, 1.0, theta), np.where(shared_hi, 0.0, 1.0 - theta)
+    key = np.concatenate([row * k + lo, row * k + hi], axis=1).ravel()
+    val = np.concatenate([on_lo, on_hi], axis=1).ravel()
+    key, val = key[val != 0.0], val[val != 0.0]
+    order = key.argsort()
+    key = key[order]
+    return np.searchsorted(key, np.arange(rows + 1) * k), key % k, val[order]
 
 
 def dense_sample_path(policy, scenario, steps: int, rng: np.random.Generator):

@@ -98,9 +98,12 @@ class TestPolicyFiles:
         (UNIFORM_HEAD + "0,1\n", r"line 5: expected 3 fields"),
         (UNIFORM_HEAD + "0,1,nan\n", r"line 5: value 'nan' is not finite"),
         (UNIFORM_HEAD.split("\n", 1)[1] + "0,1,1.0\n", r"line 1: missing metadata header"),
+        (UNIFORM_HEAD.replace("i,j,r\n", ""),
+         r"line 4: end of file, expected the column header line"),
+        ("\n", r"line 2: end of file, expected metadata header '# cacherec-policy v1'"),
     ], ids=["negative-row", "negative-col", "row-beyond-k", "col-beyond-k", "slot-zero",
             "slot-beyond", "positional-col-beyond-k", "short-entry", "nan-value",
-            "no-header"])
+            "no-header", "eof-before-column-header", "eof-before-schema"])
     def test_malformed_entries_rejected(self, tmp_path, text, match):
         f = tmp_path / "p.csv"
         f.write_text(text)
@@ -380,6 +383,17 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^config key '{key}' must be a number, got "):
             SweepSpec(config=self.small_cfg(), axis=axis, values=[0.5, bad], policies=["P1"])
 
+    @pytest.mark.parametrize("axis, changes, err", [
+        ("q", {"alpha": "abc"}, "config key 'alpha' must be a number, got 'abc'"),
+        ("alpha", {"cache_size": 2.5}, "config key 'cache_size' must be a whole number"),
+    ], ids=["alpha-string", "fractional-cache"])
+    def test_spec_refuses_a_malformed_key_the_axis_does_not_set(self, axis, changes, err):
+        """Each value's config is read by the config rules before any row
+        runs, the keys the axis leaves alone included."""
+        with pytest.raises(ValueError, match=f"^{err}"):
+            SweepSpec(config={**self.small_cfg(), **changes}, axis=axis, values=[0.5, 0.9],
+                      policies=["P1", "P2"])
+
     def test_unusable_lp_solution_fails_its_row(self, tmp_path):
         rows = run_sweep(SweepSpec(
             config=self.small_cfg(), axis="q", values=[0.8], policies=["baseline", "P2"],
@@ -514,6 +528,19 @@ class TestCommands:
             "p0: [0.4, 0.3, 0.3]\nc: [0, 1, 1]\nalpha: 0.8\nn: 1\nq: 0\n")
         assert main(["oracle", "--config", str(cfg)]) == EXIT_OK
         assert "brute-force optimum" in capsys.readouterr().out
+
+    def test_oracle_out_evaluates_to_its_optimum(self, tmp_path, capsys):
+        """The policy file `oracle --out` writes is read back by eval, which
+        prints the same LTEC."""
+        cfg, policy = tmp_path / "k6.yaml", tmp_path / "oracle.csv"
+        cfg.write_text("graph: {kind: poisson, k: 6, mean_degree: 3}\nalpha: 0.8\nn: 2\n"
+                       "q: 0.9\nzipf_s: 0.7\ncache_size: 1\nseed: 1\n")
+        assert main(["oracle", "--config", str(cfg), "--out", str(policy)]) == EXIT_OK
+        found = capsys.readouterr().out
+        assert f"wrote {policy}" in found
+        assert main(["eval", "--config", str(cfg), "--policy", str(policy)]) == EXIT_OK
+        ltec = re.compile(r"LTEC=[0-9.]+")
+        assert ltec.search(capsys.readouterr().out).group() == ltec.search(found).group()
 
     def test_solve_matches_oracle_on_tiny_instance(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.yaml"
@@ -752,6 +779,18 @@ class TestCommands:
                      "--policies", "P1,P2", "--out", str(out)]) == EXIT_IO
         assert capsys.readouterr().err == \
             f"error: config key 'n' must be a whole number >= 0, got {shown}\n"
+        assert not out.exists()
+
+    def test_sweep_malformed_key_off_the_axis_exits_io(self, tmp_path, capsys):
+        """alpha is not the swept key, but it is read by its rule before any
+        row is solved."""
+        cfg, out = tmp_path / "c.yaml", tmp_path / "sweep.csv"
+        cfg.write_text("graph: {kind: poisson, k: 14, mean_degree: 4}\nalpha: abc\nn: 2\n"
+                       "q: 0.9\nzipf_s: 0.7\ncache_size: 2\nseed: 1\n")
+        assert main(["sweep", "--config", str(cfg), "--axis", "q", "--values", "0.8,0.9",
+                     "--policies", "P1,P2", "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == \
+            "error: config key 'alpha' must be a number, got 'abc'\n"
         assert not out.exists()
 
     def test_sim_validates_its_policy_once(self, cfg_file, tmp_path, monkeypatch, capsys):

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from cacherec import (Policy, Scenario, baseline_policy, entropy, max_quality,
+from cacherec import (Policy, Scenario, baseline_policy, entropy, markov, max_quality,
                       quality_of, quality_profile, validate_policy)
-from cacherec.model import FEAS_TOL, slot_sum, top_slates
-from _oracles import dense_validate_policy
+from cacherec.model import FEAS_TOL, _canonical, slate_policy, slot_sum, top_slates
+from _oracles import dense_validate_policy, entry_loop_csr, shared_item_slate_csr
 from conftest import (CORRUPTIONS, assert_canonical, corrupt_policy, random_positional_policy,
                       random_scenario, random_slate_policy, random_uniform_policy)
 
@@ -417,6 +417,25 @@ class TestSparsePolicy:
         with pytest.raises(ValueError, match=r"keys must lie in 0\.\.8"):
             Policy.from_entries("uniform", 3, 3, [0, key], [0.5, 0.5])
 
+    @pytest.mark.parametrize("val", [[0.5], [0.5, 0.5, 0.5]])
+    def test_keys_and_values_of_other_lengths_rejected(self, val):
+        with pytest.raises(ValueError, match=rf"2 entry keys for {len(val)} values"):
+            Policy.from_entries("uniform", 3, 3, [1, 5], val)
+
+    def test_repeated_key_stores_its_sum(self):
+        """Key 1 given twice is stored once, as 0.5 + 0.5: the dense view,
+        the row sums that validation takes and the session solve agree."""
+        p = Policy.from_entries("uniform", 3, 3, [1, 1, 5, 6], [0.5, 0.5, 1.0, 1.0])
+        assert (p.indptr.tolist(), p.indices.tolist(), p.data.tolist()) == (
+            [0, 1, 2, 3], [1, 2, 0], [1.0, 1.0, 1.0])
+        dense = Policy("uniform", p.mats)
+        assert dense.mats.sum(axis=1).tolist() == [1.0, 1.0, 1.0]
+        s = Scenario(u=np.ones((3, 3)), c=[0, 1, 1], p0=[0.4, 0.3, 0.3], alpha=0.8, n=1, q=0.0)
+        assert validate_policy(p, s) == []
+        got, want = markov.solve(p, s), markov.solve(dense, s)
+        assert got.cost_to_go.tobytes() == want.cost_to_go.tobytes()
+        assert (got.ltec, got.residual) == (want.ltec, want.residual)
+
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40), st.integers(1, 5))
 @settings(max_examples=200, deadline=None)
@@ -456,6 +475,65 @@ def test_entries_and_slot_sum_match_dense_stack(seed, k, n):
     summed = np.zeros((k, k))
     summed[rows, cols] = total
     assert summed.tobytes() == loop.tobytes()
+
+
+#: Values whose sums depend on the order they are added in, or cancel.
+AWKWARD = [0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 5e-324, -5e-324]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 6), st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_canonical_matches_entry_loop(seed, rows, k, size):
+    """Keys in 0..rows*k-1 in shuffled order, most of them repeated, with
+    negative values, exact cancellations and -0.0: the canonical arrays are
+    bitwise those of a loop that adds each key's values to 0.0 in the order
+    given, drops zero sums and sorts."""
+    rng = np.random.default_rng(seed)
+    key = rng.integers(0, rows * k, size=size)
+    val = np.where(rng.random(size) < 0.5, rng.uniform(-1.0, 1.0, size),
+                   rng.choice(AWKWARD, size))
+    twin = rng.random(size) < 0.3  # a second entry of opposite sign at the same key
+    key, val = np.concatenate([key, key[twin]]), np.concatenate([val, -val[twin]])
+    order = rng.permutation(key.size)
+    key, val = key[order], val[order]
+    got, want = _canonical(key, val, rows, k), entry_loop_csr(key, val, rows, k)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_slate_policy_matches_shared_item_oracle(seed, k, positional):
+    """Two slates per content that share items, in the same slot or not,
+    with theta 0, 1, subnormal or random: the policy's arrays are bitwise
+    those of the shared-item construction, in which no key repeats."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, k))
+    lo, hi = np.empty((k, n), dtype=np.intp), np.empty((k, n), dtype=np.intp)
+    for i in range(k):
+        others = np.delete(np.arange(k), i)
+        lo[i] = rng.choice(others, size=n, replace=False)
+        how = rng.integers(3)
+        if how == 0:  # the same items, in other slots
+            hi[i] = rng.permutation(lo[i])
+        elif how == 1:  # the same slate with some slots changed
+            hi[i] = lo[i]
+            free = np.setdiff1d(others, lo[i])
+            at = rng.choice(n, size=min(int(rng.integers(n + 1)), free.size), replace=False)
+            hi[i, at] = rng.choice(free, size=at.size, replace=False)
+        else:
+            hi[i] = rng.choice(others, size=n, replace=False)
+    theta = np.where(rng.random(k) < 0.5, rng.random(k),
+                     rng.choice([0.0, 1.0, 5e-324, 1e-310, 1.0 - 2.0 ** -53], size=k))
+    v = None
+    if positional:
+        v = rng.integers(1, 4, size=n).astype(float)  # ties in the slot order too
+        v /= v.sum()
+    policy = slate_policy(lo, hi, theta, v)
+    assert policy.kind == ("positional" if positional else "uniform")
+    for name, want in zip(("indptr", "indices", "data"), shared_item_slate_csr(lo, hi, theta, v)):
+        got = getattr(policy, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 9), st.booleans(),

@@ -1,6 +1,7 @@
 """Monte Carlo simulator and exhaustive search."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -48,6 +49,25 @@ class TestSimulate:
         rep = simulate(p, s, steps=400_000, seed=4)
         want = evaluate(p, s).ltec
         assert abs(rep.empirical_cost_rate - want) <= 3 * rep.stderr
+
+    @pytest.mark.parametrize("steps", [1, 2, 50, 99, 100, 101])
+    def test_stderr_follows_one_batch_rule(self, rng, steps):
+        """min(N_BATCHES, steps) batches: bitwise the i.i.d. error below
+        N_BATCHES steps, the batch-means error from there, NaN for one step."""
+        s = random_scenario(rng, k=6, binary_costs=False)
+        p = random_uniform_policy(rng, s)
+        rep = simulate(p, s, steps=steps, seed=5)
+        costs = s.c[_sample_path(p, s, steps, np.random.default_rng(5))[0]]
+        if steps == 1:
+            assert math.isnan(rep.stderr)
+            return
+        if steps < sim.N_BATCHES:
+            want = costs.std(ddof=1) / math.sqrt(steps)
+        else:
+            size = steps // sim.N_BATCHES
+            batches = costs[: sim.N_BATCHES * size].reshape(sim.N_BATCHES, size).mean(axis=1)
+            want = batches.std(ddof=1) / math.sqrt(sim.N_BATCHES)
+        assert rep.stderr.hex() == float(want).hex()
 
     def test_seed_reproducibility(self, rng):
         s = random_scenario(rng, k=6)
