@@ -261,25 +261,37 @@ def _rows(spec: SweepSpec, value, status: str = "ok") -> list[dict]:
             for name in spec.policies]
 
 
-def _sweep_point(spec: SweepSpec, graph: np.ndarray, value) -> list[dict]:
-    """The rows of one axis value, one per policy in order.
+def _sweep_point(spec: SweepSpec, graph: np.ndarray, value,
+                 previous: dict) -> tuple[list[dict], dict]:
+    """The rows of one axis value, one per policy in order, and the results
+    of the rows that solved, by policy.
 
     One scenario is built on the sweep's graph and serves every policy. A
     row takes the status of the first failure among the scenario and its own
-    solve; its wall_time_s is its solve time, its gain_pct against the
-    reference row's hit rate.
+    solve; its wall_time_s is its own solve time, its gain_pct against the
+    reference row's hit rate. On the "auto" method a P2 or P3 row starts
+    policy iteration from `previous`'s result of its policy, the previous
+    alpha point's in a chain (see `run_sweep`), and a P2 row without one
+    from this point's P1 result when P1 came earlier and solved. Each cell
+    is one `policies.solve_named` call, given its start as a keyword.
     """
     try:
         scenario = data.scenario_on_graph(apply_axis(spec.config, spec.axis, value), graph)
     except Exception as exc:
-        return _rows(spec, value, _status(exc))
-    rows = _rows(spec, value)
+        return _rows(spec, value, _status(exc)), {}
+    rows, results = _rows(spec, value), {}
     cache_only = mph(scenario.p0, scenario.c) if scenario.binary_costs else None
     reported = entropy(scenario.v) if spec.axis == "Hv" else value
+    warm = spec.solve_kw.get("method", "auto") == "auto"
     for row in rows:
+        name, start = row["policy"], None
+        if warm and name in ("P2", "P3"):
+            start = previous.get(name, results.get("P1") if name == "P2" else None)
+        solve_kw = spec.solve_kw if start is None else {**spec.solve_kw, "start": start}
         t0 = time.perf_counter()
         try:
-            report = policies.solve_named(row["policy"], scenario, **spec.solve_kw).report
+            results[name] = policies.solve_named(name, scenario, **solve_kw)
+            report = results[name].report
             row.update(ltec=report.ltec, chr=report.chr, mph=cache_only, value=reported)
         except Exception as exc:  # record and keep sweeping
             row["status"] = _status(exc)
@@ -287,6 +299,17 @@ def _sweep_point(spec: SweepSpec, graph: np.ndarray, value) -> list[dict]:
     ref_chr = next(row["chr"] for row in rows if row["policy"] == spec.reference)
     for row in rows:
         row["gain_pct"] = gain(row["chr"], ref_chr)
+    return rows, results
+
+
+def _sweep_chain(spec: SweepSpec, graph: np.ndarray, values: list) -> list[dict]:
+    """The rows of consecutive axis values, in order; each point's rows may
+    start from the results of the point before it (`_sweep_point`), so a
+    failed point or row gives the next point's row of that policy no start."""
+    rows, previous = [], {}
+    for value in values:
+        point_rows, previous = _sweep_point(spec, graph, value, previous)
+        rows += point_rows
     return rows
 
 
@@ -294,19 +317,25 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """Execute every (axis value, policy) cell; row order is deterministic.
 
     The graph of the config's `seed` is built once for the whole sweep (no
-    axis changes it); if that fails, its error is every row's status. Each
-    axis value is one `_sweep_point` task, run in order or on the worker pool.
+    axis changes it); if that fails, its error is every row's status. alpha
+    enters only the evaluation, so an optimum at one alpha is a feasible
+    start at the next: an alpha sweep is one chain, its points run in the
+    order given as one task, each P2 and P3 row starting from the previous
+    point's result of its policy (`_sweep_chain`). Every other axis value is
+    a task of its own. Tasks run in order or on the worker pool, which
+    receives whole chains, so the rows do not depend on `workers`.
     """
     try:
         graph = data.graph_from_config(spec.config)[0]
     except Exception as exc:  # no point can build its scenario
         return [row for value in spec.values for row in _rows(spec, value, _status(exc))]
-    point = functools.partial(_sweep_point, spec, graph)
-    workers = min(spec.workers, len(spec.values))  # a pool starts all its workers at once
+    chains = [spec.values] if spec.axis == "alpha" else [[value] for value in spec.values]
+    chain = functools.partial(_sweep_chain, spec, graph)
+    workers = min(spec.workers, len(chains))  # a pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [row for group in pool.map(point, spec.values) for row in group]
-    return [row for value in spec.values for row in point(value)]
+            return [row for rows in pool.map(chain, chains) for row in rows]
+    return [row for values in chains for row in chain(values)]
 
 
 def _fmt(x) -> str:

@@ -209,10 +209,16 @@ def _count(val, key: str) -> int:
 
 
 def _floats(val, key: str) -> np.ndarray:
-    """A config list (or nested list) of numbers as a float array."""
+    """A config list (or nested list) of numbers as a float array. Every
+    element follows the rule of a config number (`_real`), so a string or a
+    bool raises ValueError naming the key, as a ragged list does."""
     try:
-        return np.asarray(val, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(val, dtype=float)
+        if not (isinstance(val, np.ndarray) and val.dtype.kind in "iuf"):
+            for x in np.asarray(val, dtype=object).flat:
+                _real(x, key)
+        return arr
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"config key {key!r} must be a list of numbers, "
                          f"got {reprlib.repr(val)}") from None
 

@@ -15,7 +15,11 @@ first Bellman step from V = c, which starts from the max-quality slates of
 kernel once a round from the current slates and replace each row whose
 returned cost under V beats its start's by more than a rounding margin.
 When no row changes, the last round's policy is the result, with that
-round's report.
+round's report. P2 and P3 may instead start from an earlier result whose
+slates solve the same rows (`_check_start`), such as P1's on the same
+scenario, or the optimum at another alpha: alpha enters only the
+evaluation, so any such result is a feasible first round, and policy
+iteration converges from any feasible start (Puterman 1994, sec. 6.4).
 
 An explicit LP method ("dense", "highs" or "external") instead builds the
 K^2-variable LP of `cacherec.lp` and solves it with `cacherec.simplex`; that
@@ -72,16 +76,22 @@ class PolicyResult:
     """A solved policy plus its analytic evaluation and solver diagnostics.
 
     On the default row-kernel path (method="auto"):
-      iterations: row-kernel calls; 1 for P1, and for P2/P3 one for the P1
-        start plus one per policy-iteration round.
+      iterations: the row-kernel calls of this solve; 1 for P1, and for a
+        cold P2/P3 one for the P1 round plus one per policy-iteration round.
+        A P2/P3 given a start makes only the rounds' calls, so one started
+        from P1's result on its scenario reports one fewer than cold.
       residual: largest shortfall of a content's slate quality below its
         floor; slate budgets and bounds hold by construction.
       objective: P1's myopic cost sum_i p0_i r_i'c; for P2/P3 the cycle cost
         p0'V with V = G c, so LTEC = (1 - alpha) * objective.
+      slates: the kernel's final RowSolution, whose `slate_policy` is
+        `policy`; problem: the rows those slates solve. Together they make
+        this result a start of a later P2 or P3 solve.
     On an LP path these are the simplex iterations, the largest LP constraint
     violation and the LP objective (P1: the same myopic cost; P2/P3: c'z).
-    The baseline has no objective, 0 iterations and residual 0. status is
-    always "optimal": a failed solve raises. seconds includes the exit's checks.
+    The baseline has no objective, 0 iterations and residual 0. Neither has
+    slates or a problem. status is always "optimal": a failed solve raises.
+    seconds includes the exit's checks.
     """
 
     name: str
@@ -92,12 +102,15 @@ class PolicyResult:
     iterations: int
     residual: float
     seconds: float
+    slates: RowSolution | None = None
+    problem: RowProblem | None = None
 
 
 def _finish(name: str, scenario: Scenario, policy: Policy, t0: float,
             report: EvalReport | None = None, tol: float = FEAS_TOL,
             objective: float | None = None, iterations: int = 0,
-            residual: float = 0.0) -> PolicyResult:
+            residual: float = 0.0, slates: RowSolution | None = None,
+            problem: RowProblem | None = None) -> PolicyResult:
     """The one exit of every solver: a policy that fails `validate_policy` at
     `tol` raises SolverFailure; `markov.solve` gives its report unless the
     solver passes its last round's; the clock is read last."""
@@ -107,7 +120,7 @@ def _finish(name: str, scenario: Scenario, policy: Policy, t0: float,
     return PolicyResult(
         name=name, policy=policy, report=report or markov.solve(policy, scenario),
         objective=objective, status="optimal", iterations=iterations, residual=residual,
-        seconds=time.perf_counter() - t0)
+        seconds=time.perf_counter() - t0, slates=slates, problem=problem)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +136,20 @@ class RowSolution(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
     theta: np.ndarray
+
+
+class RowProblem(NamedTuple):
+    """The rows a row-kernel solve solves: the scenario's u, the slot weights
+    in decreasing order, the per-row quality floors, and the click
+    distribution that places the slates (None for a uniform policy). alpha,
+    c and p0 enter only the evaluation, so slates solved for one problem
+    are feasible in every scenario with the same u, weights, floors and
+    placement."""
+
+    scenario: Scenario
+    weights: np.ndarray
+    floor: np.ndarray
+    v: np.ndarray | None
 
 
 def _weigh(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -232,16 +259,43 @@ def _row_problem(scenario: Scenario, positional: bool):
     return weights, floor, v, RowSolution(top, top, np.ones(k))
 
 
-def _row_solve(scenario: Scenario, name: str) -> PolicyResult:
+def _check_start(start: PolicyResult, problem: RowProblem, name: str) -> None:
+    """Raise ValueError unless `start` is a row-kernel result whose slates
+    solve exactly the rows of `problem`: the same u, slot weights, floors and
+    slate placement, compared as arrays. Floors that are equal on another u
+    do not make its slates feasible, so u is compared too."""
+    if start.slates is None:
+        raise ValueError(f"{name}: a start needs the row kernel's slates; the "
+                         f"{start.name} result has none")
+    had = start.problem
+    differ = [what for what, a, b in (("u", had.scenario.u, problem.scenario.u),
+                                      ("slot weights", had.weights, problem.weights),
+                                      ("quality floors", had.floor, problem.floor),
+                                      ("click placement", had.v, problem.v))
+              if not (a is b or np.array_equal(a, b))]
+    if differ:
+        raise ValueError(f"{name}: the {start.name} start solves other rows: its "
+                         f"{', '.join(differ)} differ")
+
+
+def _row_solve(scenario: Scenario, name: str, start: PolicyResult | None = None) -> PolicyResult:
     """P1, P2 or P3 by the row kernel; P1 is the first round, whose objective
-    is the myopic cost."""
+    is the myopic cost. A P2 or P3 `start` (see `_check_start`) replaces the
+    first round's kernel call and `slate_policy`: its slates and policy are
+    the first round's, evaluated by `markov.solve`, or, when it was solved on
+    this very scenario, with its report."""
     t0 = time.perf_counter()
-    weights, floor, v, start = _row_problem(scenario, positional=name == "P3")
-    sol, cost, _ = row_kernel(scenario.c, scenario.u, weights, floor, start)
-    calls = 1
+    weights, floor, v, top = _row_problem(scenario, positional=name == "P3")
+    problem = RowProblem(scenario, weights, floor, v)
+    if start is None:
+        sol, cost, _ = row_kernel(scenario.c, scenario.u, weights, floor, top)
+        policy, report, calls = slate_policy(*sol, v), None, 1
+    else:
+        _check_start(start, problem, name)
+        sol, policy, calls = start.slates, start.policy, 0
+        report = start.report if start.problem.scenario is scenario else None
     for _ in range(MAX_ROUNDS):
-        policy = slate_policy(*sol, v)
-        report = markov.solve(policy, scenario)
+        report = report or markov.solve(policy, scenario)
         values = report.cost_to_go
         if name == "P1":
             objective = float(scenario.p0 @ cost)
@@ -256,12 +310,14 @@ def _row_solve(scenario: Scenario, name: str) -> PolicyResult:
         sol = RowSolution(np.where(better[:, None], new.lo, sol.lo),
                           np.where(better[:, None], new.hi, sol.hi),
                           np.where(better, new.theta, sol.theta))
+        policy, report = slate_policy(*sol, v), None
     else:
         raise SolverFailure(f"{name}: policy iteration did not settle in "
                             f"{MAX_ROUNDS} rounds")
     shortfall = floor - quality_of(policy, scenario)
     return _finish(name, scenario, policy, t0, report, objective=objective,
-                   iterations=calls, residual=float(max(shortfall.max(), 0.0)))
+                   iterations=calls, residual=float(max(shortfall.max(), 0.0)),
+                   slates=sol, problem=problem)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +347,10 @@ def _greedy_lp(scenario: Scenario, **solve_kw) -> PolicyResult:
                    residual=max(sol.max_residual for sol in sols))
 
 
-def _session_lp(scenario: Scenario, positional: bool, name: str, **solve_kw) -> PolicyResult:
+def _session_lp(scenario: Scenario, positional: bool, name: str,
+                start: PolicyResult | None = None, **solve_kw) -> PolicyResult:
+    if start is not None:
+        raise ValueError(f"{name}: a start needs method 'auto', not {solve_kw['method']!r}")
     t0 = time.perf_counter()
     problem = (lp.build_positional_lp if positional else lp.build_session_lp)(scenario)
     sol = simplex.solve(problem, **solve_kw)
@@ -329,22 +388,39 @@ def solve_greedy(scenario: Scenario, method: str = "auto", **solve_kw) -> Policy
     return _greedy_lp(scenario, method=method, **solve_kw)
 
 
-def solve_session(scenario: Scenario, method: str = "auto", **solve_kw) -> PolicyResult:
-    """P2: optimal long-session policy under uniform clicks."""
+def solve_session(scenario: Scenario, method: str = "auto",
+                  start: PolicyResult | None = None, **solve_kw) -> PolicyResult:
+    """P2: optimal long-session policy under uniform clicks.
+
+    `start`, an earlier row-kernel result whose slates solve the same rows
+    (P1's on this scenario, or P2's at another alpha), is where policy
+    iteration begins instead of the P1 round. It changes the kernel calls,
+    not the optimum: LTEC agrees with a cold solve to rounding. A start on
+    other rows, one without slates (the baseline, an LP result) or one
+    given with a method other than "auto" raises ValueError.
+    """
     if method == "auto":
-        return _row_solve(scenario, "P2")
-    return _session_lp(scenario, positional=False, name="P2", method=method, **solve_kw)
+        return _row_solve(scenario, "P2", start)
+    return _session_lp(scenario, positional=False, name="P2", start=start, method=method,
+                       **solve_kw)
 
 
-def solve_positional(scenario: Scenario, method: str = "auto", **solve_kw) -> PolicyResult:
-    """P3: optimal long-session policy aware of the position click distribution."""
+def solve_positional(scenario: Scenario, method: str = "auto",
+                     start: PolicyResult | None = None, **solve_kw) -> PolicyResult:
+    """P3: optimal long-session policy aware of the position click distribution.
+
+    `start` is as in `solve_session`; only a P3 result with the same u,
+    clicks and floors (P3's at another alpha, say) solves the same rows.
+    """
     if method == "auto":
-        return _row_solve(scenario, "P3")
-    return _session_lp(scenario, positional=True, name="P3", method=method, **solve_kw)
+        return _row_solve(scenario, "P3", start)
+    return _session_lp(scenario, positional=True, name="P3", start=start, method=method,
+                       **solve_kw)
 
 
 def solve_named(name: str, scenario: Scenario, **solve_kw) -> PolicyResult:
-    """Dispatch on the policy names used across sweeps and the CLI."""
+    """Dispatch on the policy names used across sweeps and the CLI; P2 and P3
+    take a `start` keyword (see `solve_session`), and P1 takes none."""
     table = {"baseline": lambda s, **_: solve_baseline(s),  # no solver: ignores solve_kw
              "P1": solve_greedy, "P2": solve_session, "P3": solve_positional}
     if name not in table:

@@ -325,6 +325,88 @@ class TestSweep:
         assert [row["status"] == "ok" for row in got] == [True] * 4 + [False] * 2
 
     @pytest.fixture
+    def spy(self, monkeypatch):
+        """Every `solve_named` call of a sweep as (policy, alpha, q, start);
+        P2 fails wherever the list `fail_p2_at` holds the scenario's alpha."""
+        calls, fail_p2_at, solve = [], [], policies.solve_named
+
+        def spying(name, scenario, **kw):
+            calls.append((name, scenario.alpha, scenario.q, kw.get("start")))
+            if name == "P2" and scenario.alpha in fail_p2_at:
+                raise RuntimeError("no P2 here")
+            return solve(name, scenario, **kw)
+
+        monkeypatch.setattr(policies, "solve_named", spying)
+        return calls, fail_p2_at
+
+    def test_alpha_chain_matches_cold_cells_for_any_workers(self, spy):
+        """An alpha sweep is one chain in the order given: its rows do not
+        depend on workers, keep the statuses of cold per-cell solves and
+        reach their LTEC."""
+        calls, _ = spy
+        spec = dict(config={**self.small_cfg(), "n": 3, "v": [0.5, 0.3, 0.2]}, axis="alpha",
+                    values=[0.95, 0.0, 0.5, 0.8], policies=["baseline", "P1", "P2", "P3"])
+        rows = without_wall_time(run_sweep(SweepSpec(workers=1, **spec)))
+        assert rows == without_wall_time(run_sweep(SweepSpec(workers=2, **spec)))
+        starts = [(name, alpha, start.name, start.problem.scenario.alpha)
+                  for name, alpha, _, start in calls[:16] if start is not None]
+        assert starts == [("P2", 0.95, "P1", 0.95),
+                          ("P2", 0.0, "P2", 0.95), ("P3", 0.0, "P3", 0.95),
+                          ("P2", 0.5, "P2", 0.0), ("P3", 0.5, "P3", 0.0),
+                          ("P2", 0.8, "P2", 0.5), ("P3", 0.8, "P3", 0.5)]
+        cold = sweep_each_cell(SweepSpec(**spec))
+        assert [row["status"] for row in rows] == [row["status"] for row in cold] == ["ok"] * 16
+        for got, want in zip(rows, cold):
+            assert got["ltec"] == pytest.approx(want["ltec"], abs=1e-9)
+
+    def test_failed_row_breaks_the_chain_of_its_policy(self, spy):
+        """P2 fails at alpha = 0.5, so P2 at the next point starts cold and
+        equals the cold cell; P3's chain goes on."""
+        calls, fail_p2_at = spy
+        fail_p2_at.append(0.5)
+        spec = SweepSpec(config=self.small_cfg(), axis="alpha", values=[0.3, 0.5, 0.9],
+                         policies=["baseline", "P2", "P3"], reference="baseline")
+        rows = without_wall_time(run_sweep(spec))
+        assert [row["status"] for row in rows[3:6]] == [
+            "ok", "error: RuntimeError: no P2 here", "ok"]
+        started = {(name, alpha): start for name, alpha, _, start in calls}
+        assert started[("P2", 0.9)] is None
+        assert started[("P3", 0.9)].problem.scenario.alpha == 0.5
+        assert rows[7] == sweep_each_cell(spec)[7]
+
+    def test_failed_point_breaks_the_chain(self, spy):
+        """alpha = 1 is a number, so the sweep takes it, but no scenario has
+        it: the next point starts cold."""
+        calls, _ = spy
+        spec = SweepSpec(config=self.small_cfg(), axis="alpha", values=[0.6, 1.0, 0.8],
+                         policies=["P2"], reference="P2")
+        rows = without_wall_time(run_sweep(spec))
+        assert rows[1]["status"].startswith("error: ValueError: alpha must be in [0, 1)")
+        assert [(name, alpha, start) for name, alpha, _, start in calls] == [
+            ("P2", 0.6, None), ("P2", 0.8, None)]
+        assert rows == sweep_each_cell(spec)
+
+    @pytest.mark.parametrize("names, p2_start", [(["P1", "P2"], "P1"), (["P2", "P1"], None)])
+    def test_p2_starts_from_an_earlier_p1_of_its_point(self, spy, names, p2_start):
+        """Off the alpha axis no point carries anything to the next; a P2 row
+        starts from its point's P1 result when P1 came first."""
+        calls, _ = spy
+        spec = SweepSpec(config=self.small_cfg(), axis="q", values=[0.7, 0.9], policies=names)
+        rows = without_wall_time(run_sweep(spec))
+        assert len(calls) == 4
+        for name, _, q, start in calls:
+            want = p2_start if name == "P2" else None
+            assert (start and start.name) == want
+            assert start is None or start.problem.scenario.q == q
+        assert rows == sweep_each_cell(spec)
+
+    def test_lp_methods_pass_no_start(self, spy):
+        calls, _ = spy
+        run_sweep(SweepSpec(config=self.small_cfg(), axis="alpha", values=[0.5, 0.8],
+                            policies=["P1", "P2"], solve_kw={"method": "highs"}))
+        assert len(calls) == 4 and all(start is None for *_, start in calls)
+
+    @pytest.fixture
     def started(self, monkeypatch):
         """The worker counts of the pools a sweep starts; the fake pool maps
         in this process."""
@@ -357,6 +439,15 @@ class TestSweep:
         assert started == [2]
         assert without_wall_time(rows) == without_wall_time(
             run_sweep(SweepSpec(values=[0.7, 0.9], **spec)))
+
+    def test_pool_receives_whole_chains(self, started):
+        """An alpha sweep is one task, so it starts no pool whatever its
+        workers; each other axis value is a task."""
+        spec = dict(config=self.small_cfg(), policies=["P1", "P2"], workers=8)
+        run_sweep(SweepSpec(axis="alpha", values=[0.5, 0.6, 0.7], **spec))
+        assert started == []
+        run_sweep(SweepSpec(axis="q", values=[0.5, 0.6, 0.7], **spec))
+        assert started == [3]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_graph_fails_every_row(self, started, workers):
@@ -861,6 +952,18 @@ class TestCommands:
                        "cache_size: 2\n")
         assert main(["gen", "--config", str(cfg)]) == EXIT_IO
         assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("line, key", [
+        ("p0: ['0.4', '0.3', '0.3']", "p0"), ("c: [false, true, true]", "c"),
+        ("v: ['1']", "v"), ("graph: {kind: matrix, u: [[0, '1'], [1, 0]]}", "graph.u")])
+    def test_gen_refuses_a_list_element_that_is_not_a_number(self, tmp_path, capsys,
+                                                             line, key):
+        cfg = tmp_path / "bad.yaml"
+        lines = {"graph": "graph: {kind: matrix, u: [[0, 1, 0.5], [1, 0, 1], [0.5, 1, 0]]}",
+                 "n": "n: 1", "alpha": "alpha: 0.5", key.split(".")[0]: line}
+        cfg.write_text("\n".join(lines.values()) + "\n")
+        assert main(["gen", "--config", str(cfg)]) == EXIT_IO
+        assert f"config key '{key}' must be a list of numbers" in capsys.readouterr().err
 
     def test_ingest_non_finite_threshold_exits_io_naming_it(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"

@@ -334,6 +334,32 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             scenario_from_config({**self.POISSON, **changes})
 
+    MATRIX = {"graph": {"kind": "matrix", "u": [[0, 1, 0.5], [1, 0, 1], [0.5, 1, 0]]},
+              "p0": [0.4, 0.3, 0.3], "c": [0, 1, 1], "v": [1.0], "n": 1, "alpha": 0.5}
+
+    @pytest.mark.parametrize("bad", ["1", True, False], ids=["string", "true", "false"])
+    @pytest.mark.parametrize("key", ["p0", "c", "v", "graph.u"])
+    def test_list_element_follows_the_number_rule(self, key, bad):
+        """A list element is a number by the rule of a config scalar: a
+        string or a bool is refused, naming the key, as `alpha: '0.5'` is."""
+        cfg = copy.deepcopy(self.MATRIX)
+        if key == "graph.u":
+            cfg["graph"]["u"][0][1] = bad
+        else:
+            cfg[key][-1] = bad
+        with pytest.raises(ValueError, match=rf"^config key '{key}' must be a list of "
+                                             rf"numbers, got \["):
+            scenario_from_config(cfg)
+
+    def test_list_elements_of_any_number_type_accepted(self):
+        cfg = {**self.MATRIX, "p0": np.array([0.4, 0.3, 0.3]), "c": [np.int64(0), 1, 1.0]}
+        scenario, _ = scenario_from_config(cfg)
+        assert list(scenario.c) == [0.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match="^config key 'c' must be a list of numbers"):
+            scenario_from_config({**cfg, "c": np.array([False, True, True])})
+        with pytest.raises(ValueError, match="^config key 'c' must be a list of numbers"):
+            scenario_from_config({**cfg, "c": [10 ** 400, 1, 1]})  # overflows a float
+
     def test_integral_floats_accepted_as_counts(self):
         scenario, _ = scenario_from_config({**self.POISSON, "n": 2.0, "cache_size": 3.0})
         assert scenario.n == 2 and int((scenario.c == 0).sum()) == 3

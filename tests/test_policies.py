@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cacherec import Scenario, quality_profile, scenario_from_config, validate_policy
-from cacherec import Policy, markov, model, policies
+from cacherec import Policy, data, markov, model, policies
 from cacherec.lp import build_greedy_row_lps, build_positional_lp, build_session_lp
 from cacherec.simplex import solve
 from conftest import bad_solver_cmd, random_scenario
@@ -377,3 +377,108 @@ def test_unusable_lp_solution_is_a_solver_failure(tmp_path, name, kind, err):
     with pytest.raises(policies.SolverFailure, match=err):
         policies.solve_named(name, s, method="external",
                              external_cmd=bad_solver_cmd(tmp_path, kind))
+
+
+# ---------------------------------------------------------------------------
+# Starts: P2 and P3 begin policy iteration from an earlier result.
+
+def poisson_scenario(k: int, n: int, seed: int, skewed: bool = False, **keys) -> Scenario:
+    u, _ = data.gen_poisson_graph(k, 3.0, seed)
+    v = None if not skewed else np.array([0.6, 0.4] if n == 2 else [0.5, 0.3, 0.2])
+    p0 = data.zipf_popularity(k, 0.7)
+    return Scenario(u=u, c=data.place_cache(p0, max(1, k // 5)), p0=p0, n=n, v=v,
+                    **{"alpha": 0.8, "q": 0.9, **keys})
+
+
+def assert_same_result(got, want):
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.policy, field), getattr(want.policy, field)), field
+    for field in ("ltec", "chr", "residual"):
+        assert getattr(got.report, field) == getattr(want.report, field), field
+    assert got.report.cost_to_go.tobytes() == want.report.cost_to_go.tobytes()
+    assert (got.objective, got.residual) == (want.objective, want.residual)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_p1_start_on_its_scenario_is_the_cold_solve_less_one_call(seed):
+    """P2's first round is P1's whole solve, so starting from P1's result
+    changes no bit of P2's and saves that round's kernel call."""
+    s = poisson_scenario(12 + 3 * seed, 2, seed, alpha=[0.0, 0.5, 0.9][seed % 3])
+    p1 = policies.solve_greedy(s)
+    cold, warm = policies.solve_session(s), policies.solve_session(s, start=p1)
+    assert_same_result(warm, cold)
+    assert warm.iterations == cold.iterations - 1
+    assert warm.slates is not None and warm.problem.scenario is s
+
+
+def test_start_from_another_alpha_reaches_the_cold_optimum():
+    s = poisson_scenario(30, 2, 5)
+    for name in ("P2", "P3"):
+        before = policies.solve_named(name, s.replace(alpha=0.3))
+        cold = policies.solve_named(name, s)
+        warm = policies.solve_named(name, s, start=before)
+        assert warm.report.ltec == pytest.approx(cold.report.ltec, abs=TOL)
+        assert warm.iterations < cold.iterations
+
+
+@pytest.mark.parametrize("case, err", [
+    ("other q", r"^P2: the P2 start solves other rows: its quality floors differ$"),
+    ("other u", r"^P2: the P2 start solves other rows: its u, quality floors differ$"),
+    # At q = 0 every floor is 0 on both graphs, but the start's slates
+    # were picked on the other u.
+    ("other u, q = 0", r"^P2: the P2 start solves other rows: its u differ$"),
+    ("P3 result", r"^P2: the P3 start solves other rows: its slot weights, quality floors, "
+                  r"click placement differ$"),
+    ("baseline", r"^P2: a start needs the row kernel's slates; the baseline result has none$"),
+    ("LP result", r"^P2: a start needs the row kernel's slates; the P1 result has none$"),
+    ("highs", r"^P2: a start needs method 'auto', not 'highs'$"),
+])
+def test_start_on_other_rows_is_refused(case, err):
+    q = 0.0 if case == "other u, q = 0" else 0.9
+    s = poisson_scenario(12, 2, 1, skewed=True, q=q)
+    start, method = policies.solve_session(s), "auto"
+    if case == "other q":
+        start = policies.solve_session(s.replace(q=0.8))
+    elif case.startswith("other u"):
+        start = policies.solve_session(poisson_scenario(12, 2, 2, skewed=True, q=q))
+    elif case == "P3 result":
+        start = policies.solve_positional(s)
+    elif case == "baseline":
+        start = policies.solve_baseline(s)
+    elif case == "LP result":
+        start = policies.solve_greedy(s, method="highs")
+    else:
+        method = "highs"
+    with pytest.raises(ValueError, match=err):
+        policies.solve_session(s, method=method, start=start)
+
+
+def test_p3_refuses_a_start_placed_by_other_clicks():
+    """Slot weights sorted the same, but the clicks favour another slot, so
+    the start's policy puts the slates in the wrong places."""
+    s = poisson_scenario(12, 2, 1, skewed=True)
+    flipped = policies.solve_positional(s.replace(v=s.v[::-1]))
+    with pytest.raises(ValueError, match=r"^P3: the P3 start solves other rows: its "
+                                         r"click placement differ$"):
+        policies.solve_positional(s, start=flipped)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(6, 30), st.sampled_from([2, 3]),
+       st.booleans(), st.sampled_from([0.5, 0.9, 1.0]), st.floats(0.0, 0.99),
+       st.floats(0.0, 0.99))
+@settings(max_examples=60, deadline=None)
+def test_started_solves_reach_the_cold_optimum(seed, k, n, skewed, q, alpha, other):
+    """P2 started from P1's result, and P2 and P3 started from their optimum
+    at another alpha, reach the cold LTEC with a valid policy that meets
+    every floor."""
+    s = poisson_scenario(k, n, seed, skewed=skewed, q=q, alpha=alpha)
+    starts = {"P2": [policies.solve_greedy(s), policies.solve_session(s.replace(alpha=other))],
+              "P3": [policies.solve_positional(s.replace(alpha=other))]}
+    for name, froms in starts.items():
+        cold = policies.solve_named(name, s)
+        for start in froms:
+            got = policies.solve_named(name, s, start=start)
+            assert got.report.ltec == pytest.approx(cold.report.ltec, abs=TOL), (name, start.name)
+            assert validate_policy(got.policy, s) == []
+            assert quality_profile(got.policy, s).ratio().min() >= q - 1e-9
+            assert got.residual <= 1e-9
